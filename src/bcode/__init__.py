@@ -41,7 +41,6 @@ from .decoder import (
     decode,
     estimate_confusion,
     identity_confusions,
-    joint_weight,
     label_posterior,
     majority_vote,
     uniform_count_prior,

@@ -9,13 +9,22 @@ representation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .errors import ResourceLimitError
+
 # A set of column indices, strictly increasing, no duplicates.
 ColumnSet = tuple[int, ...]
+
+# Most column sets one ``column_sums`` call may enumerate.  The largest
+# documented uses (verifiers at n = 24, k = 4; decoder tables at n = 40,
+# counts up to 4) stay about ten times below it.
+MAX_COLUMN_SETS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -191,6 +200,35 @@ def column_or_mask(mat: BitMatrix, columns: Sequence[int]) -> int:
     for j in cols:
         acc |= masks[j]
     return acc
+
+
+def column_sums(mat: BitMatrix, sizes: Iterable[int]) -> Iterator[tuple[ColumnSet, int]]:
+    """(column set, Boolean sum) for every column set whose size is in ``sizes``.
+
+    Sizes are visited in the order given and sets lexicographically within
+    a size; size 0 yields ``((), 0)`` and sizes above ``mat.n`` yield
+    nothing.  Raises ``ResourceLimitError`` before enumerating anything when
+    the call would visit more than ``MAX_COLUMN_SETS`` sets.
+    """
+    sizes = tuple(sizes)
+    total = sum(math.comb(mat.n, size) for size in sizes)
+    if total > MAX_COLUMN_SETS:
+        raise ResourceLimitError(
+            f"enumerating {total} column sets of {mat.n} columns exceeds the "
+            f"budget of {MAX_COLUMN_SETS}"
+        )
+    return _column_sums(mat.column_masks, sizes)
+
+
+def _column_sums(
+    masks: tuple[int, ...], sizes: tuple[int, ...]
+) -> Iterator[tuple[ColumnSet, int]]:
+    for size in sizes:
+        for cols in combinations(range(len(masks)), size):
+            acc = 0
+            for j in cols:
+                acc |= masks[j]
+            yield cols, acc
 
 
 def column_or(mat: BitMatrix, columns: Sequence[int]) -> tuple[int, ...]:

@@ -3,7 +3,7 @@
 Deterministic constructions:
 
 * ``minimal_bdc`` builds the unique (up to permutation) minimum-row
-  detection code on n = k + r users by block recursion.
+  detection code on n = k + r users: one row per r-subset of the users.
 * ``minimal_bcc`` upgrades it to a correction code; for r = 1 this needs
   one extra all-ones row, for r > 1 the detection code is already one.
 * ``general_bcc`` reaches arbitrary n >= k + r by duplicating the columns
@@ -26,36 +26,26 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .bitmatrix import BitMatrix, select_columns, vstack
+from .bitmatrix import BitMatrix, column_sums, select_columns, vstack
 from .errors import ConstructionError, ResourceLimitError
 from .properties import find_btc_violation, is_separable
 
 DEFAULT_MAX_ROWS = 1_000_000
-
-
-@lru_cache(maxsize=None)
-def _minimal_bdc_rows(k: int, r: int) -> tuple[int, ...]:
-    # k == 0 is an internal base case: the 1 x r all-ones block that the
-    # k = 1 recursion bottoms out on.
-    if k == 0:
-        return ((1 << r) - 1,)
-    if r == 1:
-        return tuple(1 << i for i in range(k + 1))
-    top = tuple(1 | (row << 1) for row in _minimal_bdc_rows(k, r - 1))
-    bottom = tuple(row << 1 for row in _minimal_bdc_rows(k - 1, r))
-    return top + bottom
+# Most entries (rows x columns) a minimal detection code may hold: 128 MiB of
+# row bits.  With k = 1 the row budget alone admits a 10^6 x 10^6 matrix.
+MAX_ENTRIES = 1 << 30
 
 
 def minimal_bdc(k: int, r: int, max_rows: int = DEFAULT_MAX_ROWS) -> BitMatrix:
     """Minimum-row detection code on k + r users: C(k+r, k) rows.
 
-    Layout follows the block recursion literally (all-ones block first) so
-    outputs are reproducible; any row/column permutation would be equally
-    valid.
+    Row s is the indicator of the s-th r-subset of the users in
+    lexicographic order, so any k users miss at least one model; the layout
+    is fixed so outputs are reproducible, though any row/column permutation
+    would be equally valid.
     """
     if k < 1 or r < 1:
         raise ValueError("k and r must be positive")
@@ -64,7 +54,13 @@ def minimal_bdc(k: int, r: int, max_rows: int = DEFAULT_MAX_ROWS) -> BitMatrix:
         raise ResourceLimitError(
             f"minimal detection code for k={k}, r={r} needs {rows} rows (> {max_rows})"
         )
-    return BitMatrix(rows, k + r, _minimal_bdc_rows(k, r))
+    if rows * (k + r) > MAX_ENTRIES:
+        raise ResourceLimitError(
+            f"minimal detection code for k={k}, r={r} needs {rows} x {k + r} entries "
+            f"(> {MAX_ENTRIES})"
+        )
+    sums = column_sums(BitMatrix.identity(k + r), (r,))
+    return BitMatrix(rows, k + r, tuple(mask for _, mask in sums))
 
 
 def add_ones_row(mat: BitMatrix) -> BitMatrix:

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .bitmatrix import BitMatrix
+from .bitmatrix import BitMatrix, column_sums
 from .errors import DegenerateEvidenceError
 
 # Stand-in for log(0) inside masked matrix products: 0 * -inf would be NaN,
@@ -53,15 +52,16 @@ def _safe_log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecoderConfig:
     """Everything the decoder needs to know about code, noise and priors.
 
     ``confusions`` is an (m, c, c) stack, one row-stochastic matrix per
     model; entry (i, j, q) is the probability that clean model i classifies
-    class-j data as class q.  ``count_prior`` maps attacker counts to
-    probabilities (its keys define which counts are enumerated; they must
-    sum to 1 and stay within [0, n]).
+    class-j data as class q.  The config keeps its own read-only copy, so
+    the enumeration tables derived from it cannot go stale.
+    ``count_prior`` maps attacker counts to probabilities (its keys define
+    which counts are enumerated; they must sum to 1 and stay within [0, n]).
     """
 
     code: BitMatrix
@@ -81,7 +81,9 @@ class DecoderConfig:
     _x_mask_idx: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.confusions = np.asarray(self.confusions, dtype=float)
+        confusions = np.array(self.confusions, dtype=float)
+        confusions.setflags(write=False)
+        object.__setattr__(self, "confusions", confusions)
         m, n, c = self.code.m, self.code.n, self.num_classes
         if c < 1:
             raise ValueError("need at least one class")
@@ -100,7 +102,9 @@ class DecoderConfig:
             raise ValueError("success rate must lie in [0, 1]")
         if not self.count_prior:
             raise ValueError("count prior must not be empty")
-        self.count_prior = {int(k): float(v) for k, v in self.count_prior.items()}
+        object.__setattr__(
+            self, "count_prior", {int(k): float(v) for k, v in self.count_prior.items()}
+        )
         total = 0.0
         for count, prob in self.count_prior.items():
             if count < 0:
@@ -112,51 +116,38 @@ class DecoderConfig:
             total += prob
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(f"count prior must sum to 1, got {total}")
-
-        with np.errstate(divide="ignore"):
-            self._log_conf = np.log(self.confusions)
-
-        cols = self.code.column_masks
-        supports: list[tuple[int, ...]] = []
-        counts: list[int] = []
-        logw: list[float] = []
-        mask_idx: list[int] = []
-        mask_order: dict[int, int] = {}
-        mask_logw_linear: list[float] = []
-        for count in sorted(self.count_prior):
-            prob = self.count_prior[count]
-            if prob <= 0.0:
-                continue
-            w = prob / math.comb(n, count)
-            for combo in combinations(range(n), count):
-                mask = 0
-                for j in combo:
-                    mask |= cols[j]
-                idx = mask_order.get(mask)
-                if idx is None:
-                    idx = len(mask_order)
-                    mask_order[mask] = idx
-                    mask_logw_linear.append(0.0)
-                mask_logw_linear[idx] += w
-                supports.append(combo)
-                counts.append(count)
-                logw.append(_safe_log(w))
-                mask_idx.append(idx)
-        if not supports:
+        sizes = [count for count in sorted(self.count_prior) if self.count_prior[count] > 0.0]
+        if not sizes:
             raise ValueError("count prior assigns no probability to any count")
 
-        num_masks = len(mask_order)
-        mask_matrix = np.zeros((num_masks, m), dtype=float)
+        supports: list[tuple[int, ...]] = []
+        mask_idx: list[int] = []
+        mask_order: dict[int, int] = {}
+        for combo, mask in column_sums(self.code, sizes):
+            supports.append(combo)
+            mask_idx.append(mask_order.setdefault(mask, len(mask_order)))
+        per_size = [math.comb(n, count) for count in sizes]
+        weights = [self.count_prior[count] / num for count, num in zip(sizes, per_size)]
+        mask_weight = np.bincount(mask_idx, weights=np.repeat(weights, per_size))
+
+        mask_matrix = np.zeros((len(mask_order), m), dtype=float)
         for mask, idx in mask_order.items():
             for i in range(m):
                 if (mask >> i) & 1:
                     mask_matrix[idx, i] = 1.0
-        self._mask_matrix = mask_matrix
-        self._mask_logw = np.array([_safe_log(w) for w in mask_logw_linear])
-        self._x_supports = supports
-        self._x_counts = np.array(counts, dtype=int)
-        self._x_logw = np.array(logw)
-        self._x_mask_idx = np.array(mask_idx, dtype=int)
+        with np.errstate(divide="ignore"):
+            log_conf = np.log(self.confusions)
+        tables = {
+            "_log_conf": log_conf,
+            "_mask_matrix": mask_matrix,
+            "_mask_logw": np.array([_safe_log(w) for w in mask_weight]),
+            "_x_supports": supports,
+            "_x_counts": np.repeat(sizes, per_size),
+            "_x_logw": np.repeat([_safe_log(w) for w in weights], per_size),
+            "_x_mask_idx": np.array(mask_idx, dtype=int),
+        }
+        for name, value in tables.items():
+            object.__setattr__(self, name, value)
 
     @property
     def kmax(self) -> int:
@@ -225,46 +216,6 @@ def _evidence(y: np.ndarray, cfg: DecoderConfig) -> _Evidence:
     mask_total = _logsumexp(ll.reshape(ll.shape[0], -1), axis=1)
     mask_by_label = _logsumexp(ll, axis=1)
     return _Evidence(clean_ll, mask_total, mask_by_label)
-
-
-def joint_weight(
-    attackers: Sequence[int],
-    outputs: Sequence[int],
-    target: int,
-    label: int,
-    cfg: DecoderConfig,
-) -> float:
-    """Unnormalized joint term for one (attacker set, outputs, target, label).
-
-    Equals the count prior of the attacker count, split uniformly over the
-    C(n, count) supports, times the product over models of the per-model
-    output probability (forced-target mixture for compromised models, the
-    confusion entry otherwise).
-    """
-    y = _validate_outputs(outputs, cfg)
-    x = tuple(attackers)
-    if len(x) != cfg.code.n or any(b not in (0, 1) for b in x):
-        raise ValueError(f"attacker indicator must be 0/1 of length {cfg.code.n}")
-    if not (0 <= target < cfg.num_classes and 0 <= label < cfg.num_classes):
-        raise ValueError("target and label must be valid class indices")
-    count = sum(x)
-    if count not in cfg.count_prior:
-        raise ValueError(f"attacker count {count} is outside the count prior support")
-    weight = cfg.count_prior[count] / math.comb(cfg.code.n, count)
-    cols = cfg.code.column_masks
-    mask = 0
-    for j, bit in enumerate(x):
-        if bit:
-            mask |= cols[j]
-    s = cfg.success_rate
-    prod = 1.0
-    for i in range(cfg.code.m):
-        clean = cfg.confusions[i, label, y[i]]
-        if (mask >> i) & 1:
-            prod *= s * (1.0 if target == y[i] else 0.0) + (1.0 - s) * clean
-        else:
-            prod *= clean
-    return weight * prod
 
 
 def attack_posterior(outputs: Sequence[int], cfg: DecoderConfig) -> float:

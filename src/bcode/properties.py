@@ -12,19 +12,18 @@ checked here are:
 
 All verifiers enumerate column sets exhaustively and are exact; the intended
 operating range is n <= 24, k <= 4.  The enumeration visits
-sum_{j=1..k} C(n, j) sums; complement/duplicate detection is done with a
-hash set over the sums, which decides the pairwise conditions without the
-quadratic pass over pairs.
+sum_{j=1..k} C(n, j) sums through ``bitmatrix.column_sums``, which refuses
+with ``ResourceLimitError`` any call over ``bitmatrix.MAX_COLUMN_SETS`` sets;
+complement/duplicate detection is done with a hash set over the sums, which
+decides the pairwise conditions without the quadratic pass over pairs.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator
 
-from .bitmatrix import BitMatrix, ColumnSet, min_row_weight
+from .bitmatrix import BitMatrix, ColumnSet, column_sums
 
 
 class CodeKind(enum.Enum):
@@ -71,18 +70,6 @@ class Violation:
         return self.reason
 
 
-def _iter_sums(mat: BitMatrix, max_size: int) -> Iterator[tuple[ColumnSet, int]]:
-    """All (column set, OR mask) pairs for set sizes 1..max_size, in
-    ascending size then lexicographic order."""
-    masks = mat.column_masks
-    for size in range(1, min(max_size, mat.n) + 1):
-        for cols in combinations(range(mat.n), size):
-            acc = 0
-            for j in cols:
-                acc |= masks[j]
-            yield cols, acc
-
-
 def _check_args(k: int, r: int | None = None) -> None:
     if k < 1:
         raise ValueError("k must be positive")
@@ -107,25 +94,11 @@ def find_bdc_violation(mat: BitMatrix, k: int, r: int) -> Violation | None:
         w = row.bit_count()
         if w < r:
             return Violation(f"row {i} has weight {w} < {r}")
-    if mat.n >= k:
-        sums = (
-            (cols, _or_columns(mat, cols))
-            for cols in combinations(range(mat.n), k)
-        )
-    else:
-        sums = _iter_sums(mat, k)
-    for cols, acc in sums:
+    sizes = (k,) if mat.n >= k else range(1, mat.n + 1)
+    for cols, acc in column_sums(mat, sizes):
         if acc == full:
             return Violation("Boolean sum covers every model", (cols,))
     return None
-
-
-def _or_columns(mat: BitMatrix, cols: ColumnSet) -> int:
-    masks = mat.column_masks
-    acc = 0
-    for j in cols:
-        acc |= masks[j]
-    return acc
 
 
 def find_bcc_violation(mat: BitMatrix, k: int, r: int) -> Violation | None:
@@ -140,7 +113,7 @@ def find_bcc_violation(mat: BitMatrix, k: int, r: int) -> Violation | None:
         return bad
     full = mat.all_ones_mask
     seen: dict[int, ColumnSet] = {}
-    for cols, acc in _iter_sums(mat, k):
+    for cols, acc in column_sums(mat, range(1, min(k, mat.n) + 1)):
         other = seen.get(acc ^ full)
         if other is not None:
             return Violation("two Boolean sums are complements", (other, cols))
@@ -152,7 +125,7 @@ def find_separable_violation(mat: BitMatrix, k: int) -> Violation | None:
     """First pair of distinct column sets with equal Boolean sums, or None."""
     _check_args(k)
     seen: dict[int, ColumnSet] = {}
-    for cols, acc in _iter_sums(mat, k):
+    for cols, acc in column_sums(mat, range(1, min(k, mat.n) + 1)):
         other = seen.get(acc)
         if other is not None:
             return Violation("two Boolean sums coincide", (other, cols))

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 
-from .bitmatrix import BitMatrix
+from .bitmatrix import BitMatrix, column_sums
 from .errors import ResourceLimitError
 from .properties import CodeKind, CodeParams, find_violation
 
@@ -128,13 +128,9 @@ def exhaustive_min(
     # walks prune nothing.  kill[i] is a bitmask over the size-k sets row i
     # kills.
     covering_kinds = kind is not CodeKind.SEPARABLE
-    set_masks = []
-    if covering_kinds:
-        for cols in combinations(range(n), min(k, n)):
-            sm = 0
-            for j in cols:
-                sm |= 1 << j
-            set_masks.append(sm)
+    set_masks = (
+        [sm for _, sm in column_sums(BitMatrix.identity(n), (k,))] if covering_kinds else []
+    )
     full_kill = (1 << len(set_masks)) - 1
     kill = []
     for v in candidates:

@@ -16,12 +16,12 @@ order and parallel sweeps reproduce serial ones bit for bit.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .bitmatrix import BitMatrix
+from .bitmatrix import BitMatrix, column_or_mask
 from .decoder import DecoderConfig, decode, majority_vote
 from .errors import DegenerateEvidenceError
 
@@ -133,11 +133,8 @@ def _sample_outputs_rng(
     success_rate: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    cols = code.column_masks
-    mask = 0
-    for j, bit in enumerate(scenario.attackers):
-        if bit:
-            mask |= cols[j]
+    support = scenario.support
+    mask = column_or_mask(code, support) if support else 0
     c = confusions.shape[1]
     y = np.empty(code.m, dtype=int)
     for i in range(code.m):
@@ -187,18 +184,6 @@ class CountStats:
     fp_sd: float
     degenerate: int
 
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "decodeAccuracy": self.decode_accuracy,
-            "majorityAccuracy": self.majority_accuracy,
-            "tpMean": self.tp_mean,
-            "tpSd": self.tp_sd,
-            "fpMean": self.fp_mean,
-            "fpSd": self.fp_sd,
-            "degenerate": self.degenerate,
-        }
-
 
 @dataclass(frozen=True)
 class EvaluationReport:
@@ -221,22 +206,6 @@ class EvaluationReport:
     fp_sd: float
     degenerate: int
     per_count: dict[int, CountStats] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "decodeAccuracy": self.decode_accuracy,
-            "majorityAccuracy": self.majority_accuracy,
-            "cleanAccuracy": self.clean_accuracy,
-            "tpMean": self.tp_mean,
-            "tpSd": self.tp_sd,
-            "fpMean": self.fp_mean,
-            "fpSd": self.fp_sd,
-            "degenerate": self.degenerate,
-            "perAttackerCount": {
-                str(count): stats.to_dict() for count, stats in sorted(self.per_count.items())
-            },
-        }
 
 
 def _population_sd(values: np.ndarray) -> float:
@@ -306,13 +275,8 @@ def run_trials(
         tp[t] = len(found & set(support))
         fp[t] = len(found - set(support))
 
-    clean = count_arr == 0
-    per_count: dict[int, CountStats] = {}
-    for count in sorted(set(counts)):
-        sel = count_arr == count
-        if not np.any(sel):
-            continue
-        per_count[count] = CountStats(
+    def stats(sel: np.ndarray) -> CountStats:
+        return CountStats(
             trials=int(sel.sum()),
             decode_accuracy=float(decode_ok[sel].mean()),
             majority_accuracy=float(majority_ok[sel].mean()),
@@ -322,16 +286,16 @@ def run_trials(
             fp_sd=_population_sd(fp[sel]),
             degenerate=int(degenerate[sel].sum()),
         )
+
+    clean = count_arr == 0
+    per_count = {
+        count: stats(count_arr == count)
+        for count in sorted(set(counts))
+        if np.any(count_arr == count)
+    }
     return EvaluationReport(
-        trials=trials,
-        decode_accuracy=float(decode_ok.mean()),
-        majority_accuracy=float(majority_ok.mean()),
+        **asdict(stats(np.ones(trials, dtype=bool))),
         clean_accuracy=float(decode_ok[clean].mean()) if np.any(clean) else None,
-        tp_mean=float(tp.mean()),
-        tp_sd=_population_sd(tp),
-        fp_mean=float(fp.mean()),
-        fp_sd=_population_sd(fp),
-        degenerate=int(degenerate.sum()),
         per_count=per_count,
     )
 

@@ -6,12 +6,14 @@ from bcode.bitmatrix import (
     BitMatrix,
     column_or,
     column_or_mask,
+    column_sums,
     hstack,
     min_row_weight,
     select_columns,
     vstack,
 )
 from bcode.construct import minimal_bdc
+from bcode.errors import ResourceLimitError
 
 import oracles
 
@@ -117,6 +119,32 @@ def test_column_or_is_monotone_in_the_addend_set(mat, data):
     small = column_or(mat, tuple(subset))
     big = column_or(mat, tuple(superset))
     assert all(a <= b for a, b in zip(small, big))
+
+
+@given(bit_matrices(max_m=10, max_n=8), st.integers(1, 10))
+def test_column_sums_match_oracle_in_order(mat, k):
+    bits = [[mat.bit(i, j) for j in range(mat.n)] for i in range(mat.m)]
+    mine = [
+        (cols, tuple((mask >> i) & 1 for i in range(mat.m)))
+        for cols, mask in column_sums(mat, range(1, k + 1))
+    ]
+    assert mine == oracles.all_sums(bits, k)
+
+
+def test_column_sums_size_zero_and_sizes_above_n():
+    mat = BitMatrix.from_rows([[1, 0], [0, 1]])
+    assert list(column_sums(mat, (0,))) == [((), 0)]
+    assert list(column_sums(mat, (3, 4))) == []
+    assert list(column_sums(mat, (2, 0))) == [((0, 1), 3), ((), 0)]
+
+
+def test_column_sums_budget_is_checked_before_enumerating():
+    mat = BitMatrix.identity(40)
+    with pytest.raises(ResourceLimitError):
+        column_sums(mat, (20,))
+    column_sums(mat, range(6))  # 760,099 sets
+    with pytest.raises(ResourceLimitError):
+        column_sums(mat, range(7))  # 4,598,479 sets
 
 
 def test_column_or_mask_agrees_with_vector():

@@ -69,6 +69,17 @@ def test_verify_rejects_bad_inputs(tmp_path, capsys):
     assert run_cli("verify", "--kind", "bdc", "--k", "1", "--r", "1", str(tmp_path / "none")) == 2
 
 
+def test_enumeration_over_budget_is_status_three(tmp_path, capsys):
+    code = tmp_path / "wide.bcode"
+    formats.save(code, general_bcc(4, 4, 100), "BCC", 4, 4)
+    assert run_cli("verify", "--kind", "bdc", "--k", "50", "--r", "1", str(code)) == 3
+    assert run_cli("decode", "--code", str(code), "--outputs", "0,0,0,0,0,0",
+                   "--classes", "2", "--q", "uniform:0:50") == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2
+    assert "Traceback" not in err
+
+
 def test_search_reports_minimum(capsys, tmp_path):
     report = tmp_path / "search.json"
     assert run_cli("search", "--kind", "bdc", "--k", "2", "--r", "2", "--n", "4",

@@ -66,6 +66,15 @@ def test_minimal_bdc_resource_limit():
         minimal_bdc(3, 3, max_rows=19)
 
 
+def test_minimal_bdc_with_large_row_weight():
+    mat = minimal_bdc(1, 1500)
+    assert (mat.m, mat.n) == (1501, 1501)
+    assert is_bdc(mat, 1, 1500)
+    # Within the row budget, but 10^6 x 10^6 entries.
+    with pytest.raises(ResourceLimitError):
+        minimal_bdc(1, 999_999)
+
+
 def test_minimal_bdc_validates_arguments():
     with pytest.raises(ValueError):
         minimal_bdc(0, 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import combinations
 
@@ -13,12 +14,11 @@ from bcode.decoder import (
     decode,
     estimate_confusion,
     identity_confusions,
-    joint_weight,
     label_posterior,
     majority_vote,
     uniform_count_prior,
 )
-from bcode.errors import DegenerateEvidenceError
+from bcode.errors import DegenerateEvidenceError, ResourceLimitError
 
 import oracles
 
@@ -102,35 +102,48 @@ def test_config_validation():
         DecoderConfig(code, bad_rows, 0.5, 1.0, {0: 1.0}, 2)
 
 
+def test_config_owns_a_frozen_copy_of_its_inputs():
+    code = general_bcc(2, 4, 8)
+    rng = np.random.default_rng(0)
+    conf = rng.dirichlet(np.ones(4), size=(code.m, 4))
+    cfg = DecoderConfig(code, conf, 0.5, 0.9, uniform_count_prior(0, 2), 4)
+    y = [int(v) for v in rng.integers(0, 4, size=code.m)]
+    before = decode(y, cfg).attack_posterior
+    conf[:] = 0.25
+    assert decode(y, cfg).attack_posterior == before
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.success_rate = 0.5
+    with pytest.raises(ValueError):
+        cfg.confusions[0, 0, 0] = 1.0
+
+
+def test_config_enumeration_budget():
+    code = general_bcc(4, 4, 100)
+    with pytest.raises(ResourceLimitError):
+        DecoderConfig(
+            code, identity_confusions(code.m, 2), 0.5, 0.9, uniform_count_prior(0, 4), 2
+        )
+
+
 # --- joint weight ----------------------------------------------------------------
 
-def test_joint_weight_no_attackers_perfect_models():
+def three_model_joint_weight(x, y, t, l):
     cfg = three_model_cfg()
-    assert joint_weight((0, 0), (0, 0, 0), 1, 0, cfg) == pytest.approx(0.5)
+    return oracles.naive_joint_weight(
+        as_bits(cfg.code), cfg.confusions.tolist(), cfg.success_rate, cfg.count_prior, x, y, t, l
+    )
+
+
+def test_joint_weight_no_attackers_perfect_models():
+    assert three_model_joint_weight((0, 0), (0, 0, 0), 1, 0) == pytest.approx(0.5)
 
 
 def test_joint_weight_single_attacker_worked_example():
-    cfg = three_model_cfg()
-    assert joint_weight((1, 0), (1, 0, 1), 1, 0, cfg) == pytest.approx(0.25)
+    assert three_model_joint_weight((1, 0), (1, 0, 1), 1, 0) == pytest.approx(0.25)
 
 
 def test_joint_weight_failed_forced_target_is_zero():
-    cfg = three_model_cfg()
-    assert joint_weight((1, 0), (0, 0, 1), 1, 0, cfg) == 0.0
-
-
-def test_joint_weight_validates_arguments():
-    cfg = three_model_cfg()
-    with pytest.raises(ValueError):
-        joint_weight((1, 1), (1, 0, 1), 1, 0, cfg)  # count outside prior support
-    with pytest.raises(ValueError):
-        joint_weight((1,), (1, 0, 1), 1, 0, cfg)
-    with pytest.raises(ValueError):
-        joint_weight((1, 0), (1, 0), 1, 0, cfg)
-    with pytest.raises(ValueError):
-        joint_weight((1, 0), (1, 0, 2), 1, 0, cfg)
-    with pytest.raises(ValueError):
-        joint_weight((1, 0), (1, 0, 1), 2, 0, cfg)
+    assert three_model_joint_weight((1, 0), (0, 0, 1), 1, 0) == 0.0
 
 
 # --- attack posterior -------------------------------------------------------------
@@ -347,31 +360,6 @@ def test_posteriors_match_naive_oracle_on_random_configs():
                 assert mine[key] == pytest.approx(value, rel=1e-12, abs=1e-300)
         checked += 1
     assert checked >= 30
-
-
-def test_joint_weight_matches_naive_oracle():
-    rng = np.random.default_rng(321)
-    for _ in range(20):
-        cfg, y = random_config(rng)
-        n, c = cfg.code.n, cfg.num_classes
-        for count in sorted(cfg.count_prior):
-            for support in combinations(range(n), count):
-                x = tuple(1 if j in support else 0 for j in range(n))
-                t = int(rng.integers(c))
-                l = int(rng.integers(c))
-                expected = oracles.naive_joint_weight(
-                    as_bits(cfg.code),
-                    cfg.confusions.tolist(),
-                    cfg.success_rate,
-                    cfg.count_prior,
-                    x,
-                    list(y),
-                    t,
-                    l,
-                )
-                assert joint_weight(x, y, t, l, cfg) == pytest.approx(
-                    expected, rel=1e-12, abs=1e-300
-                )
 
 
 # --- idealized sweeps (small-scale versions of the acceptance runs) -----------------------

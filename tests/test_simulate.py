@@ -187,7 +187,6 @@ def test_reports_are_bit_for_bit_deterministic():
     a = run_trials(code, cfg, [0, 1, 2], trials=60, seed=9)
     b = run_trials(code, cfg, [0, 1, 2], trials=60, seed=9)
     assert a == b
-    assert a.to_dict() == b.to_dict()
 
 
 def test_run_trials_validation():
