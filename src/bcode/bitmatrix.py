@@ -123,11 +123,14 @@ class BitMatrix:
 
     def to_array(self) -> np.ndarray:
         """Dense uint8 array of shape (m, n)."""
-        out = np.zeros((self.m, self.n), dtype=np.uint8)
-        for i, row in enumerate(self.rows):
-            for j in range(self.n):
-                out[i, j] = (row >> j) & 1
-        return out
+        width = (self.n + 7) // 8
+        packed = b"".join(row.to_bytes(width, "little") for row in self.rows)
+        return np.unpackbits(
+            np.frombuffer(packed, dtype=np.uint8).reshape(self.m, width),
+            axis=1,
+            count=self.n,
+            bitorder="little",
+        )
 
     def __str__(self) -> str:
         return "\n".join(self.to_strings())

@@ -57,11 +57,15 @@ def _write_report(path: str | None, payload: dict) -> None:
             fh.write("\n")
 
 
-def _parse_count_prior(spec: str) -> dict[int, float]:
+def _parse_count_prior(spec: str, n: int) -> dict[int, float]:
+    """The uniform count prior of ``spec``; counts above the ``n`` users are
+    refused before the prior is built, since the range may be huge."""
     parts = spec.split(":")
     if len(parts) != 3 or parts[0] != "uniform":
         raise ValueError(f"count prior must look like uniform:<lo>:<hi>, got {spec!r}")
     lo, hi = int(parts[1]), int(parts[2])
+    if 0 <= lo <= hi and hi > n:
+        raise ValueError(f"attacker count {max(lo, n + 1)} exceeds the {n} users")
     return uniform_count_prior(lo, hi)
 
 
@@ -205,7 +209,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
         confusions=confusions,
         attack_prior=args.attack_rate,
         success_rate=args.success_rate,
-        count_prior=_parse_count_prior(args.q),
+        count_prior=_parse_count_prior(args.q, doc.matrix.n),
         num_classes=args.classes,
     )
     result = decode(outputs, cfg, args.threshold)
@@ -246,7 +250,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         confusions=confusions,
         attack_prior=args.attack_rate,
         success_rate=args.success_rate,
-        count_prior=_parse_count_prior(args.q),
+        count_prior=_parse_count_prior(args.q, code.n),
         num_classes=classes,
     )
     counts = [int(c) for c in args.attackers.split(",") if c != ""]

@@ -34,9 +34,15 @@ from .errors import ConstructionError, ResourceLimitError
 from .properties import find_btc_violation, is_separable
 
 DEFAULT_MAX_ROWS = 1_000_000
-# Most entries (rows x columns) a minimal detection code may hold: 128 MiB of
-# row bits.  With k = 1 the row budget alone admits a 10^6 x 10^6 matrix.
+# Most entries (rows x columns) a constructed matrix may hold: 128 MiB of row
+# bits.  With k = 1 the row budget alone admits a 10^6 x 10^6 matrix.
 MAX_ENTRIES = 1 << 30
+
+
+def _check_entries(what: str, m: int, n: int) -> None:
+    """Refuse an m x n matrix over the entry budget before building any row."""
+    if m * n > MAX_ENTRIES:
+        raise ResourceLimitError(f"{what} needs {m} x {n} entries (> {MAX_ENTRIES})")
 
 
 def minimal_bdc(k: int, r: int, max_rows: int = DEFAULT_MAX_ROWS) -> BitMatrix:
@@ -54,11 +60,7 @@ def minimal_bdc(k: int, r: int, max_rows: int = DEFAULT_MAX_ROWS) -> BitMatrix:
         raise ResourceLimitError(
             f"minimal detection code for k={k}, r={r} needs {rows} rows (> {max_rows})"
         )
-    if rows * (k + r) > MAX_ENTRIES:
-        raise ResourceLimitError(
-            f"minimal detection code for k={k}, r={r} needs {rows} x {k + r} entries "
-            f"(> {MAX_ENTRIES})"
-        )
+    _check_entries(f"minimal detection code for k={k}, r={r}", rows, k + r)
     sums = column_sums(BitMatrix.identity(k + r), (r,))
     return BitMatrix(rows, k + r, tuple(mask for _, mask in sums))
 
@@ -84,6 +86,7 @@ def minimal_bcc(k: int, r: int, max_rows: int = DEFAULT_MAX_ROWS) -> BitMatrix:
     if k < 1 or r < 1:
         raise ValueError("k and r must be positive")
     if r == 1:
+        _check_entries(f"minimal correction code for k={k}, r=1", k + 2, k + 1)
         return add_ones_row(BitMatrix.identity(k + 1))
     return minimal_bdc(k, r, max_rows)
 
@@ -104,7 +107,8 @@ def general_bcc(k: int, r: int, n: int, max_rows: int = DEFAULT_MAX_ROWS) -> Bit
             f"no correction code on n={n} users can resist k={k} attackers "
             f"with row weight {r}: need n >= k + r"
         )
-    p_cap = (n - r) // k
+    # A factor above n // (k + 1) cannot fit even with r0 = 1.
+    p_cap = min((n - r) // k, n // (k + 1))
     p, r0 = 1, r
     for cand in range(p_cap, 0, -1):
         cand_r0 = -(-r // cand)
@@ -112,6 +116,7 @@ def general_bcc(k: int, r: int, n: int, max_rows: int = DEFAULT_MAX_ROWS) -> Bit
             p, r0 = cand, cand_r0
             break
     base = minimal_bcc(k, r0, max_rows)
+    _check_entries(f"correction code for k={k}, r={r} on n={n} users", base.m, n)
     width = k + r0
     lead = n - p * width
     order = list(range(lead)) + list(range(width)) * p
@@ -128,6 +133,7 @@ def partition_code(m: int, n: int) -> BitMatrix:
         raise ValueError("m and n must be positive")
     if m > n:
         raise ValueError(f"cannot split {n} users into {m} nonempty groups")
+    _check_entries("partition code", m, n)
     base, rem = divmod(n, m)
     rows = []
     start = 0
@@ -155,6 +161,7 @@ def random_code(
         raise ValueError("row weight must be in [1, n]")
     if m < 1:
         raise ValueError("m must be positive")
+    _check_entries("random code", m, n)
     rng = np.random.default_rng(seed)
     full = (1 << n) - 1
     for _ in range(max_retries):

@@ -75,8 +75,7 @@ class DecoderConfig:
     _log_conf: np.ndarray = field(init=False, repr=False)
     _mask_matrix: np.ndarray = field(init=False, repr=False)
     _mask_logw: np.ndarray = field(init=False, repr=False)
-    _x_supports: list[tuple[int, ...]] = field(init=False, repr=False)
-    _x_counts: np.ndarray = field(init=False, repr=False)
+    _x_keys: list[tuple[int, ...]] = field(init=False, repr=False)
     _x_logw: np.ndarray = field(init=False, repr=False)
     _x_mask_idx: np.ndarray = field(init=False, repr=False)
 
@@ -120,31 +119,35 @@ class DecoderConfig:
         if not sizes:
             raise ValueError("count prior assigns no probability to any count")
 
-        supports: list[tuple[int, ...]] = []
+        # One pass over the supports: every support weighs its mask; those of
+        # positive size are also the attacker hypotheses, keyed by their 0/1
+        # indicator tuples.  Only the empty support (listed first when count 0
+        # has mass) is not a hypothesis.
+        per_size = [math.comb(n, count) for count in sizes]
+        weights = [self.count_prior[count] / num for count, num in zip(sizes, per_size)]
+        keys: list[tuple[int, ...]] = []
         mask_idx: list[int] = []
         mask_order: dict[int, int] = {}
         for combo, mask in column_sums(self.code, sizes):
-            supports.append(combo)
             mask_idx.append(mask_order.setdefault(mask, len(mask_order)))
-        per_size = [math.comb(n, count) for count in sizes]
-        weights = [self.count_prior[count] / num for count, num in zip(sizes, per_size)]
+            if combo:
+                indicator = [0] * n
+                for j in combo:
+                    indicator[j] = 1
+                keys.append(tuple(indicator))
         mask_weight = np.bincount(mask_idx, weights=np.repeat(weights, per_size))
+        first = len(mask_idx) - len(keys)
 
-        mask_matrix = np.zeros((len(mask_order), m), dtype=float)
-        for mask, idx in mask_order.items():
-            for i in range(m):
-                if (mask >> i) & 1:
-                    mask_matrix[idx, i] = 1.0
         with np.errstate(divide="ignore"):
             log_conf = np.log(self.confusions)
+        masks = BitMatrix(len(mask_order), m, tuple(mask_order))
         tables = {
             "_log_conf": log_conf,
-            "_mask_matrix": mask_matrix,
+            "_mask_matrix": masks.to_array().astype(float),
             "_mask_logw": np.array([_safe_log(w) for w in mask_weight]),
-            "_x_supports": supports,
-            "_x_counts": np.repeat(sizes, per_size),
-            "_x_logw": np.repeat([_safe_log(w) for w in weights], per_size),
-            "_x_mask_idx": np.array(mask_idx, dtype=int),
+            "_x_keys": keys,
+            "_x_logw": np.repeat([_safe_log(w) for w in weights], per_size)[first:],
+            "_x_mask_idx": np.array(mask_idx[first:], dtype=int),
         }
         for name, value in tables.items():
             object.__setattr__(self, name, value)
@@ -273,7 +276,7 @@ def attacker_posterior(
         raise ValueError("count prior has no positive attacker count")
     y = _validate_outputs(outputs, cfg)
     ev = _evidence(y, cfg)
-    result = _attacker_posterior_from(ev, cfg)
+    result, _ = _attacker_posterior_from(ev, cfg)
     if not result:
         raise DegenerateEvidenceError("no attacker hypothesis has support")
     return result
@@ -281,24 +284,15 @@ def attacker_posterior(
 
 def _attacker_posterior_from(
     ev: _Evidence, cfg: DecoderConfig
-) -> dict[tuple[int, ...], float]:
-    sel = cfg._x_counts >= 1
-    if not np.any(sel):
-        return {}
-    scores = cfg._x_logw[sel] + ev.mask_total[cfg._x_mask_idx[sel]]
-    norm = _logsumexp(scores)
+) -> tuple[dict[tuple[int, ...], float], np.ndarray]:
+    """Attacker posterior (empty when no hypothesis has support) and the
+    log-scores of the hypotheses in ``cfg._x_keys`` order."""
+    scores = cfg._x_logw + ev.mask_total[cfg._x_mask_idx]
+    norm = _logsumexp(scores) if scores.size else -math.inf
     if norm == -math.inf:
-        return {}
+        return {}, scores
     probs = np.exp(scores - norm)
-    n = cfg.code.n
-    out: dict[tuple[int, ...], float] = {}
-    supports = [s for s, keep in zip(cfg._x_supports, sel) if keep]
-    for support, prob in zip(supports, probs):
-        indicator = [0] * n
-        for j in support:
-            indicator[j] = 1
-        out[tuple(indicator)] = float(prob)
-    return out
+    return dict(zip(cfg._x_keys, probs.tolist())), scores
 
 
 def decode(
@@ -311,7 +305,7 @@ def decode(
     The decoded label is the argmax of the label posterior (lowest index on
     ties).  Attackers are reported only when the attack posterior exceeds
     ``attack_threshold``; the reported set is the support of the most
-    probable attacker hypothesis.
+    probable attacker hypothesis (the first one on ties).
     """
     y = _validate_outputs(outputs, cfg)
     ev = _evidence(y, cfg)
@@ -319,14 +313,11 @@ def decode(
     labels = _label_posterior_from(ev, cfg)
     decoded_label = int(np.argmax(labels))
 
-    attackers: dict[tuple[int, ...], float] = _attacker_posterior_from(ev, cfg)
+    attackers, scores = _attacker_posterior_from(ev, cfg)
     decoded_attackers: tuple[int, ...] = ()
     if attack > attack_threshold and attackers:
-        sel = cfg._x_counts >= 1
-        scores = cfg._x_logw[sel] + ev.mask_total[cfg._x_mask_idx[sel]]
-        best = int(np.argmax(scores))
-        supports = [s for s, keep in zip(cfg._x_supports, sel) if keep]
-        decoded_attackers = tuple(supports[best])
+        best = cfg._x_keys[int(np.argmax(scores))]
+        decoded_attackers = tuple(j for j, bit in enumerate(best) if bit)
     return DecodeResult(attack, labels, decoded_label, attackers, decoded_attackers)
 
 

@@ -29,11 +29,21 @@ from .bitmatrix import BitMatrix
 FILE_KINDS = ("BDC", "BCC", "BTC", "SEP", "RAW")
 
 _MAGIC = "bcode v1"
-_KIND_RE = re.compile(r"^kind=(BDC|BCC|BTC|SEP|RAW) k=(\d+) r=(\d+) n=(\d+)$")
+# Numbers are ASCII digits only: ``\d`` and ``str.isdigit`` also accept
+# other Unicode digits, which ``int`` may reject or read differently.
+_KIND_RE = re.compile(r"kind=(BDC|BCC|BTC|SEP|RAW) k=([0-9]+) r=([0-9]+) n=([0-9]+)")
+_NUMBER_RE = re.compile(r"[0-9]+")
 
 
 class BcodeFormatError(ValueError):
     """Malformed .bcode text."""
+
+
+def _number(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # beyond the interpreter's int-parsing digit limit
+        raise BcodeFormatError(f"number of {len(digits)} digits is too long") from exc
 
 
 @dataclass(frozen=True)
@@ -66,15 +76,15 @@ def loads(text: str) -> CodeFile:
         raise BcodeFormatError("truncated file: need magic, kind line and dimensions")
     if lines[0] != _MAGIC:
         raise BcodeFormatError(f"bad magic line {lines[0]!r}, expected {_MAGIC!r}")
-    kind_match = _KIND_RE.match(lines[1])
+    kind_match = _KIND_RE.fullmatch(lines[1])
     if kind_match is None:
         raise BcodeFormatError(f"bad kind line {lines[1]!r}")
     kind = kind_match.group(1)
-    k, r, header_n = (int(kind_match.group(i)) for i in (2, 3, 4))
+    k, r, header_n = (_number(kind_match.group(i)) for i in (2, 3, 4))
     dims = lines[2].split()
-    if len(dims) != 2 or not all(d.isdigit() for d in dims):
+    if len(dims) != 2 or not all(_NUMBER_RE.fullmatch(d) for d in dims):
         raise BcodeFormatError(f"bad dimension line {lines[2]!r}")
-    m, n = int(dims[0]), int(dims[1])
+    m, n = _number(dims[0]), _number(dims[1])
     if m < 1 or n < 1:
         raise BcodeFormatError("dimensions must be positive")
     if header_n != n:

@@ -44,6 +44,12 @@ def test_construct_rejects_impossible_parameters(capsys):
 
 def test_construct_resource_limit_is_status_three(capsys):
     assert run_cli("construct", "--kind", "minimal-bdc", "--k", "12", "--r", "12") == 3
+    assert run_cli("construct", "--kind", "partition", "--m", "32769", "--n", "32769") == 3
+    assert run_cli("construct", "--kind", "bcc", "--k", "32767", "--r", "1",
+                   "--n", "32768") == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 3 and "entries" in err
+    assert "Traceback" not in err
 
 
 def test_verify_pass_and_fail(tmp_path, capsys):
@@ -127,6 +133,19 @@ def test_decode_validates_q_spec(tmp_path):
     # default prior allows up to 3 attackers, impossible on 2 users
     assert run_cli("decode", "--code", str(code), "--outputs", "0,0,0",
                    "--classes", "2") == 2
+
+
+def test_decode_refuses_huge_q_before_building_the_prior(tmp_path, capsys):
+    code = tmp_path / "three.bcode"
+    formats.save(code, BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]]), "BCC", 1, 1)
+    assert run_cli("decode", "--code", str(code), "--outputs", "0,0,0",
+                   "--classes", "2", "--q", "uniform:0:1000000000") == 2
+    err = capsys.readouterr().err
+    assert "error: attacker count 3 exceeds the 2 users" in err
+    assert "Traceback" not in err
+    assert run_cli("decode", "--code", str(code), "--outputs", "0,0,0",
+                   "--classes", "2", "--q", "uniform:7:1000000000") == 2
+    assert "error: attacker count 7 exceeds the 2 users" in capsys.readouterr().err
 
 
 def test_simulate_writes_reports(tmp_path, capsys):

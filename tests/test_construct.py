@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from bcode import construct
 from bcode.bitmatrix import BitMatrix, min_row_weight
 from bcode.construct import (
     ConstructionRecipe,
@@ -237,6 +238,34 @@ def test_random_code_validation():
 def test_random_wide_codes_usually_correct_one_attacker():
     hits = sum(is_bcc(random_code(12, 12, 6, seed=s), 1, 6) for s in range(50))
     assert hits >= 40
+
+
+# --- entry budget ------------------------------------------------------------------
+
+def test_constructions_refuse_matrices_over_the_entry_budget():
+    # Each shape is just over 2^30 entries and is refused before any row exists.
+    with pytest.raises(ResourceLimitError):
+        partition_code(32769, 32769)
+    with pytest.raises(ResourceLimitError):
+        random_code(32769, 32769, 1, seed=0, max_retries=1)
+    with pytest.raises(ResourceLimitError):
+        minimal_bcc(32767, 1)  # 32769 x 32768 entries
+
+
+def test_entry_budget_boundary(monkeypatch):
+    monkeypatch.setattr(construct, "MAX_ENTRIES", 12)
+    assert partition_code(3, 4).m == 3
+    assert random_code(2, 6, 3, seed=0).n == 6
+    assert minimal_bcc(2, 1).m == 4  # 4 x 3 entries
+    assert minimal_bdc(2, 1).m == 3  # 3 x 3 entries
+    with pytest.raises(ResourceLimitError):
+        partition_code(3, 5)
+    with pytest.raises(ResourceLimitError):
+        random_code(2, 7, 3, seed=0)
+    with pytest.raises(ResourceLimitError):
+        minimal_bcc(3, 1)  # 5 x 4 entries
+    with pytest.raises(ResourceLimitError):
+        general_bcc(2, 1, 4)  # its 4 x 3 base fits, the 4 x 4 result does not
 
 
 # --- separable search ---------------------------------------------------------

@@ -362,6 +362,40 @@ def test_posteriors_match_naive_oracle_on_random_configs():
     assert checked >= 30
 
 
+def test_decoded_attackers_are_the_first_most_probable_hypothesis():
+    # The attacker hypotheses follow the empty support when count 0 has mass
+    # and start at the first support otherwise; the two fixed priors are the
+    # cases without the empty support.
+    rng = np.random.default_rng(29)
+    priors = (None, {1: 0.5, 2: 0.5}, {0: 0.0, 1: 1.0})
+    checked = [0] * len(priors)
+    for trial in range(240):
+        cfg, y = random_config(rng)
+        which = trial % len(priors)
+        if priors[which] is not None:
+            if max(priors[which]) > cfg.code.n:
+                continue
+            cfg = dataclasses.replace(cfg, count_prior=priors[which])
+        try:
+            result = decode(y, cfg)
+        except DegenerateEvidenceError:
+            continue
+        if result.attack_posterior <= 0.5 or not result.attacker_posterior:
+            assert result.decoded_attackers == ()
+            continue
+        post = attacker_posterior(y, cfg)
+        assert list(result.attacker_posterior.items()) == list(post.items())
+        attackers_o = oracle_for(cfg, y)[2]
+        assert set(post) == set(attackers_o)
+        for key, value in attackers_o.items():
+            assert post[key] == pytest.approx(value, rel=1e-12, abs=1e-300)
+        best = max(post.values())
+        first = next(key for key, prob in post.items() if prob == best)
+        assert result.decoded_attackers == tuple(j for j, bit in enumerate(first) if bit)
+        checked[which] += 1
+    assert min(checked) >= 10
+
+
 # --- idealized sweeps (small-scale versions of the acceptance runs) -----------------------
 
 def idealized_outputs(code, support, target, label):

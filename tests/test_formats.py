@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bcode import formats
 from bcode.bitmatrix import BitMatrix
@@ -62,11 +63,51 @@ GOOD = "bcode v1\nkind=RAW k=0 r=1 n=2\n2 2\n10\n01\n"
         "bcode v1\nkind=RAW k=0 r=1 n=2\n2 2\n10\n011\n",  # ragged
         "bcode v1\nkind=RAW k=0 r=1 n=2\n2 2\n10\n0x\n",  # bad character
         "bcode v1\nkind=RAW k=0 r=1 n=2\n0 2\n",  # zero rows
+        "bcode v1\nkind=RAW k=0 r=1 n=2\n\u00b2 2\n10\n01\n",  # superscript two
+        "bcode v1\nkind=RAW k=\u0661 r=0 n=\u0662\n2 2\n10\n01\n",  # Arabic-Indic digits
+        "bcode v1\nkind=RAW k=0 r=1 n=2\n\uff12 2\n10\n01\n",  # fullwidth two
+        pytest.param(
+            "bcode v1\nkind=RAW k=" + "9" * 5000 + " r=0 n=2\n2 2\n10\n01\n",
+            id="number-too-long-for-int",
+        ),
     ],
 )
 def test_parser_rejects_malformed_documents(text):
     with pytest.raises(formats.BcodeFormatError):
         formats.loads(text)
+
+
+# Characters that sit next to ASCII digits in Unicode's eyes, or break lines.
+_NOISE = st.sampled_from(
+    ["0", "1", "2", "9", " ", "\t", "\n", "\r", "x", "=", "\u00b2", "\u0661", "\uff12",
+     "\U0001d7d9", "\u00a0", "\u2028", "\x85"]
+)
+
+
+@st.composite
+def bcode_like_texts(draw):
+    """A valid document with a few characters inserted, deleted or replaced."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = ["".join(draw(st.sampled_from("01")) for _ in range(n)) for _ in range(m)]
+    kind = draw(st.sampled_from(formats.FILE_KINDS))
+    k, r = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    text = "\n".join(["bcode v1", f"kind={kind} k={k} r={r} n={n}", f"{m} {n}", *rows]) + "\n"
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 1))
+        text = text[:pos] + draw(st.sampled_from(["", draw(_NOISE)])) + text[pos + cut:]
+    return text
+
+
+@given(st.one_of(bcode_like_texts(), st.text(max_size=40)))
+@example("bcode v1\nkind=RAW k=0 r=0 n=3\n\u00b2 3\n111\n111\n")
+@example("bcode v1\nkind=RAW k=\u0661 r=0 n=\u0663\n1 3\n111\n")
+def test_loads_rejects_cleanly_or_round_trips(text):
+    try:
+        doc = formats.loads(text)
+    except formats.BcodeFormatError:
+        return
+    assert formats.loads(formats.dumps(doc.matrix, doc.kind, doc.k, doc.r)) == doc
 
 
 def test_parser_accepts_the_good_document():
