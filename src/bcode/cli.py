@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import construct, formats, search, simulate
-from .bitmatrix import BitMatrix, min_row_weight
+from .bitmatrix import BitMatrix, min_row_weight, select_columns
 from .decoder import (
     DecoderConfig,
     decode,
@@ -33,12 +33,7 @@ from .decoder import (
 from .errors import ConstructionError, DegenerateEvidenceError, ResourceLimitError
 from .properties import CodeKind, CodeParams, find_violation
 
-_VERIFY_KINDS = {
-    "bdc": CodeKind.BDC,
-    "bcc": CodeKind.BCC,
-    "btc": CodeKind.BTC,
-    "separable": CodeKind.SEPARABLE,
-}
+_VERIFY_KINDS = sorted(kind.value.lower() for kind in CodeKind)
 
 _FILE_KIND_FOR_RECIPE = {
     construct.RecipeKind.MINIMAL_BDC: "BDC",
@@ -50,11 +45,10 @@ _FILE_KIND_FOR_RECIPE = {
 }
 
 
-def _write_report(path: str | None, payload: dict) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+def _write_report(path: str, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _parse_count_prior(spec: str, n: int) -> dict[int, float]:
@@ -69,16 +63,57 @@ def _parse_count_prior(spec: str, n: int) -> dict[int, float]:
     return uniform_count_prior(lo, hi)
 
 
-def _parse_outputs(spec: str) -> list[int]:
+def _int_list(spec: str) -> list[int]:
+    """Argument type of the comma-separated integer flags."""
     try:
         return [int(p) for p in spec.split(",") if p != ""]
-    except ValueError as exc:
-        raise ValueError(f"outputs must be comma-separated class indices: {spec!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers: {spec!r}") from None
+
+
+def _profile(alpha: str, n: int, args: argparse.Namespace) -> np.ndarray:
+    """Per-user class profiles of an ``iid`` or Dirichlet-concentration spec."""
+    if alpha == "iid":
+        return simulate.uniform_profile(n, args.classes)
+    return simulate.dirichlet_profiles(float(alpha), n, args.classes, args.seed)
+
+
+def _decoder_config(
+    args: argparse.Namespace, code: BitMatrix, confusions: np.ndarray
+) -> DecoderConfig:
+    return DecoderConfig(
+        code=code,
+        confusions=confusions,
+        attack_prior=args.attack_rate,
+        success_rate=args.success_rate,
+        count_prior=_parse_count_prior(args.q, code.n),
+        num_classes=args.classes,
+    )
+
+
+def _claim_holds(matrix: BitMatrix, params: CodeParams, weight: int) -> bool:
+    """Whether a constructed code has the property its file claims.
+
+    BDC and BCC depend only on the Boolean sums of at most k columns, which
+    repeated columns leave unchanged, so they are decided on the distinct
+    columns (first occurrences) and the row weight ``weight`` of the whole
+    matrix; a column-duplicated code then stays far inside the budget.
+    """
+    if params.kind is CodeKind.BTC:
+        return find_violation(matrix, params) is None
+    firsts: dict[int, int] = {}
+    for j, col in enumerate(matrix.column_masks):
+        firsts.setdefault(col, j)
+    # With at most k distinct columns, their one Boolean sum covers every row.
+    if weight < params.r or len(firsts) <= params.k:
+        return False
+    distinct = select_columns(matrix, list(firsts.values()))
+    return find_violation(distinct, CodeParams(params.kind, params.k, 1, distinct.n)) is None
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
     kind = construct.RecipeKind(args.kind)
-    randomized = kind in (construct.RecipeKind.BTC, construct.RecipeKind.RANDOM)
+    seeded = kind in construct.RANDOMIZED
     recipe = construct.ConstructionRecipe(
         kind=kind,
         k=args.k,
@@ -86,18 +121,24 @@ def cmd_construct(args: argparse.Namespace) -> int:
         n=args.n,
         m=args.m,
         row_weight=args.row_weight,
-        seed=args.seed if randomized else None,
+        seed=args.seed if seeded else None,
         max_rows=args.max_rows,
         attempts=args.attempts,
     )
     matrix = construct.build(recipe)
-    if randomized:
+    if seeded:
         print(f"seed: {args.seed}")
 
     file_kind = _FILE_KIND_FOR_RECIPE[kind]
-    header_k = args.k if file_kind != "RAW" else 0
-    header_r = args.r if file_kind != "RAW" else min_row_weight(matrix)
-    text = formats.dumps(matrix, file_kind, header_k or 0, header_r or 0)
+    weight = min_row_weight(matrix)
+    verified = None
+    if file_kind == "RAW":
+        header_k, header_r = 0, weight
+    else:
+        header_k, header_r = args.k, args.r
+        params = CodeParams(CodeKind(file_kind), args.k, args.r, matrix.n)
+        verified = _claim_holds(matrix, params, weight)
+    text = formats.dumps(matrix, file_kind, header_k, header_r)
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -105,160 +146,121 @@ def cmd_construct(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
 
-    weight = min_row_weight(matrix)
     print(f"rows: {matrix.m}  columns: {matrix.n}  min row weight: {weight}")
-    verified = None
-    if file_kind in ("BDC", "BCC", "BTC"):
-        params = CodeParams(CodeKind(file_kind), args.k, args.r, matrix.n)
-        verified = find_violation(matrix, params) is None
+    if verified is not None:
         print(f"verifier {file_kind}(k={args.k}, r={args.r}): {'PASS' if verified else 'FAIL'}")
-    _write_report(
-        args.out,
-        {
-            "kind": file_kind,
-            "m": matrix.m,
-            "n": matrix.n,
-            "minRowWeight": weight,
-            "verified": verified,
-            "seed": args.seed if randomized else None,
-        },
-    )
+    if args.out:
+        _write_report(
+            args.out,
+            {
+                "kind": file_kind,
+                "m": matrix.m,
+                "n": matrix.n,
+                "minRowWeight": weight,
+                "verified": verified,
+                "seed": args.seed if seeded else None,
+            },
+        )
     return 0 if verified in (None, True) else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     doc = formats.load(args.file)
-    kind = _VERIFY_KINDS[args.kind]
-    if kind is CodeKind.SEPARABLE:
-        if args.k < 1:
-            raise ValueError("k must be positive")
-        params = CodeParams(kind, args.k, max(args.r, 1), doc.matrix.n)
-    else:
-        params = CodeParams(kind, args.k, args.r, doc.matrix.n)
-    violation = find_violation(doc.matrix, params)
+    kind = CodeKind(args.kind.upper())
+    r = max(args.r, 1) if kind is CodeKind.SEPARABLE else args.r
+    violation = find_violation(doc.matrix, CodeParams(kind, args.k, r, doc.matrix.n))
     if violation is None:
         print(f"PASS: {args.file} is {args.kind}(k={args.k}, r={args.r})")
-        _write_report(args.out, {"result": "pass", "kind": args.kind, "k": args.k, "r": args.r})
+        if args.out:
+            _write_report(args.out, {"result": "pass", "kind": args.kind, "k": args.k, "r": args.r})
         return 0
     print(f"FAIL: {violation}")
-    _write_report(
-        args.out,
-        {
-            "result": "fail",
-            "kind": args.kind,
-            "witness": {
-                "reason": violation.reason,
-                "columnSets": [list(s) for s in violation.column_sets],
+    if args.out:
+        _write_report(
+            args.out,
+            {
+                "result": "fail",
+                "kind": args.kind,
+                "witness": {
+                    "reason": violation.reason,
+                    "columnSets": [list(s) for s in violation.column_sets],
+                },
             },
-        },
-    )
+        )
     return 1
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    kind = _VERIFY_KINDS[args.kind]
+    kind = CodeKind(args.kind.upper())
     result = search.exhaustive_min(kind, args.k, args.r, args.n, args.max_m)
     if result.min_rows is None:
         print(f"minRows=not-found (searched up to m={args.max_m}), explored={result.explored}")
     else:
         print(f"minRows={result.min_rows}, classes={len(result.codes)}, explored={result.explored}")
-    blocks = []
-    for i, code in enumerate(result.codes):
-        block = formats.dumps(code, "RAW", 0, 0)
-        blocks.append(block)
+    blocks = [formats.dumps(code, "RAW", 0, 0) for code in result.codes]
+    for i, block in enumerate(blocks):
         print(f"-- witness {i} --")
         sys.stdout.write(block)
-    _write_report(
-        args.out,
-        {
-            "kind": args.kind,
-            "k": args.k,
-            "r": args.r,
-            "n": args.n,
-            "maxM": args.max_m,
-            "minRows": result.min_rows,
-            "classes": len(result.codes),
-            "explored": result.explored,
-            "codes": blocks,
-        },
-    )
+    if args.out:
+        _write_report(
+            args.out,
+            {
+                "kind": args.kind,
+                "k": args.k,
+                "r": args.r,
+                "n": args.n,
+                "maxM": args.max_m,
+                "minRows": result.min_rows,
+                "classes": len(result.codes),
+                "explored": result.explored,
+                "codes": blocks,
+            },
+        )
     return 0
 
 
-def _confusions_from_flag(spec: str, code: BitMatrix, classes: int, seed: int) -> np.ndarray:
-    if spec == "id":
-        return identity_confusions(code.m, classes)
-    if spec.startswith("synth:"):
-        alpha_part = spec.split(":", 1)[1]
-        if alpha_part == "iid":
-            profile = simulate.uniform_profile(code.n, classes)
-        else:
-            profile = simulate.dirichlet_profiles(float(alpha_part), code.n, classes, seed)
-        return simulate.synth_confusion(code, profile)
-    return formats.load_confusions(spec)
-
-
 def cmd_decode(args: argparse.Namespace) -> int:
-    doc = formats.load(args.code)
-    outputs = _parse_outputs(args.outputs)
-    confusions = _confusions_from_flag(args.confusion, doc.matrix, args.classes, args.seed)
-    if args.confusion.startswith("synth:"):
+    code = formats.load(args.code).matrix
+    if args.confusion == "id":
+        confusions = identity_confusions(code.m, args.classes)
+    elif args.confusion.startswith("synth:"):
+        profile = _profile(args.confusion.removeprefix("synth:"), code.n, args)
+        confusions = simulate.synth_confusion(code, profile)
         print(f"seed: {args.seed}")
-    cfg = DecoderConfig(
-        code=doc.matrix,
-        confusions=confusions,
-        attack_prior=args.attack_rate,
-        success_rate=args.success_rate,
-        count_prior=_parse_count_prior(args.q, doc.matrix.n),
-        num_classes=args.classes,
-    )
-    result = decode(outputs, cfg, args.threshold)
+    else:
+        confusions = formats.load_confusions(args.confusion)
+    result = decode(args.outputs, _decoder_config(args, code, confusions), args.threshold)
     print(f"attack posterior: {result.attack_posterior:.6f}")
     print(f"decoded label: {result.decoded_label}")
     print("label posterior: " + ", ".join(f"{p:.6f}" for p in result.label_posterior))
-    if result.decoded_attackers:
-        print("decoded attackers: {" + ",".join(map(str, result.decoded_attackers)) + "}")
-    else:
-        print("decoded attackers: {}")
-    _write_report(
-        args.out,
-        {
-            "attackPosterior": result.attack_posterior,
-            "decodedLabel": result.decoded_label,
-            "labelPosterior": [float(p) for p in result.label_posterior],
-            "decodedAttackers": list(result.decoded_attackers),
-            "attackerPosterior": {
-                "".join(map(str, key)): prob
-                for key, prob in sorted(result.attacker_posterior.items())
+    print("decoded attackers: {" + ",".join(map(str, result.decoded_attackers)) + "}")
+    if args.out:
+        _write_report(
+            args.out,
+            {
+                "attackPosterior": result.attack_posterior,
+                "decodedLabel": result.decoded_label,
+                "labelPosterior": [float(p) for p in result.label_posterior],
+                "decodedAttackers": list(result.decoded_attackers),
+                "attackerPosterior": {
+                    "".join(map(str, key)): prob
+                    for key, prob in sorted(result.attacker_posterior.items())
+                },
             },
-        },
-    )
+        )
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    doc = formats.load(args.code)
-    code = doc.matrix
-    classes = args.classes
-    if args.alpha == "iid":
-        profile = simulate.uniform_profile(code.n, classes)
-    else:
-        profile = simulate.dirichlet_profiles(float(args.alpha), code.n, classes, args.seed)
+    code = formats.load(args.code).matrix
+    profile = _profile(args.alpha, code.n, args)
     confusions = simulate.synth_confusion(code, profile, args.a_max, args.kappa)
-    cfg = DecoderConfig(
-        code=code,
-        confusions=confusions,
-        attack_prior=args.attack_rate,
-        success_rate=args.success_rate,
-        count_prior=_parse_count_prior(args.q, code.n),
-        num_classes=classes,
-    )
-    counts = [int(c) for c in args.attackers.split(",") if c != ""]
+    cfg = _decoder_config(args, code, confusions)
     print(f"seed: {args.seed}")
     points = simulate.sweep(
         code,
         cfg,
-        counts,
+        args.attackers,
         trials=args.trials,
         runs=args.runs,
         seed=args.seed,
@@ -282,7 +284,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         payload = {
             "code": args.code,
             "alpha": args.alpha,
-            "classes": classes,
+            "classes": args.classes,
             "trials": args.trials,
             "runs": args.runs,
             "seed": args.seed,
@@ -307,19 +309,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 ]
             )
             for p in points:
-                writer.writerow(
-                    [
-                        args.code,
-                        args.alpha,
-                        p.attacker_count,
-                        f"{p.decode_acc_mean:.6f}",
-                        f"{p.majority_acc_mean:.6f}",
-                        f"{p.tp_mean:.6f}",
-                        f"{p.tp_sd:.6f}",
-                        f"{p.fp_mean:.6f}",
-                        f"{p.fp_sd:.6f}",
-                    ]
-                )
+                stats = (p.decode_acc_mean, p.majority_acc_mean, p.tp_mean, p.tp_sd,
+                         p.fp_mean, p.fp_sd)
+                writer.writerow([args.code, args.alpha, p.attacker_count,
+                                 *(f"{v:.6f}" for v in stats)])
         print(f"wrote {args.out}.json and {args.out}.csv")
     return 0
 
@@ -348,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="check a .bcode file against a code property")
-    p.add_argument("--kind", required=True, choices=sorted(_VERIFY_KINDS))
+    p.add_argument("--kind", required=True, choices=_VERIFY_KINDS)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("file")
@@ -356,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="exhaustive minimum-row code search")
-    p.add_argument("--kind", required=True, choices=sorted(_VERIFY_KINDS))
+    p.add_argument("--kind", required=True, choices=_VERIFY_KINDS)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -366,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="decode one ensemble output vector")
     p.add_argument("--code", required=True, help=".bcode file")
-    p.add_argument("--outputs", required=True, help="comma-separated class indices, one per model")
+    p.add_argument("--outputs", type=_int_list, required=True,
+                   help="comma-separated class indices, one per model")
     p.add_argument("--confusion", default="id",
                    help="'id', 'synth:<alpha|iid>', or a confusion JSON path")
     p.add_argument("--classes", type=int, required=True)
@@ -384,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, default=10)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--attackers", default="0,1,2,3", help="comma-separated attacker counts")
+    p.add_argument("--attackers", type=_int_list, default="0,1,2,3",
+                   help="comma-separated attacker counts")
     p.add_argument("--attack-rate", type=float, dest="attack_rate", default=0.5)
     p.add_argument("--success-rate", type=float, dest="success_rate", default=0.99)
     p.add_argument("--q", default="uniform:0:3", help="decoder attacker-count prior")
@@ -393,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, default=0.05,
                    help="data mass at which synthetic accuracy reaches half its ceiling")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    p.add_argument("--threads", type=int, default=cpus,
                    help="worker processes for repeated runs (results are identical)")
     p.add_argument("--out", help="report path prefix; writes <out>.json and <out>.csv")
     p.set_defaults(func=cmd_simulate)
@@ -405,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (formats.BcodeFormatError, ValueError, OSError) as exc:
+    except (formats.BcodeFormatError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ResourceLimitError, ConstructionError) as exc:

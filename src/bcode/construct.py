@@ -265,7 +265,7 @@ class RecipeKind(enum.Enum):
     RANDOM = "random"
 
 
-_RANDOMIZED = {RecipeKind.BTC, RecipeKind.RANDOM}
+RANDOMIZED = {RecipeKind.BTC, RecipeKind.RANDOM}
 
 
 @dataclass(frozen=True)
@@ -287,7 +287,7 @@ class ConstructionRecipe:
     attempts: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in _RANDOMIZED:
+        if self.kind in RANDOMIZED:
             if self.seed is None:
                 raise ValueError(f"{self.kind.value} construction needs a seed")
         elif self.seed is not None:

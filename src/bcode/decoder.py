@@ -90,7 +90,7 @@ class DecoderConfig:
             raise ValueError(
                 f"confusions must have shape ({m}, {c}, {c}), got {self.confusions.shape}"
             )
-        if np.any(self.confusions < -_PROB_TOL) or np.any(self.confusions > 1 + _PROB_TOL):
+        if not np.all((self.confusions >= -_PROB_TOL) & (self.confusions <= 1 + _PROB_TOL)):
             raise ValueError("confusion entries must lie in [0, 1]")
         rowsums = self.confusions.sum(axis=2)
         if np.any(np.abs(rowsums - 1.0) > _PROB_TOL):

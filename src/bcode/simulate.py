@@ -218,7 +218,6 @@ def run_trials(
     attacker_counts: Sequence[int],
     trials: int,
     seed: int,
-    attack_threshold: float = 0.5,
 ) -> EvaluationReport:
     """Sample scenarios, decode them, and aggregate accuracy / tracking stats.
 
@@ -265,7 +264,7 @@ def run_trials(
         count_arr[t] = count
         majority_ok[t] = majority_vote(y, c) == label
         try:
-            result = decode(y, cfg, attack_threshold)
+            result = decode(y, cfg)
         except DegenerateEvidenceError:
             degenerate[t] = True
             fp[t] = 0.0
@@ -335,8 +334,8 @@ class SweepPoint:
 
 
 def _sweep_task(args) -> EvaluationReport:
-    code, cfg, count, trials, run_seed, attack_threshold = args
-    return run_trials(code, cfg, [count], trials, run_seed, attack_threshold)
+    code, cfg, count, trials, run_seed = args
+    return run_trials(code, cfg, [count], trials, run_seed)
 
 
 def sweep(
@@ -347,7 +346,6 @@ def sweep(
     runs: int,
     seed: int,
     workers: int = 1,
-    attack_threshold: float = 0.5,
 ) -> list[SweepPoint]:
     """Evaluate each attacker count over ``runs`` repeated runs.
 
@@ -361,7 +359,7 @@ def sweep(
     rng = np.random.default_rng(seed)
     run_seeds = rng.integers(0, 2**63, size=(len(counts), runs))
     tasks = [
-        (code, cfg, count, trials, int(run_seeds[ci, run]), attack_threshold)
+        (code, cfg, count, trials, int(run_seeds[ci, run]))
         for ci, count in enumerate(counts)
         for run in range(runs)
     ]

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import os
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from bcode import formats
-from bcode.bitmatrix import BitMatrix
-from bcode.cli import main
-from bcode.construct import general_bcc, minimal_bcc
+from bcode import bitmatrix, formats
+from bcode.bitmatrix import BitMatrix, min_row_weight, select_columns
+from bcode.cli import _claim_holds, build_parser, main
+from bcode.construct import general_bcc, minimal_bcc, minimal_bdc
+from bcode.formats import save_confusions
+from bcode.properties import CodeKind, CodeParams, find_violation
 
 
 def run_cli(*args):
@@ -244,3 +250,207 @@ def test_usage_error_exits_with_two():
     with pytest.raises(SystemExit) as info:
         main(["bogus-subcommand"])
     assert info.value.code == 2
+
+
+@st.composite
+def duplicated_codes(draw):
+    """A base matrix (random, or a minimal detection/correction code) with
+    its columns repeated and reordered, plus a BDC/BCC claim on it."""
+    k0, r0 = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    random_rows = st.lists(st.lists(st.integers(0, 1), min_size=4, max_size=4),
+                           min_size=1, max_size=5)
+    base = draw(st.one_of(st.just(minimal_bdc(k0, r0)), st.just(minimal_bcc(k0, r0)),
+                          random_rows.map(BitMatrix.from_rows)))
+    kind = draw(st.sampled_from([CodeKind.BDC, CodeKind.BCC]))
+    k, r = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    order = draw(st.lists(st.integers(0, base.n - 1), min_size=k + r, max_size=12))
+    return select_columns(base, order), CodeParams(kind, k, r, len(order))
+
+
+@given(duplicated_codes())
+@settings(max_examples=300, deadline=None)
+def test_construct_claim_on_distinct_columns_matches_the_full_verifier(case):
+    matrix, params = case
+    full = find_violation(matrix, params) is None
+    event("PASS" if full else "FAIL")
+    assert _claim_holds(matrix, params, min_row_weight(matrix)) == full
+
+
+def test_construct_claim_on_distinct_columns_passes_general_bcc():
+    for k in range(1, 4):
+        for r in range(1, 5):
+            for n in range(k + r, 13):
+                matrix = general_bcc(k, r, n)
+                for kind in (CodeKind.BDC, CodeKind.BCC):
+                    assert _claim_holds(matrix, CodeParams(kind, k, r, n), min_row_weight(matrix))
+
+
+def test_construct_verifies_duplicated_code_beyond_the_full_budget(tmp_path, capsys):
+    # The full verifier would enumerate 3.9M sums of 100 columns; the 5
+    # distinct columns of the code decide the same property.
+    out = tmp_path / "big.bcode"
+    assert run_cli("construct", "--kind", "bcc", "--k", "4", "--r", "4", "--n", "100",
+                   "-o", str(out)) == 0
+    assert "verifier BCC(k=4, r=4): PASS" in capsys.readouterr().out
+    assert formats.load(out).matrix == general_bcc(4, 4, 100)
+
+
+def test_construct_refused_verification_writes_nothing(tmp_path, monkeypatch, capsys):
+    # general_bcc(2, 4, 8) builds from 6 sums; its BCC check needs 10.
+    monkeypatch.setattr(bitmatrix, "MAX_COLUMN_SETS", 9)
+    assert general_bcc(2, 4, 8).n == 8
+    out, report = tmp_path / "c.bcode", tmp_path / "c.json"
+    assert run_cli("construct", "--kind", "bcc", "--k", "2", "--r", "4", "--n", "8",
+                   "-o", str(out), "--out", str(report)) == 3
+    assert "exceeds the budget" in capsys.readouterr().err
+    assert not out.exists() and not report.exists()
+
+
+def test_simulate_threads_default_to_the_usable_cpus(monkeypatch):
+    argv = ["simulate", "--code", "c.bcode"]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert build_parser().parse_args(argv).threads == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    assert build_parser().parse_args(argv).threads == 7
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert build_parser().parse_args(argv).threads == 1
+
+
+def test_comma_lists_are_rejected_alike(tmp_path, capsys):
+    code = tmp_path / "three.bcode"
+    formats.save(code, BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]]), "BCC", 1, 1)
+    for flag, argv in (
+        ("--outputs", ["decode", "--code", str(code), "--classes", "2", "--outputs", "0,x"]),
+        ("--attackers", ["simulate", "--code", str(code), "--threads", "1", "--attackers", "0,x"]),
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be comma-separated integers: '0,x'" in err
+        assert "Traceback" not in err
+
+
+def test_decode_rejects_outputs_beyond_a_machine_int(tmp_path, capsys):
+    code = tmp_path / "three.bcode"
+    formats.save(code, BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]]), "BCC", 1, 1)
+    assert run_cli("decode", "--code", str(code), "--outputs", "99999999999999999999,0,0",
+                   "--classes", "2", "--q", "uniform:0:1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_decode_rejects_nan_confusions(tmp_path, capsys):
+    code = tmp_path / "three.bcode"
+    formats.save(code, BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]]), "BCC", 1, 1)
+    conf = tmp_path / "conf.json"
+    save_confusions(conf, [[[float("nan"), 0.5], [0.5, 0.5]]] * 3)
+    assert run_cli("decode", "--code", str(code), "--outputs", "0,0,0", "--classes", "2",
+                   "--q", "uniform:0:1", "--confusion", str(conf)) == 2
+    assert "confusion entries must lie in [0, 1]" in capsys.readouterr().err
+
+
+def mostly(valid, invalid):
+    """Draw from ``valid`` nine times in ten."""
+    return st.integers(0, 9).flatmap(lambda i: invalid if i == 0 else valid)
+
+
+JUNK = st.text(max_size=10)
+SIZES = mostly(st.integers(1, 6), st.integers(-1, 0)).map(str)
+FLOATS = mostly(
+    st.sampled_from(["0", "0.3", "0.5", "0.99", "1"]),
+    st.one_of(st.sampled_from(["-1", "2", "nan", "inf", "-inf", "1e-300"]),
+              st.floats().map(str), JUNK),
+)
+OUTPUTS = mostly(
+    st.sampled_from([3, 6]).flatmap(lambda m: st.lists(st.integers(0, 3), min_size=m, max_size=m)),
+    st.lists(st.integers(-1, 6), max_size=8),
+).map(lambda v: ",".join(map(str, v)))
+COUNTS = mostly(st.lists(st.integers(0, 3), min_size=1, max_size=4),
+                st.lists(st.integers(-1, 6), max_size=8)).map(lambda v: ",".join(map(str, v)))
+Q_SPECS = mostly(
+    st.sampled_from(["uniform:0:1", "uniform:0:2", "uniform:1:2", "uniform:0:3"]),
+    st.one_of(st.tuples(SIZES, JUNK).map(lambda t: f"uniform:{t[0]}:{t[1]}"), JUNK),
+)
+
+
+@st.composite
+def cli_argvs(draw, paths):
+    """Argument vectors with small sizes and some junk lists and specs;
+    outputs go only to ``paths``, and simulate never starts a second process."""
+
+    def opt(flag, values):
+        return [flag, draw(values)] if draw(st.integers(0, 4)) else []
+
+    command = draw(st.sampled_from(["construct", "verify", "search", "decode", "simulate"]))
+    kinds = st.sampled_from(["bdc", "bcc", "btc", "separable"])
+    code = mostly(st.sampled_from(paths["codes"]), st.sampled_from(paths["bad_codes"]))
+    if command == "construct":
+        kind = draw(st.sampled_from(
+            ["minimal-bdc", "minimal-bcc", "bcc", "btc", "partition", "random"]))
+        return (["construct", "--kind", kind] + opt("--k", SIZES) + opt("--r", SIZES)
+                + opt("--n", SIZES) + opt("--m", SIZES) + opt("--row-weight", SIZES)
+                + opt("--seed", SIZES)
+                + ["--max-rows", draw(SIZES), "--attempts", draw(st.integers(-1, 3).map(str))]
+                + opt("-o", st.just(paths["output"])) + opt("--out", st.just(paths["report"])))
+    if command == "verify":
+        return (["verify", "--kind", draw(kinds), "--k", draw(SIZES)] + opt("--r", SIZES)
+                + [draw(code)] + opt("--out", st.just(paths["report"])))
+    if command == "search":
+        return (["search", "--kind", draw(kinds), "--k", draw(SIZES), "--r", draw(SIZES),
+                 "--n", draw(st.integers(-1, 4).map(str)),
+                 "--max-m", draw(st.integers(-1, 4).map(str))]
+                + opt("--out", st.just(paths["report"])))
+    classes = mostly(st.integers(2, 4), st.integers(-1, 1)).map(str)
+    common = (["--code", draw(code), "--classes", draw(classes)]
+              + opt("--attack-rate", FLOATS) + opt("--success-rate", FLOATS) + opt("--q", Q_SPECS)
+              + opt("--seed", SIZES))
+    if command == "decode":
+        confusions = mostly(
+            st.sampled_from(["id", "synth:iid", "synth:0.5", *paths["confusions"]]),
+            FLOATS.map(lambda a: "synth:" + a),
+        )
+        return (["decode", "--outputs", draw(mostly(OUTPUTS, JUNK))] + common
+                + opt("--confusion", confusions) + opt("--threshold", FLOATS)
+                + opt("--out", st.just(paths["report"])))
+    return (["simulate", "--trials", draw(st.integers(-1, 3).map(str)), "--runs", "1",
+             "--threads", draw(st.sampled_from(["-1", "0", "1"]))] + common
+            + opt("--alpha", mostly(st.sampled_from(["iid", "0.1", "1"]), FLOATS))
+            + opt("--attackers", mostly(COUNTS, JUNK))
+            + opt("--a-max", FLOATS) + opt("--kappa", FLOATS)
+            + opt("--out", st.just(paths["prefix"])))
+
+
+@pytest.fixture
+def fuzz_paths(tmp_path):
+    codes = {"bcc.bcode": minimal_bcc(2, 2), "id.bcode": BitMatrix.identity(3)}
+    for name, matrix in codes.items():
+        formats.save(tmp_path / name, matrix)
+    (tmp_path / "mangled.bcode").write_text("bcode v1\nkind=RAW\n")
+    save_confusions(tmp_path / "conf.json", [[[0.9, 0.1], [0.2, 0.8]]] * 6)
+    save_confusions(tmp_path / "conf3.json", [[[1.0]]] * 3)
+    return {
+        "codes": [str(tmp_path / name) for name in codes],
+        "bad_codes": [str(tmp_path / name) for name in ("mangled.bcode", "missing.bcode")],
+        "confusions": [str(tmp_path / "conf.json"), str(tmp_path / "conf3.json")],
+        "output": str(tmp_path / "out.bcode"),
+        "report": str(tmp_path / "report.json"),
+        "prefix": str(tmp_path / "sim"),
+    }
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_exits_with_a_status_and_never_a_traceback(fuzz_paths, data):
+    argv = data.draw(cli_argvs(fuzz_paths), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    event(f"{argv[0]} exit {status}")
+    assert status in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
