@@ -35,6 +35,11 @@ from .properties import CodeKind, CodeParams, find_violation
 
 _VERIFY_KINDS = sorted(kind.value.lower() for kind in CodeKind)
 
+# Most entries (models x classes x classes) of the confusion stack `decode`
+# and `simulate` build from --classes: 128 MiB of floats, of which the
+# decoder keeps two more arrays.
+MAX_CONFUSION_ENTRIES = 1 << 24
+
 _FILE_KIND_FOR_RECIPE = {
     construct.RecipeKind.MINIMAL_BDC: "BDC",
     construct.RecipeKind.MINIMAL_BCC: "BCC",
@@ -69,6 +74,17 @@ def _int_list(spec: str) -> list[int]:
         return [int(p) for p in spec.split(",") if p != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be comma-separated integers: {spec!r}") from None
+
+
+def _check_classes(m: int, c: int) -> None:
+    """Refuse an m x c x c confusion stack over the budget before it, or the
+    class profiles it comes from, is built."""
+    entries = m * max(c, 0) ** 2
+    if entries > MAX_CONFUSION_ENTRIES:
+        raise ResourceLimitError(
+            f"{c} classes on {m} models need {entries} confusion entries "
+            f"(> {MAX_CONFUSION_ENTRIES})"
+        )
 
 
 def _profile(alpha: str, n: int, args: argparse.Namespace) -> np.ndarray:
@@ -221,6 +237,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_decode(args: argparse.Namespace) -> int:
     code = formats.load(args.code).matrix
+    _check_classes(code.m, args.classes)
     if args.confusion == "id":
         confusions = identity_confusions(code.m, args.classes)
     elif args.confusion.startswith("synth:"):
@@ -253,6 +270,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     code = formats.load(args.code).matrix
+    _check_classes(code.m, args.classes)
     profile = _profile(args.alpha, code.n, args)
     confusions = simulate.synth_confusion(code, profile, args.a_max, args.kappa)
     cfg = _decoder_config(args, code, confusions)

@@ -13,11 +13,16 @@ Attacker sets that compromise the same set of models share their likelihood
 table, so the enumeration is grouped by compromised-model mask; products
 over models are accumulated in log space with max-shift normalization before
 exponentiation (plain products over m factors in [0, 1] underflow quickly).
-The cost is O(sum_j C(n, j) * m * c^2) over the sizes j in the count prior.
+An attacker set's score depends only on its size and its mask, so attackers
+are scored per (size, mask) group.  ``DecoderConfig`` enumerates the
+sum_j C(n, j) supports over the sizes j in the count prior once; a decode
+then costs O(B * m * c^2) for B masks plus O(G) for G groups, and reading
+the attacker posterior enumerates the supports once more.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -75,9 +80,10 @@ class DecoderConfig:
     _log_conf: np.ndarray = field(init=False, repr=False)
     _mask_matrix: np.ndarray = field(init=False, repr=False)
     _mask_logw: np.ndarray = field(init=False, repr=False)
-    _x_keys: list[tuple[int, ...]] = field(init=False, repr=False)
-    _x_logw: np.ndarray = field(init=False, repr=False)
-    _x_mask_idx: np.ndarray = field(init=False, repr=False)
+    _groups: dict[tuple[int, int], int] = field(init=False, repr=False)
+    _group_first: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    _group_logw: np.ndarray = field(init=False, repr=False)
+    _group_mask_idx: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         confusions = np.array(self.confusions, dtype=float)
@@ -110,33 +116,31 @@ class DecoderConfig:
                 raise ValueError(f"attacker count {count!r} must be a nonnegative int")
             if count > n:
                 raise ValueError(f"attacker count {count} exceeds the {n} users")
-            if prob < 0.0:
+            if not prob >= 0.0:  # also refuses NaN
                 raise ValueError("count prior probabilities must be nonnegative")
             total += prob
-        if abs(total - 1.0) > _PROB_TOL:
+        if not abs(total - 1.0) <= _PROB_TOL:
             raise ValueError(f"count prior must sum to 1, got {total}")
         sizes = [count for count in sorted(self.count_prior) if self.count_prior[count] > 0.0]
         if not sizes:
             raise ValueError("count prior assigns no probability to any count")
 
         # One pass over the supports: every support weighs its mask; those of
-        # positive size are also the attacker hypotheses, keyed by their 0/1
-        # indicator tuples.  Only the empty support (listed first when count 0
-        # has mass) is not a hypothesis.
+        # positive size are also the attacker hypotheses, grouped by (size,
+        # mask) in first-occurrence order with each group's first support.
+        # Only the empty support (listed first when count 0 has mass) is not
+        # a hypothesis.
         per_size = [math.comb(n, count) for count in sizes]
         weights = [self.count_prior[count] / num for count, num in zip(sizes, per_size)]
-        keys: list[tuple[int, ...]] = []
         mask_idx: list[int] = []
         mask_order: dict[int, int] = {}
+        first: dict[tuple[int, int], tuple[int, ...]] = {}
         for combo, mask in column_sums(self.code, sizes):
             mask_idx.append(mask_order.setdefault(mask, len(mask_order)))
             if combo:
-                indicator = [0] * n
-                for j in combo:
-                    indicator[j] = 1
-                keys.append(tuple(indicator))
+                first.setdefault((len(combo), mask), combo)
         mask_weight = np.bincount(mask_idx, weights=np.repeat(weights, per_size))
-        first = len(mask_idx) - len(keys)
+        size_logw = {count: _safe_log(w) for count, w in zip(sizes, weights)}
 
         with np.errstate(divide="ignore"):
             log_conf = np.log(self.confusions)
@@ -145,9 +149,10 @@ class DecoderConfig:
             "_log_conf": log_conf,
             "_mask_matrix": masks.to_array().astype(float),
             "_mask_logw": np.array([_safe_log(w) for w in mask_weight]),
-            "_x_keys": keys,
-            "_x_logw": np.repeat([_safe_log(w) for w in weights], per_size)[first:],
-            "_x_mask_idx": np.array(mask_idx[first:], dtype=int),
+            "_groups": {key: g for g, key in enumerate(first)},
+            "_group_first": tuple(first.values()),
+            "_group_logw": np.array([size_logw[size] for size, _ in first]),
+            "_group_mask_idx": np.array([mask_order[mask] for _, mask in first], dtype=int),
         }
         for name, value in tables.items():
             object.__setattr__(self, name, value)
@@ -164,15 +169,21 @@ class DecodeResult:
     ``attacker_posterior`` maps attacker indicator tuples (0/1 per user) to
     probabilities conditioned on an attack being active; it is empty when
     the count prior puts no mass on positive counts or no attacker
-    hypothesis has support.  ``decoded_attackers`` is empty unless the
-    attack posterior clears the decision threshold.
+    hypothesis has support.  It is expanded from the per-group scores on
+    first read, which enumerates the supports once.  ``decoded_attackers``
+    is empty unless the attack posterior clears the decision threshold.
     """
 
     attack_posterior: float
     label_posterior: np.ndarray
     decoded_label: int
-    attacker_posterior: dict[tuple[int, ...], float]
     decoded_attackers: tuple[int, ...]
+    _cfg: DecoderConfig = field(repr=False, compare=False)
+    _scores: np.ndarray = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def attacker_posterior(self) -> dict[tuple[int, ...], float]:
+        return _expand_attackers(self._scores, self._cfg)
 
 
 @dataclass(frozen=True)
@@ -275,24 +286,37 @@ def attacker_posterior(
     if cfg.kmax < 1:
         raise ValueError("count prior has no positive attacker count")
     y = _validate_outputs(outputs, cfg)
-    ev = _evidence(y, cfg)
-    result, _ = _attacker_posterior_from(ev, cfg)
+    result = _expand_attackers(_attacker_scores(_evidence(y, cfg), cfg), cfg)
     if not result:
         raise DegenerateEvidenceError("no attacker hypothesis has support")
     return result
 
 
-def _attacker_posterior_from(
-    ev: _Evidence, cfg: DecoderConfig
-) -> tuple[dict[tuple[int, ...], float], np.ndarray]:
-    """Attacker posterior (empty when no hypothesis has support) and the
-    log-scores of the hypotheses in ``cfg._x_keys`` order."""
-    scores = cfg._x_logw + ev.mask_total[cfg._x_mask_idx]
-    norm = _logsumexp(scores) if scores.size else -math.inf
+def _attacker_scores(ev: _Evidence, cfg: DecoderConfig) -> np.ndarray:
+    """Log-score of every (size, mask) group, in ``cfg._groups`` order; each
+    support of a group has exactly this score."""
+    return cfg._group_logw + ev.mask_total[cfg._group_mask_idx]
+
+
+def _expand_attackers(
+    scores: np.ndarray, cfg: DecoderConfig
+) -> dict[tuple[int, ...], float]:
+    """Attacker posterior over every support of positive size, in
+    enumeration order (empty when no hypothesis has support)."""
+    keys: list[tuple[int, ...]] = []
+    group_idx: list[int] = []
+    sizes = sorted({size for size, _ in cfg._groups})
+    for combo, mask in column_sums(cfg.code, sizes):
+        indicator = [0] * cfg.code.n
+        for j in combo:
+            indicator[j] = 1
+        keys.append(tuple(indicator))
+        group_idx.append(cfg._groups[len(combo), mask])
+    support_scores = scores[group_idx]
+    norm = _logsumexp(support_scores) if support_scores.size else -math.inf
     if norm == -math.inf:
-        return {}, scores
-    probs = np.exp(scores - norm)
-    return dict(zip(cfg._x_keys, probs.tolist())), scores
+        return {}
+    return dict(zip(keys, np.exp(support_scores - norm).tolist()))
 
 
 def decode(
@@ -300,12 +324,14 @@ def decode(
     cfg: DecoderConfig,
     attack_threshold: float = 0.5,
 ) -> DecodeResult:
-    """Full decode: one enumeration pass feeding all three posteriors.
+    """Full decode: one evidence pass feeding the attack and label
+    posteriors and the attacker scores.
 
     The decoded label is the argmax of the label posterior (lowest index on
     ties).  Attackers are reported only when the attack posterior exceeds
     ``attack_threshold``; the reported set is the support of the most
-    probable attacker hypothesis (the first one on ties).
+    probable attacker hypothesis (the first one on ties, which is the first
+    support of the first maximal group).
     """
     y = _validate_outputs(outputs, cfg)
     ev = _evidence(y, cfg)
@@ -313,12 +339,11 @@ def decode(
     labels = _label_posterior_from(ev, cfg)
     decoded_label = int(np.argmax(labels))
 
-    attackers, scores = _attacker_posterior_from(ev, cfg)
+    scores = _attacker_scores(ev, cfg)
     decoded_attackers: tuple[int, ...] = ()
-    if attack > attack_threshold and attackers:
-        best = cfg._x_keys[int(np.argmax(scores))]
-        decoded_attackers = tuple(j for j, bit in enumerate(best) if bit)
-    return DecodeResult(attack, labels, decoded_label, attackers, decoded_attackers)
+    if attack > attack_threshold and scores.size and scores.max() > -math.inf:
+        decoded_attackers = cfg._group_first[int(np.argmax(scores))]
+    return DecodeResult(attack, labels, decoded_label, decoded_attackers, cfg, scores)
 
 
 def majority_vote(outputs: Sequence[int], num_classes: int) -> int:

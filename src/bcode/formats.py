@@ -123,14 +123,23 @@ def dump_confusions(confusions: np.ndarray) -> str:
 
 
 def load_confusions(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """The (m, c, c) confusion stack of a JSON file; any malformed document
+    raises ``BcodeFormatError``."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
+        raise BcodeFormatError(f"confusion file is not JSON: {exc}") from None
     if not isinstance(doc, dict) or "c" not in doc or "models" not in doc:
-        raise ValueError("confusion JSON must contain 'c' and 'models'")
-    c = int(doc["c"])
-    arr = np.asarray(doc["models"], dtype=float)
+        raise BcodeFormatError("confusion JSON must contain 'c' and 'models'")
+    try:
+        c = int(doc["c"])
+        arr = np.asarray(doc["models"], dtype=float)
+    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
+        raise BcodeFormatError(f"'c' must be an int and 'models' numbers: {exc}") from None
     if arr.ndim != 3 or arr.shape[1:] != (c, c):
-        raise ValueError(f"'models' must be a list of {c}x{c} matrices")
+        raise BcodeFormatError(f"'models' must be a list of {c}x{c} matrices")
     return arr
 
 

@@ -15,6 +15,7 @@ order and parallel sweeps reproduce serial ones bit for bit.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
@@ -36,8 +37,8 @@ def dirichlet_profiles(
     the stream for reproducibility).  Small alpha concentrates each user on
     few classes.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:  # also refuses NaN
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if n_users < 1 or num_classes < 1:
         raise ValueError("need at least one user and one class")
     rng = np.random.default_rng(seed)
@@ -75,8 +76,8 @@ def synth_confusion(
         raise ValueError("profile masses must be nonnegative")
     if not 0.0 < a_max <= 1.0:
         raise ValueError("a_max must lie in (0, 1]")
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not 0.0 < kappa < math.inf:  # also refuses NaN
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     c = profile.shape[1]
     mass = code.to_array().astype(float) @ profile  # (m, c)
     acc = a_max * mass / (mass + kappa)

@@ -2,11 +2,12 @@ import contextlib
 import io
 import json
 import os
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from bcode import bitmatrix, formats
+from bcode import bitmatrix, cli, formats
 from bcode.bitmatrix import BitMatrix, min_row_weight, select_columns
 from bcode.cli import _claim_holds, build_parser, main
 from bcode.construct import general_bcc, minimal_bcc, minimal_bdc
@@ -351,6 +352,83 @@ def test_decode_rejects_nan_confusions(tmp_path, capsys):
     assert "confusion entries must lie in [0, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        b'{"c": [2], "models": []}',
+        b'{"c": 2, "models": {"a": 1}}',
+        b'{"c": 1e999, "models": []}',
+        b'{"c": "two", "models": []}',
+        b'{"c": NaN, "models": []}',
+        b'{"c": 2, "models": [[[0.5, "x"], [0.5, 0.5]]]}',
+        b'{"c": 2, "models": [[[0.5, 0.5], [0.5]]]}',
+        pytest.param(b'{"c": 2, "models": [[[' + b"1" * 400 + b", 0], [0, 1]]]}",
+                     id="number-beyond-float"),
+        b'{"c": 2, "models": "\xff"}',
+        b'["c", "models"]',
+        b'{"c": 2, "models": ',
+        pytest.param(b"[" * 100_000, id="nested-too-deep"),
+    ],
+)
+def test_decode_rejects_malformed_confusion_json(tmp_path, capsys, document):
+    code = tmp_path / "three.bcode"
+    formats.save(code, BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]]), "BCC", 1, 1)
+    conf = tmp_path / "conf.json"
+    conf.write_bytes(document)
+    assert run_cli("decode", "--code", str(code), "--outputs", "0,0,0", "--classes", "2",
+                   "--q", "uniform:0:1", "--confusion", str(conf)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags,named",
+    [
+        (("decode", "--confusion", "synth:inf"), "alpha"),
+        (("decode", "--confusion", "synth:nan"), "alpha"),
+        (("simulate", "--alpha", "inf"), "alpha"),
+        (("simulate", "--kappa", "nan"), "kappa"),
+        (("simulate", "--kappa", "inf"), "kappa"),
+    ],
+)
+def test_non_finite_synthetic_parameters_are_named(tmp_path, capsys, flags, named):
+    code = tmp_path / "three.bcode"
+    formats.save(code, BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]]), "BCC", 1, 1)
+    command, *rest = flags
+    extra = (["--outputs", "0,0,0"] if command == "decode"
+             else ["--trials", "2", "--runs", "1", "--threads", "1"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(command, "--code", str(code), "--classes", "2", "--q", "uniform:0:1",
+                       *extra, *rest) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named} must be positive and finite")
+
+
+@pytest.mark.parametrize("command", ["decode", "simulate"])
+def test_confusion_stack_budget_boundary(tmp_path, capsys, monkeypatch, command):
+    code = tmp_path / "three.bcode"
+    formats.save(code, BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]]), "BCC", 1, 1)
+    extra = (["--outputs", "0,0,0"] if command == "decode"
+             else ["--trials", "2", "--runs", "1", "--threads", "1", "--attackers", "0,1"])
+    argv = [command, "--code", str(code), "--classes", "4", "--q", "uniform:0:1", *extra]
+    monkeypatch.setattr(cli, "MAX_CONFUSION_ENTRIES", 3 * 4 * 4)
+    assert main(argv) == 0
+    monkeypatch.setattr(cli, "MAX_CONFUSION_ENTRIES", 3 * 4 * 4 - 1)
+    assert main(argv) == 3
+    assert "48 confusion entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["decode", "simulate"])
+def test_huge_class_counts_are_refused_before_allocation(tmp_path, capsys, command):
+    code = tmp_path / "three.bcode"
+    formats.save(code, BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]]), "BCC", 1, 1)
+    extra = ["--outputs", "0,0,0"] if command == "decode" else ["--threads", "1"]
+    assert run_cli(command, "--code", str(code), "--classes", "100000", *extra) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def mostly(valid, invalid):
     """Draw from ``valid`` nine times in ten."""
     return st.integers(0, 9).flatmap(lambda i: invalid if i == 0 else valid)
@@ -430,10 +508,13 @@ def fuzz_paths(tmp_path):
     (tmp_path / "mangled.bcode").write_text("bcode v1\nkind=RAW\n")
     save_confusions(tmp_path / "conf.json", [[[0.9, 0.1], [0.2, 0.8]]] * 6)
     save_confusions(tmp_path / "conf3.json", [[[1.0]]] * 3)
+    (tmp_path / "badconf.json").write_text('{"c": [2], "models": []}')
+    (tmp_path / "raggedconf.json").write_text('{"c": 2, "models": {"a": 1}}')
     return {
         "codes": [str(tmp_path / name) for name in codes],
         "bad_codes": [str(tmp_path / name) for name in ("mangled.bcode", "missing.bcode")],
-        "confusions": [str(tmp_path / "conf.json"), str(tmp_path / "conf3.json")],
+        "confusions": [str(tmp_path / name)
+                       for name in ("conf.json", "conf3.json", "badconf.json", "raggedconf.json")],
         "output": str(tmp_path / "out.bcode"),
         "report": str(tmp_path / "report.json"),
         "prefix": str(tmp_path / "sim"),

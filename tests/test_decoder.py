@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from bcode.bitmatrix import BitMatrix
+from bcode.bitmatrix import BitMatrix, column_or_mask
 from bcode.construct import general_bcc, minimal_bcc, partition_code
 from bcode.decoder import (
     DecoderConfig,
@@ -67,6 +67,49 @@ def random_config(rng):
     return cfg, y
 
 
+# Count priors with zero mass on some positive counts; their keys still
+# bound the enumeration, but only the counts with mass become hypotheses.
+ZERO_MASS_PRIORS = (
+    {0: 0.5, 1: 0.0, 2: 0.5},
+    {1: 0.0, 2: 1.0},
+    {0: 0.2, 1: 0.3, 2: 0.0, 3: 0.5},
+    {0: 0.0, 1: 0.6, 2: 0.4},
+)
+
+
+def grouped_config(rng):
+    """Random configuration on a column-duplicated code, where many attacker
+    sets of one size compromise the same models, plus an output vector drawn
+    from a planted attack so the attackers are usually reported."""
+    k, r = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    code = general_bcc(k, r, int(rng.integers(k + r + 1, 8)))
+    c = int(rng.integers(2, 4))
+    conf = rng.dirichlet(np.ones(c) * rng.uniform(0.3, 3.0), size=(code.m, c))
+    conf = 0.5 * conf + 0.5 * np.eye(c)
+    prior = ZERO_MASS_PRIORS[int(rng.integers(len(ZERO_MASS_PRIORS)))]
+    if rng.random() < 0.25:
+        prior = uniform_count_prior(0, 2)
+    cfg = DecoderConfig(code, conf, float(rng.uniform(0.5, 0.95)),
+                        float(rng.choice([1.0, rng.uniform(0.8, 1.0)])), prior, c)
+    support = rng.choice(code.n, size=int(rng.integers(1, 3)), replace=False)
+    label, target = rng.choice(c, size=2, replace=False)
+    y = [int(target) if any(code.bit(i, int(j)) for j in support) else int(label)
+         for i in range(code.m)]
+    if rng.random() < 0.3:
+        y[int(rng.integers(code.m))] = int(rng.integers(c))
+    return cfg, tuple(y)
+
+
+def shares_groups(cfg, post):
+    """Whether two attacker sets in ``post`` have one size and one Boolean
+    sum, so that the decoder scores them as one (size, mask) group."""
+    groups = {
+        (sum(x), column_or_mask(cfg.code, [j for j, bit in enumerate(x) if bit]))
+        for x in post
+    }
+    return len(groups) < len(post)
+
+
 def oracle_for(cfg, y):
     return oracles.naive_posteriors(
         as_bits(cfg.code),
@@ -96,6 +139,8 @@ def test_config_validation():
         DecoderConfig(code, good, 0.5, 1.0, {0: 0.5, 3: 0.5}, 2)  # kmax > n
     with pytest.raises(ValueError):
         DecoderConfig(code, good, 0.5, 1.0, {}, 2)
+    with pytest.raises(ValueError):
+        DecoderConfig(code, good, 0.5, 1.0, {0: math.nan, 1: 1.0}, 2)
     bad_rows = good.copy()
     bad_rows[0, 0] = [0.5, 0.6]
     with pytest.raises(ValueError):
@@ -343,9 +388,9 @@ def test_label_posterior_is_equivariant_under_class_relabeling():
 
 def test_posteriors_match_naive_oracle_on_random_configs():
     rng = np.random.default_rng(123)
-    checked = 0
-    for _ in range(60):
-        cfg, y = random_config(rng)
+    checked = grouped = 0
+    for trial in range(80):
+        cfg, y = random_config(rng) if trial < 60 else grouped_config(rng)
         attack_o, labels_o, attackers_o = oracle_for(cfg, y)
         if attack_o is None:
             with pytest.raises(DegenerateEvidenceError):
@@ -355,24 +400,28 @@ def test_posteriors_match_naive_oracle_on_random_configs():
         assert label_posterior(y, cfg) == pytest.approx(labels_o, rel=1e-12, abs=1e-300)
         if attackers_o is not None and cfg.kmax >= 1:
             mine = attacker_posterior(y, cfg)
+            assert list(decode(y, cfg).attacker_posterior.items()) == list(mine.items())
             assert set(mine) == set(attackers_o)
             for key, value in attackers_o.items():
                 assert mine[key] == pytest.approx(value, rel=1e-12, abs=1e-300)
+            grouped += shares_groups(cfg, mine)
         checked += 1
-    assert checked >= 30
+    assert checked >= 45 and grouped >= 15
 
 
 def test_decoded_attackers_are_the_first_most_probable_hypothesis():
     # The attacker hypotheses follow the empty support when count 0 has mass
     # and start at the first support otherwise; the two fixed priors are the
-    # cases without the empty support.
+    # cases without the empty support.  The last source draws column-
+    # duplicated codes, where the first maximal group holds several supports.
     rng = np.random.default_rng(29)
-    priors = (None, {1: 0.5, 2: 0.5}, {0: 0.0, 1: 1.0})
+    priors = (None, {1: 0.5, 2: 0.5}, {0: 0.0, 1: 1.0}, "grouped")
     checked = [0] * len(priors)
-    for trial in range(240):
-        cfg, y = random_config(rng)
+    grouped = 0
+    for trial in range(320):
         which = trial % len(priors)
-        if priors[which] is not None:
+        cfg, y = (grouped_config if priors[which] == "grouped" else random_config)(rng)
+        if isinstance(priors[which], dict):
             if max(priors[which]) > cfg.code.n:
                 continue
             cfg = dataclasses.replace(cfg, count_prior=priors[which])
@@ -393,7 +442,8 @@ def test_decoded_attackers_are_the_first_most_probable_hypothesis():
         first = next(key for key, prob in post.items() if prob == best)
         assert result.decoded_attackers == tuple(j for j, bit in enumerate(first) if bit)
         checked[which] += 1
-    assert min(checked) >= 10
+        grouped += sum(prob == best for prob in post.values()) > 1
+    assert min(checked) >= 10 and grouped >= 40
 
 
 # --- idealized sweeps (small-scale versions of the acceptance runs) -----------------------

@@ -1,3 +1,4 @@
+import json
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -141,3 +142,47 @@ def test_confusion_json_validation(tmp_path):
     path.write_text('{"c": 2, "models": [[[1.0]]]}')
     with pytest.raises(ValueError):
         formats.load_confusions(path)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["c", "models", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def confusion_like_documents(draw):
+    """Bytes of a valid confusion document with some values replaced and a
+    few characters inserted, deleted or replaced."""
+    m, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    doc = {"c": c, "models": [[[1.0 / c] * c for _ in range(c)] for _ in range(m)]}
+    for key in ("c", "models"):
+        if draw(st.integers(0, 3)) == 0:
+            doc[key] = draw(_JSON_VALUES)
+    text = json.dumps(doc)
+    for _ in range(draw(st.integers(0, 2))):
+        pos = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 1))
+        noise = draw(st.sampled_from(["", "[", "]", ",", "1", '"', "x"]))
+        text = text[:pos] + noise + text[pos + cut:]
+    return text.encode()
+
+
+@given(st.one_of(
+    confusion_like_documents(),
+    _JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+    st.binary(max_size=20),
+))
+@example(b'{"c": [2], "models": []}')
+@example(b'{"c": 2, "models": {"a": 1}}')
+def test_load_confusions_rejects_cleanly_or_returns_a_stack(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz-confusions.json"
+    path.write_bytes(raw)
+    try:
+        arr = formats.load_confusions(path)
+    except formats.BcodeFormatError:
+        return
+    assert arr.dtype == float and arr.ndim == 3 and arr.shape[1] == arr.shape[2]
+    assert arr.shape[1] == int(json.loads(raw)["c"])
