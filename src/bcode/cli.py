@@ -37,7 +37,8 @@ _VERIFY_KINDS = sorted(kind.value.lower() for kind in CodeKind)
 
 # Most entries (models x classes x classes) of the confusion stack `decode`
 # and `simulate` build from --classes: 128 MiB of floats, of which the
-# decoder keeps two more arrays.
+# decoder keeps two more arrays (its copy and its log table) and the
+# `simulate` sampler one (its CDF table).
 MAX_CONFUSION_ENTRIES = 1 << 24
 
 _FILE_KIND_FOR_RECIPE = {

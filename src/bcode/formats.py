@@ -133,11 +133,13 @@ def load_confusions(path) -> np.ndarray:
         raise BcodeFormatError(f"confusion file is not JSON: {exc}") from None
     if not isinstance(doc, dict) or "c" not in doc or "models" not in doc:
         raise BcodeFormatError("confusion JSON must contain 'c' and 'models'")
+    c = doc["c"]
+    if type(c) is not int:  # refuses floats, strings and bools alike
+        raise BcodeFormatError(f"'c' must be a JSON integer, got {c!r}")
     try:
-        c = int(doc["c"])
         arr = np.asarray(doc["models"], dtype=float)
     except (ValueError, TypeError, OverflowError, RecursionError) as exc:
-        raise BcodeFormatError(f"'c' must be an int and 'models' numbers: {exc}") from None
+        raise BcodeFormatError(f"'models' must be numbers: {exc}") from None
     if arr.ndim != 3 or arr.shape[1:] != (c, c):
         raise BcodeFormatError(f"'models' must be a list of {c}x{c} matrices")
     return arr

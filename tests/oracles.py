@@ -122,3 +122,22 @@ def naive_posteriors(bits, confusions, attack_prior, success_rate, count_prior, 
         {x: s / att_tot for x, s in att_scores.items()} if att_tot > 0 else None
     )
     return attack, labels, attackers
+
+
+def choice_sampled_outputs(bits, support, target, true_label, confusions, success_rate, rng):
+    """One output vector drawn model by model with ``Generator.choice``.
+
+    Model i is compromised iff it trains on an attacker; it emits the target
+    when ``rng.random() < success_rate`` and otherwise, like a clean model,
+    draws ``rng.choice(c, p=confusions[i][true_label])``.  This is the draw
+    sequence every seeded simulation is defined by.
+    """
+    c = len(confusions[0])
+    y = []
+    for i in range(len(bits)):
+        compromised = any(bits[i][j] for j in support)
+        if compromised and rng.random() < success_rate:
+            y.append(target)
+        else:
+            y.append(int(rng.choice(c, p=confusions[i][true_label])))
+    return y

@@ -368,6 +368,9 @@ def test_decode_rejects_nan_confusions(tmp_path, capsys):
         b'["c", "models"]',
         b'{"c": 2, "models": ',
         pytest.param(b"[" * 100_000, id="nested-too-deep"),
+        b'{"c": 2.9, "models": [[[1, 0], [0, 1]]]}',
+        b'{"c": true, "models": [[[1]]]}',
+        b'{"c": "2", "models": [[[1, 0], [0, 1]]]}',
     ],
 )
 def test_decode_rejects_malformed_confusion_json(tmp_path, capsys, document):

@@ -12,10 +12,12 @@ from bcode.decoder import (
     attack_posterior,
     attacker_posterior,
     decode,
+    decode_block,
     estimate_confusion,
     identity_confusions,
     label_posterior,
     majority_vote,
+    majority_votes,
     uniform_count_prior,
 )
 from bcode.errors import DegenerateEvidenceError, ResourceLimitError
@@ -98,6 +100,19 @@ def grouped_config(rng):
     if rng.random() < 0.3:
         y[int(rng.integers(code.m))] = int(rng.integers(c))
     return cfg, tuple(y)
+
+
+def exact_models_config(rng):
+    """Exact models and certain success on a column-duplicated code: every
+    output vector is explained exactly or not at all, so equal scores and
+    degenerate rows are common."""
+    k, r = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    code = general_bcc(k, r, int(rng.integers(k + r + 1, 8)))
+    c = int(rng.integers(2, 4))
+    prior = ZERO_MASS_PRIORS[int(rng.integers(len(ZERO_MASS_PRIORS)))]
+    cfg = DecoderConfig(code, identity_confusions(code.m, c), float(rng.uniform(0.3, 0.9)),
+                        1.0, prior, c)
+    return cfg, tuple(int(v) for v in rng.integers(0, c, size=code.m))
 
 
 def shares_groups(cfg, post):
@@ -499,6 +514,40 @@ def test_tracking_codes_also_recover_the_attackers():
     assert clean.decoded_attackers == ()
 
 
+@pytest.mark.parametrize("make", [random_config, grouped_config, exact_models_config])
+def test_block_decoding_equals_one_row_decoding(make):
+    rng = np.random.default_rng(23)
+    degenerate = 0
+    for _ in range(60):
+        cfg, y = make(rng)
+        others = rng.integers(0, cfg.num_classes, size=(int(rng.integers(0, 9)), cfg.code.m))
+        block = np.vstack([np.array([y]), others, np.array([y])])
+        got = decode_block(block, cfg)
+        for b, row in enumerate(block):
+            try:
+                want = decode(row, cfg)
+            except DegenerateEvidenceError:
+                assert got.degenerate[b]
+                degenerate += 1
+                continue
+            assert not got.degenerate[b]
+            assert got.attack_posterior[b] == want.attack_posterior
+            assert got.label_posterior[b].tobytes() == want.label_posterior.tobytes()
+            assert got.decoded_label[b] == want.decoded_label
+            assert got.decoded_attackers[b] == want.decoded_attackers
+            assert got.scores[b].tobytes() == want._scores.tobytes()
+    if make is exact_models_config:
+        assert degenerate > 0
+
+
+def test_decode_block_validation():
+    cfg = three_model_cfg()
+    assert decode_block(np.zeros((0, 3), dtype=int), cfg).degenerate.shape == (0,)
+    for bad in ([0, 1, 1], [[0, 1]], [[0, 1, 2]]):
+        with pytest.raises(ValueError):
+            decode_block(bad, cfg)
+
+
 # --- majority vote / confusion estimation -------------------------------------------------
 
 def test_majority_vote_examples():
@@ -512,6 +561,17 @@ def test_majority_vote_validation():
         majority_vote((), 2)
     with pytest.raises(ValueError):
         majority_vote((0, 2), 2)
+    with pytest.raises(ValueError):
+        majority_vote([[0, 1]], 2)
+
+
+def test_majority_votes_are_the_row_votes():
+    block = np.random.default_rng(4).integers(0, 4, size=(50, 5))
+    modes = [int(np.argmax(np.bincount(y, minlength=4))) for y in block]
+    assert majority_votes(block, 4).tolist() == modes
+    for bad in ([0, 1], np.zeros((2, 0), dtype=int), [[0, 4]]):
+        with pytest.raises(ValueError):
+            majority_votes(bad, 4)
 
 
 def test_estimate_confusion_perfect_predictions():

@@ -185,4 +185,5 @@ def test_load_confusions_rejects_cleanly_or_returns_a_stack(tmp_path_factory, ra
     except formats.BcodeFormatError:
         return
     assert arr.dtype == float and arr.ndim == 3 and arr.shape[1] == arr.shape[2]
-    assert arr.shape[1] == int(json.loads(raw)["c"])
+    c = json.loads(raw)["c"]
+    assert type(c) is int and arr.shape[1] == c

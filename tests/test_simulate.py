@@ -2,11 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bcode import simulate
 from bcode.bitmatrix import BitMatrix
 from bcode.construct import btc, general_bcc, partition_code
-from bcode.decoder import DecoderConfig, identity_confusions, uniform_count_prior
+from bcode.decoder import (
+    DecoderConfig,
+    decode,
+    decode_block,
+    identity_confusions,
+    majority_vote,
+    uniform_count_prior,
+)
+from bcode.errors import DegenerateEvidenceError
 from bcode.simulate import (
+    CountStats,
+    EvaluationReport,
     Scenario,
     dirichlet_profiles,
     run_trials,
@@ -15,6 +28,8 @@ from bcode.simulate import (
     synth_confusion,
     uniform_profile,
 )
+
+import oracles
 
 THREE_MODEL_CODE = BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
 
@@ -143,6 +158,64 @@ def test_sample_outputs_validation():
         sample_outputs(THREE_MODEL_CODE, sc, identity_confusions(3, 2), 1.0, seed=0)
 
 
+@st.composite
+def sampling_cases(draw):
+    """A code, a scenario, a confusion stack with hard zeros and a success
+    rate that is often exactly 0 or 1."""
+    m, n, c = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    bits = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    entry = st.just(0.0) | st.floats(0.0, 1.0) | st.just(1.0)
+    weights = np.array(draw(st.lists(entry, min_size=m * c * c, max_size=m * c * c)))
+    weights = weights.reshape(m, c, c)
+    empty = weights.sum(axis=2) == 0.0
+    weights[empty, draw(st.integers(0, c - 1))] = 1.0
+    confusions = weights / weights.sum(axis=2, keepdims=True)
+    support = sorted(draw(st.sets(st.integers(0, n - 1)))) if c > 1 else []
+    label = draw(st.integers(0, c - 1))
+    target = draw(st.integers(0, c - 1).filter(lambda t: not support or t != label))
+    success_rate = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return bits, support, target, label, confusions, success_rate
+
+
+@settings(max_examples=400, deadline=None)
+@given(sampling_cases(), st.integers(0, 2**64 - 1))
+def test_sampler_draws_what_per_model_choice_draws(case, seed):
+    bits, support, target, label, confusions, success_rate = case
+    code = BitMatrix.from_rows(bits)
+    scenario = Scenario.from_support(code.n, support, target, label)
+    got = sample_outputs(code, scenario, confusions, success_rate, seed)
+    want = oracles.choice_sampled_outputs(bits, support, target, label, confusions.tolist(),
+                                          success_rate, np.random.default_rng(seed))
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "row,accepted",
+    [
+        ([1.2, -0.2], False),
+        ([math.nan, 1.0], False),
+        ([0.5, 0.5 + 1e-7], False),  # sum off by more than sqrt(eps)
+        ([0.5, 0.5 + 1e-9], True),
+        ([0.0, 1.0], True),
+    ],
+)
+def test_sampler_refuses_the_confusion_rows_choice_refuses(row, accepted):
+    conf = identity_confusions(3, 2)
+    conf[1, 0] = row
+    bits = [[1, 0], [0, 1], [1, 1]]
+    sc = Scenario.from_support(2, [], 1, 0)
+    if accepted:
+        want = oracles.choice_sampled_outputs(bits, [], 1, 0, conf.tolist(), 1.0,
+                                              np.random.default_rng(5))
+        assert sample_outputs(THREE_MODEL_CODE, sc, conf, 1.0, seed=5).tolist() == want
+        return
+    with pytest.raises(ValueError):
+        oracles.choice_sampled_outputs(bits, [], 1, 0, conf.tolist(), 1.0, np.random.default_rng(5))
+    with pytest.raises(ValueError):
+        sample_outputs(THREE_MODEL_CODE, sc, conf, 1.0, seed=5)
+
+
 # --- trial harness ---------------------------------------------------------------------
 
 def perfect_cfg(code, kmax, classes=4):
@@ -187,6 +260,108 @@ def test_reports_are_bit_for_bit_deterministic():
     a = run_trials(code, cfg, [0, 1, 2], trials=60, seed=9)
     b = run_trials(code, cfg, [0, 1, 2], trials=60, seed=9)
     assert a == b
+
+
+def reference_report(code, cfg, attacker_counts, trials, seed):
+    """``run_trials`` as a loop over trials: draws from per-model
+    ``Generator.choice``, then one ``decode`` and one ``majority_vote`` each."""
+    bits = [[code.bit(i, j) for j in range(code.n)] for i in range(code.m)]
+    conf = cfg.confusions.tolist()
+    c = cfg.num_classes
+    rows = []
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        count = attacker_counts[int(rng.integers(len(attacker_counts)))]
+        support = sorted(int(j) for j in rng.choice(code.n, size=count, replace=False))
+        label = int(rng.integers(c))
+        target = int(rng.integers(c - 1))
+        target += target >= label
+        y = oracles.choice_sampled_outputs(bits, support, target, label, conf,
+                                           cfg.success_rate, rng)
+        try:
+            result = decode(y, cfg)
+        except DegenerateEvidenceError:
+            ok, found, degenerate = False, set(), True
+        else:
+            ok, found, degenerate = result.decoded_label == label, set(result.decoded_attackers), False
+        rows.append((count, ok, majority_vote(y, c) == label, len(found & set(support)),
+                     len(found - set(support)), degenerate))
+    count, ok, majority, tp, fp, degenerate = (np.array(col) for col in zip(*rows))
+    tp, fp = tp.astype(float), fp.astype(float)
+
+    def stats(sel):
+        return dict(
+            trials=int(sel.sum()),
+            decode_accuracy=float(ok[sel].mean()),
+            majority_accuracy=float(majority[sel].mean()),
+            tp_mean=float(tp[sel].mean()),
+            tp_sd=float(np.std(tp[sel])),
+            fp_mean=float(fp[sel].mean()),
+            fp_sd=float(np.std(fp[sel])),
+            degenerate=int(degenerate[sel].sum()),
+        )
+
+    clean = count == 0
+    return EvaluationReport(
+        **stats(np.ones(trials, dtype=bool)),
+        clean_accuracy=float(ok[clean].mean()) if clean.any() else None,
+        per_count={k: CountStats(**stats(count == k))
+                   for k in sorted(set(attacker_counts)) if (count == k).any()},
+    )
+
+
+def synth_cfg(code, classes, seed, q=3):
+    profile = dirichlet_profiles(0.1, code.n, classes, seed=seed)
+    return DecoderConfig(code, synth_confusion(code, profile), 0.5, 0.99,
+                         uniform_count_prior(0, q), classes)
+
+
+# The configurations of acceptance tests 06, 09i and 09ii, and one where
+# every attack by one user is degenerate: with exact models a clean
+# ensemble agrees, and the two attackers the prior allows compromise both
+# models, so no hypothesis explains one model voting apart.
+ACCEPTANCE_RUNS = [
+    pytest.param(general_bcc(2, 2, 4), lambda code: perfect_cfg(code, 2, classes=10),
+                 [0, 1, 2], id="06-bcc-2-2-4"),
+    pytest.param(general_bcc(2, 4, 8), lambda code: perfect_cfg(code, 2, classes=10),
+                 [0, 1, 2], id="06-bcc-2-4-8"),
+    pytest.param(partition_code(12, 12), lambda code: synth_cfg(code, 10, 3), [0], id="09i-r1"),
+    pytest.param(general_bcc(4, 4, 12), lambda code: synth_cfg(code, 10, 3), [0], id="09i-r4"),
+    pytest.param(general_bcc(2, 6, 12), lambda code: synth_cfg(code, 10, 3), [0], id="09i-r6"),
+    pytest.param(general_bcc(2, 4, 8), lambda code: synth_cfg(code, 10, 1), [0, 1, 2, 3],
+                 id="09ii"),
+    pytest.param(BitMatrix.from_rows([[1, 0], [0, 1]]),
+                 lambda code: DecoderConfig(code, identity_confusions(2, 3), 0.5, 1.0,
+                                            {0: 0.5, 1: 0.0, 2: 0.5}, 3),
+                 [0, 1, 2], id="degenerate"),
+]
+
+
+@pytest.mark.parametrize("code,make_cfg,counts", ACCEPTANCE_RUNS)
+def test_run_trials_equals_a_loop_of_one_vector_decodes(code, make_cfg, counts):
+    cfg = make_cfg(code)
+    got = run_trials(code, cfg, counts, trials=150, seed=8)
+    assert got == reference_report(code, cfg, counts, trials=150, seed=8)
+    if cfg.count_prior.get(1) == 0.0:
+        assert got.per_count[1].degenerate == got.per_count[1].trials > 0
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1000])
+def test_block_boundaries_do_not_change_the_report(monkeypatch, rows):
+    code = general_bcc(2, 4, 8)
+    cfg = synth_cfg(code, 10, 2)
+    trials = 60
+    want = run_trials(code, cfg, [0, 1, 2, 3], trials, seed=4)
+    blocks = []
+
+    def recording(y, cfg):
+        blocks.append(len(y))
+        return decode_block(y, cfg)
+
+    monkeypatch.setattr(DecoderConfig, "block_rows", rows)
+    monkeypatch.setattr(simulate, "decode_block", recording)
+    assert run_trials(code, cfg, [0, 1, 2, 3], trials, seed=4) == want
+    assert blocks == [min(rows, trials - start) for start in range(0, trials, rows)]
 
 
 def test_run_trials_validation():
