@@ -277,7 +277,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _decoder_config(args, code, confusions)
     print(f"seed: {args.seed}")
     points = simulate.sweep(
-        code,
         cfg,
         args.attackers,
         trials=args.trials,

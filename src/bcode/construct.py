@@ -19,6 +19,10 @@ Randomized constructions (deterministic given the seed):
   one verifies as separable; correctness is unconditional because every
   returned matrix is verified.
 * ``btc`` stacks a correction code on top of a separable matrix.
+
+A construction too large to build is refused with ``ResourceLimitError``
+before any row exists, by the entry budget ``MAX_ENTRIES`` or by the
+column-set budget of ``bitmatrix.column_sums``.
 """
 
 from __future__ import annotations
@@ -33,10 +37,11 @@ from .bitmatrix import BitMatrix, column_sums, select_columns, vstack
 from .errors import ConstructionError, ResourceLimitError
 from .properties import find_btc_violation, is_separable
 
-DEFAULT_MAX_ROWS = 1_000_000
 # Most entries (rows x columns) a constructed matrix may hold: 128 MiB of row
-# bits.  With k = 1 the row budget alone admits a 10^6 x 10^6 matrix.
+# bits.  With k = 1 the column-set budget alone admits a 10^6 x 10^6 matrix.
 MAX_ENTRIES = 1 << 30
+# Draws ``random_code`` makes before giving up on covering every column.
+RANDOM_CODE_RETRIES = 1000
 
 
 def _check_entries(what: str, m: int, n: int) -> None:
@@ -45,21 +50,18 @@ def _check_entries(what: str, m: int, n: int) -> None:
         raise ResourceLimitError(f"{what} needs {m} x {n} entries (> {MAX_ENTRIES})")
 
 
-def minimal_bdc(k: int, r: int, max_rows: int = DEFAULT_MAX_ROWS) -> BitMatrix:
+def minimal_bdc(k: int, r: int) -> BitMatrix:
     """Minimum-row detection code on k + r users: C(k+r, k) rows.
 
     Row s is the indicator of the s-th r-subset of the users in
     lexicographic order, so any k users miss at least one model; the layout
     is fixed so outputs are reproducible, though any row/column permutation
-    would be equally valid.
+    would be equally valid.  Oversized codes are refused by the entry
+    budget or by ``column_sums``' column-set budget.
     """
     if k < 1 or r < 1:
         raise ValueError("k and r must be positive")
     rows = math.comb(k + r, k)
-    if rows > max_rows:
-        raise ResourceLimitError(
-            f"minimal detection code for k={k}, r={r} needs {rows} rows (> {max_rows})"
-        )
     _check_entries(f"minimal detection code for k={k}, r={r}", rows, k + r)
     sums = column_sums(BitMatrix.identity(k + r), (r,))
     return BitMatrix(rows, k + r, tuple(mask for _, mask in sums))
@@ -76,7 +78,7 @@ def add_ones_row(mat: BitMatrix) -> BitMatrix:
     return BitMatrix(mat.m + 1, mat.n, (ones,) + mat.rows)
 
 
-def minimal_bcc(k: int, r: int, max_rows: int = DEFAULT_MAX_ROWS) -> BitMatrix:
+def minimal_bcc(k: int, r: int) -> BitMatrix:
     """Minimum-row correction code on k + r users.
 
     For r > 1 the minimal detection code already satisfies the complement
@@ -88,10 +90,10 @@ def minimal_bcc(k: int, r: int, max_rows: int = DEFAULT_MAX_ROWS) -> BitMatrix:
     if r == 1:
         _check_entries(f"minimal correction code for k={k}, r=1", k + 2, k + 1)
         return add_ones_row(BitMatrix.identity(k + 1))
-    return minimal_bdc(k, r, max_rows)
+    return minimal_bdc(k, r)
 
 
-def general_bcc(k: int, r: int, n: int, max_rows: int = DEFAULT_MAX_ROWS) -> BitMatrix:
+def general_bcc(k: int, r: int, n: int) -> BitMatrix:
     """Correction code for arbitrary n >= k + r by column duplication.
 
     Chooses the largest duplication factor p <= floor((n - r) / k) such that
@@ -115,7 +117,7 @@ def general_bcc(k: int, r: int, n: int, max_rows: int = DEFAULT_MAX_ROWS) -> Bit
         if cand * (k + cand_r0) <= n:
             p, r0 = cand, cand_r0
             break
-    base = minimal_bcc(k, r0, max_rows)
+    base = minimal_bcc(k, r0)
     _check_entries(f"correction code for k={k}, r={r} on n={n} users", base.m, n)
     width = k + r0
     lead = n - p * width
@@ -144,17 +146,12 @@ def partition_code(m: int, n: int) -> BitMatrix:
     return BitMatrix(m, n, tuple(rows))
 
 
-def random_code(
-    m: int,
-    n: int,
-    row_weight: int,
-    seed: int,
-    max_retries: int = 1000,
-) -> BitMatrix:
+def random_code(m: int, n: int, row_weight: int, seed: int) -> BitMatrix:
     """Random matrix with exactly ``row_weight`` ones per row.
 
     Rows are i.i.d. uniform over constant-weight words; a draw with any
-    all-zero column is rejected and retried, preserving the conditional
+    all-zero column is rejected and retried (up to
+    ``RANDOM_CODE_RETRIES`` draws), preserving the conditional
     distribution.  Deterministic given the seed.
     """
     if not 1 <= row_weight <= n:
@@ -164,7 +161,7 @@ def random_code(
     _check_entries("random code", m, n)
     rng = np.random.default_rng(seed)
     full = (1 << n) - 1
-    for _ in range(max_retries):
+    for _ in range(RANDOM_CODE_RETRIES):
         rows = []
         covered = 0
         for _ in range(m):
@@ -177,7 +174,7 @@ def random_code(
             return BitMatrix(m, n, tuple(rows))
     raise ConstructionError(
         f"no zero-column-free {m}x{n} draw with row weight {row_weight} "
-        f"in {max_retries} attempts"
+        f"in {RANDOM_CODE_RETRIES} attempts"
     )
 
 

@@ -79,8 +79,11 @@ class DecoderConfig:
 
     ``confusions`` is an (m, c, c) stack, one row-stochastic matrix per
     model; entry (i, j, q) is the probability that clean model i classifies
-    class-j data as class q.  The config keeps its own read-only copy, so
-    the enumeration tables derived from it cannot go stale.
+    class-j data as class q.  Entries must be nonnegative and every row must
+    sum to 1 within 1e-9, so any accepted stack can also be sampled from
+    (``simulate`` checks rows the way ``Generator.choice`` does).  The
+    config keeps its own read-only copy, so the enumeration tables derived
+    from it cannot go stale.
     ``count_prior`` maps attacker counts to probabilities (its keys define
     which counts are enumerated; they must sum to 1 and stay within [0, n]).
     """
@@ -112,7 +115,7 @@ class DecoderConfig:
             raise ValueError(
                 f"confusions must have shape ({m}, {c}, {c}), got {self.confusions.shape}"
             )
-        if not np.all((self.confusions >= -_PROB_TOL) & (self.confusions <= 1 + _PROB_TOL)):
+        if not np.all((self.confusions >= 0.0) & (self.confusions <= 1 + _PROB_TOL)):
             raise ValueError("confusion entries must lie in [0, 1]")
         rowsums = self.confusions.sum(axis=2)
         if np.any(np.abs(rowsums - 1.0) > _PROB_TOL):
@@ -359,7 +362,7 @@ def label_posterior(outputs: Sequence[int], cfg: DecoderConfig) -> np.ndarray:
     """Posterior over true labels, marginalizing attacks, attackers, targets."""
     block = _decode_rows(_validate_outputs(outputs, cfg), cfg)
     if block.degenerate[0]:
-        raise DegenerateEvidenceError("all label scores are zero")
+        raise _no_evidence(cfg)
     return block.label_posterior[0]
 
 

@@ -8,9 +8,12 @@ grows with its per-class training mass through a saturating curve.  Ensemble
 outputs are then sampled from exactly the generative model the decoder
 assumes, so decoder performance isolates the code's contribution.
 
-All sampling is deterministic given seeds; each trial derives its own
-stream from (seed, trial index), so results do not depend on execution
-order and parallel sweeps reproduce serial ones bit for bit.
+The evaluated code is the one the ``DecoderConfig`` was built for, and
+outputs are drawn from that config's confusion stack, so a simulation
+samples and decodes under one model.  All sampling is deterministic given
+seeds; each trial derives its own stream from (seed, trial index), so
+results do not depend on execution order and parallel sweeps reproduce
+serial ones bit for bit.
 """
 
 from __future__ import annotations
@@ -226,9 +229,10 @@ class CountStats:
     degenerate: int
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
-    """Aggregate statistics over Monte-Carlo trials.
+@dataclass(frozen=True, kw_only=True)
+class EvaluationReport(CountStats):
+    """Aggregate statistics over Monte-Carlo trials: the ``CountStats`` of
+    all trials, plus ``clean_accuracy`` and the per-count slices.
 
     True/false positives count decoded attackers inside/outside the planted
     set; means and standard deviations are per-trial population statistics.
@@ -237,15 +241,7 @@ class EvaluationReport:
     and never fatal.
     """
 
-    trials: int
-    decode_accuracy: float
-    majority_accuracy: float
     clean_accuracy: float | None
-    tp_mean: float
-    tp_sd: float
-    fp_mean: float
-    fp_sd: float
-    degenerate: int
     per_count: dict[int, CountStats] = field(default_factory=dict)
 
 
@@ -254,37 +250,34 @@ def _population_sd(values: np.ndarray) -> float:
 
 
 def run_trials(
-    code: BitMatrix,
     cfg: DecoderConfig,
     attacker_counts: Sequence[int],
     trials: int,
     seed: int,
 ) -> EvaluationReport:
-    """Sample scenarios, decode them, and aggregate accuracy / tracking stats.
+    """Sample scenarios on ``cfg.code``, decode them, and aggregate
+    accuracy / tracking stats.
 
     Per trial: the attacker count is drawn uniformly from
-    ``attacker_counts``, the support uniformly among subsets of that size,
-    the true label uniformly, and the target uniformly among other classes;
-    outputs are sampled from the generative model and decoded.  Each trial
+    ``attacker_counts`` (each one a key of ``cfg.count_prior``), the support
+    uniformly among subsets of that size, the true label uniformly, and the
+    target uniformly among other classes; outputs are sampled from the generative model and decoded.  Each trial
     uses the stream derived from (seed, trial index).  Outputs are decoded
     in blocks of ``cfg.block_rows`` trials, which changes no reported
     number: every row decodes exactly as it would alone.
     """
-    if code.m != cfg.code.m or code.n != cfg.code.n or code.rows != cfg.code.rows:
-        raise ValueError("decoder config was built for a different code")
     if trials < 1:
         raise ValueError("need at least one trial")
     counts = [int(c) for c in attacker_counts]
     if not counts:
         raise ValueError("need at least one attacker count")
-    if any(c < 0 or c > code.n for c in counts):
-        raise ValueError("attacker counts must lie in [0, n]")
     if any(c not in cfg.count_prior for c in counts):
         raise ValueError("attacker counts must be inside the decoder count prior")
     c = cfg.num_classes
     if c < 2:
         raise ValueError("attack simulation needs at least two classes")
 
+    code = cfg.code
     n, m = code.n, code.m
     cdfs = _choice_cdfs(cfg.confusions)
     rows = cfg.block_rows
@@ -382,12 +375,11 @@ class SweepPoint:
 
 
 def _sweep_task(args) -> EvaluationReport:
-    code, cfg, count, trials, run_seed = args
-    return run_trials(code, cfg, [count], trials, run_seed)
+    cfg, count, trials, run_seed = args
+    return run_trials(cfg, [count], trials, run_seed)
 
 
 def sweep(
-    code: BitMatrix,
     cfg: DecoderConfig,
     attacker_counts: Sequence[int],
     trials: int,
@@ -395,7 +387,8 @@ def sweep(
     seed: int,
     workers: int = 1,
 ) -> list[SweepPoint]:
-    """Evaluate each attacker count over ``runs`` repeated runs.
+    """Evaluate each attacker count over ``runs`` repeated runs of
+    ``run_trials`` on ``cfg.code``.
 
     Run seeds derive deterministically from ``seed``; tasks are independent
     and may execute in a process pool (``workers`` > 1) without changing any
@@ -407,7 +400,7 @@ def sweep(
     rng = np.random.default_rng(seed)
     run_seeds = rng.integers(0, 2**63, size=(len(counts), runs))
     tasks = [
-        (code, cfg, count, trials, int(run_seeds[ci, run]))
+        (cfg, count, trials, int(run_seeds[ci, run]))
         for ci, count in enumerate(counts)
         for run in range(runs)
     ]

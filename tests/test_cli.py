@@ -11,6 +11,7 @@ from bcode import bitmatrix, cli, formats
 from bcode.bitmatrix import BitMatrix, min_row_weight, select_columns
 from bcode.cli import _claim_holds, build_parser, main
 from bcode.construct import general_bcc, minimal_bcc, minimal_bdc
+from bcode.decoder import identity_confusions
 from bcode.formats import save_confusions
 from bcode.properties import CodeKind, CodeParams, find_violation
 
@@ -349,6 +350,18 @@ def test_decode_rejects_nan_confusions(tmp_path, capsys):
     save_confusions(conf, [[[float("nan"), 0.5], [0.5, 0.5]]] * 3)
     assert run_cli("decode", "--code", str(code), "--outputs", "0,0,0", "--classes", "2",
                    "--q", "uniform:0:1", "--confusion", str(conf)) == 2
+    assert "confusion entries must lie in [0, 1]" in capsys.readouterr().err
+
+
+def test_decode_rejects_slightly_negative_confusions(tmp_path, capsys):
+    code = tmp_path / "bcc.bcode"
+    formats.save(code, general_bcc(2, 2, 4), "BCC", 2, 2)
+    stack = identity_confusions(6, 3)
+    stack[0, 0] = [1 + 5e-10, -5e-10, 0]
+    conf = tmp_path / "f.json"
+    save_confusions(conf, stack)
+    assert run_cli("decode", "--code", str(code), "--outputs", "1,0,0,0,0,0",
+                   "--classes", "3", "--q", "uniform:0:2", "--confusion", str(conf)) == 2
     assert "confusion entries must lie in [0, 1]" in capsys.readouterr().err
 
 

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from bcode import construct
+from bcode import bitmatrix, construct
 from bcode.bitmatrix import BitMatrix, min_row_weight
+from bcode.cli import main
 from bcode.construct import (
     ConstructionRecipe,
     RecipeKind,
@@ -59,19 +60,24 @@ def test_minimal_bdc_row_count_and_property(k, r):
     assert is_bdc(mat, k, r)
 
 
-def test_minimal_bdc_resource_limit():
+def test_minimal_bdc_resource_limit(monkeypatch, capsys):
     with pytest.raises(ResourceLimitError):
         minimal_bdc(12, 12)
-    minimal_bdc(3, 3, max_rows=20)
+    # minimal_bdc(3, 3) enumerates the C(6, 3) = 20 three-column sets.
+    monkeypatch.setattr(bitmatrix, "MAX_COLUMN_SETS", 20)
+    assert minimal_bdc(3, 3).m == 20
+    monkeypatch.setattr(bitmatrix, "MAX_COLUMN_SETS", 19)
     with pytest.raises(ResourceLimitError):
-        minimal_bdc(3, 3, max_rows=19)
+        minimal_bdc(3, 3)
+    assert main(["construct", "--kind", "minimal-bdc", "--k", "3", "--r", "3"]) == 3
+    assert "exceeds the budget of 19" in capsys.readouterr().err
 
 
 def test_minimal_bdc_with_large_row_weight():
     mat = minimal_bdc(1, 1500)
     assert (mat.m, mat.n) == (1501, 1501)
     assert is_bdc(mat, 1, 1500)
-    # Within the row budget, but 10^6 x 10^6 entries.
+    # Within the column-set budget, but 10^6 x 10^6 entries.
     with pytest.raises(ResourceLimitError):
         minimal_bdc(1, 999_999)
 
@@ -223,9 +229,10 @@ def test_random_code_forced_all_ones():
     assert random_code(1, 3, 3, seed=0).to_strings() == ["111"]
 
 
-def test_random_code_gives_up_when_columns_cannot_be_covered():
-    with pytest.raises(ConstructionError):
-        random_code(1, 3, 1, seed=0, max_retries=50)
+def test_random_code_gives_up_when_columns_cannot_be_covered(monkeypatch):
+    monkeypatch.setattr(construct, "RANDOM_CODE_RETRIES", 50)
+    with pytest.raises(ConstructionError, match="in 50 attempts"):
+        random_code(1, 3, 1, seed=0)
 
 
 def test_random_code_validation():
@@ -247,7 +254,7 @@ def test_constructions_refuse_matrices_over_the_entry_budget():
     with pytest.raises(ResourceLimitError):
         partition_code(32769, 32769)
     with pytest.raises(ResourceLimitError):
-        random_code(32769, 32769, 1, seed=0, max_retries=1)
+        random_code(32769, 32769, 1, seed=0)
     with pytest.raises(ResourceLimitError):
         minimal_bcc(32767, 1)  # 32769 x 32768 entries
 

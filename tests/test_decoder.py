@@ -160,6 +160,11 @@ def test_config_validation():
     bad_rows[0, 0] = [0.5, 0.6]
     with pytest.raises(ValueError):
         DecoderConfig(code, bad_rows, 0.5, 1.0, {0: 1.0}, 2)
+    # Sums to 1 within the tolerance, but its log would make posteriors NaN.
+    negative = good.copy()
+    negative[0, 0] = [1 + 5e-10, -5e-10]
+    with pytest.raises(ValueError, match=r"confusion entries must lie in \[0, 1\]"):
+        DecoderConfig(code, negative, 0.5, 1.0, {0: 1.0}, 2)
 
 
 def test_config_owns_a_frozen_copy_of_its_inputs():
@@ -361,8 +366,13 @@ def test_decode_raises_on_impossible_outputs():
     cfg = DecoderConfig(
         code, identity_confusions(3, 3), 0.5, 1.0, uniform_count_prior(0, 1), 3
     )
-    with pytest.raises(DegenerateEvidenceError):
-        decode((1, 2, 0), cfg)
+    raised = []
+    for fn in (decode, attack_posterior, label_posterior):
+        with pytest.raises(DegenerateEvidenceError) as info:
+            fn((1, 2, 0), cfg)
+        raised.append((str(info.value), info.value.diagnostics))
+    assert raised == [raised[0]] * 3
+    assert raised[0][1] == {"attack_prior": 0.5, "success_rate": 1.0}
 
 
 def test_smaller_attacker_sets_are_preferred_when_masks_tie():
