@@ -9,6 +9,7 @@ representation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -92,20 +93,16 @@ class BitMatrix:
             raise IndexError(f"({i}, {j}) outside {self.m}x{self.n}")
         return (self.rows[i] >> j) & 1
 
-    @property
+    @functools.cached_property
     def column_masks(self) -> tuple[int, ...]:
         """Columns as ints; bit i of ``column_masks[j]`` is entry (i, j)."""
-        cached = self.__dict__.get("_column_masks")
-        if cached is None:
-            cols = [0] * self.n
-            for i, row in enumerate(self.rows):
-                while row:
-                    low = row & -row
-                    cols[low.bit_length() - 1] |= 1 << i
-                    row ^= low
-            cached = tuple(cols)
-            object.__setattr__(self, "_column_masks", cached)
-        return cached
+        cols = [0] * self.n
+        for i, row in enumerate(self.rows):
+            while row:
+                low = row & -row
+                cols[low.bit_length() - 1] |= 1 << i
+                row ^= low
+        return tuple(cols)
 
     @property
     def all_ones_mask(self) -> int:

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import construct, formats, search, simulate
-from .bitmatrix import BitMatrix, min_row_weight, select_columns
+from .bitmatrix import BitMatrix, min_row_weight
 from .decoder import (
     DecoderConfig,
     decode,
@@ -31,7 +31,7 @@ from .decoder import (
     uniform_count_prior,
 )
 from .errors import ConstructionError, DegenerateEvidenceError, ResourceLimitError
-from .properties import CodeKind, CodeParams, find_violation
+from .properties import CodeKind, CodeParams, find_violation, verify
 
 _VERIFY_KINDS = sorted(kind.value.lower() for kind in CodeKind)
 
@@ -108,26 +108,6 @@ def _decoder_config(
     )
 
 
-def _claim_holds(matrix: BitMatrix, params: CodeParams, weight: int) -> bool:
-    """Whether a constructed code has the property its file claims.
-
-    BDC and BCC depend only on the Boolean sums of at most k columns, which
-    repeated columns leave unchanged, so they are decided on the distinct
-    columns (first occurrences) and the row weight ``weight`` of the whole
-    matrix; a column-duplicated code then stays far inside the budget.
-    """
-    if params.kind is CodeKind.BTC:
-        return find_violation(matrix, params) is None
-    firsts: dict[int, int] = {}
-    for j, col in enumerate(matrix.column_masks):
-        firsts.setdefault(col, j)
-    # With at most k distinct columns, their one Boolean sum covers every row.
-    if weight < params.r or len(firsts) <= params.k:
-        return False
-    distinct = select_columns(matrix, list(firsts.values()))
-    return find_violation(distinct, CodeParams(params.kind, params.k, 1, distinct.n)) is None
-
-
 def cmd_construct(args: argparse.Namespace) -> int:
     kind = construct.RecipeKind(args.kind)
     seeded = kind in construct.RANDOMIZED
@@ -153,8 +133,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         header_k, header_r = 0, weight
     else:
         header_k, header_r = args.k, args.r
-        params = CodeParams(CodeKind(file_kind), args.k, args.r, matrix.n)
-        verified = _claim_holds(matrix, params, weight)
+        verified = verify(matrix, CodeParams(CodeKind(file_kind), args.k, args.r, matrix.n))
     text = formats.dumps(matrix, file_kind, header_k, header_r)
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
@@ -185,12 +164,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     doc = formats.load(args.file)
     kind = CodeKind(args.kind.upper())
     r = max(args.r, 1) if kind is CodeKind.SEPARABLE else args.r
-    violation = find_violation(doc.matrix, CodeParams(kind, args.k, r, doc.matrix.n))
-    if violation is None:
+    params = CodeParams(kind, args.k, r, doc.matrix.n)
+    if verify(doc.matrix, params):
         print(f"PASS: {args.file} is {args.kind}(k={args.k}, r={args.r})")
         if args.out:
             _write_report(args.out, {"result": "pass", "kind": args.kind, "k": args.k, "r": args.r})
         return 0
+    violation = find_violation(doc.matrix, params)
     print(f"FAIL: {violation}")
     if args.out:
         _write_report(
@@ -350,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="number of models (partition/random)")
     p.add_argument("--row-weight", type=int, dest="row_weight", help="ones per row (random)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed for randomized kinds")
-    p.add_argument("--max-rows", type=int, dest="max_rows", default=64,
+    p.add_argument("--max-rows", type=int, dest="max_rows", default=construct.BTC_MAX_ROWS,
                    help="row budget for the separable-matrix search (btc)")
-    p.add_argument("--attempts", type=int, default=200,
+    p.add_argument("--attempts", type=int, default=construct.BTC_ATTEMPTS,
                    help="candidate draws per height in the separable search (btc)")
     p.add_argument("-o", "--output", help="output .bcode path (default: stdout)")
     p.add_argument("--out", help="machine-readable JSON report path")

@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -42,6 +43,9 @@ from .properties import find_btc_violation, is_separable
 MAX_ENTRIES = 1 << 30
 # Draws ``random_code`` makes before giving up on covering every column.
 RANDOM_CODE_RETRIES = 1000
+# Default budget of the separable search in ``btc``: tallest height, draws per height.
+BTC_MAX_ROWS = 64
+BTC_ATTEMPTS = 200
 
 
 def _check_entries(what: str, m: int, n: int) -> None:
@@ -146,6 +150,20 @@ def partition_code(m: int, n: int) -> BitMatrix:
     return BitMatrix(m, n, tuple(rows))
 
 
+def _random_matrix(rng: np.random.Generator, n: int, weights: Iterable[int]) -> BitMatrix | None:
+    """A matrix with one row per weight, with that many ones in uniformly
+    drawn columns, or None when the draw leaves some column all zero."""
+    rows = []
+    covered = 0
+    for weight in weights:
+        row = 0
+        for j in rng.choice(n, size=weight, replace=False):
+            row |= 1 << int(j)
+        rows.append(row)
+        covered |= row
+    return BitMatrix(len(rows), n, tuple(rows)) if covered == (1 << n) - 1 else None
+
+
 def random_code(m: int, n: int, row_weight: int, seed: int) -> BitMatrix:
     """Random matrix with exactly ``row_weight`` ones per row.
 
@@ -160,18 +178,10 @@ def random_code(m: int, n: int, row_weight: int, seed: int) -> BitMatrix:
         raise ValueError("m must be positive")
     _check_entries("random code", m, n)
     rng = np.random.default_rng(seed)
-    full = (1 << n) - 1
     for _ in range(RANDOM_CODE_RETRIES):
-        rows = []
-        covered = 0
-        for _ in range(m):
-            row = 0
-            for j in rng.choice(n, size=row_weight, replace=False):
-                row |= 1 << int(j)
-            rows.append(row)
-            covered |= row
-        if covered == full:
-            return BitMatrix(m, n, tuple(rows))
+        code = _random_matrix(rng, n, [row_weight] * m)
+        if code is not None:
+            return code
     raise ConstructionError(
         f"no zero-column-free {m}x{n} draw with row weight {row_weight} "
         f"in {RANDOM_CODE_RETRIES} attempts"
@@ -184,7 +194,7 @@ def separable_search(
     min_weight: int,
     seed: int,
     max_rows: int,
-    attempts_per_m: int = 200,
+    attempts_per_m: int = BTC_ATTEMPTS,
 ) -> BitMatrix:
     """Search for a matrix whose Boolean sums of 1..k columns are all distinct.
 
@@ -205,24 +215,14 @@ def separable_search(
     lo = max(min_weight, int(n / 2 - math.sqrt(n)), 1)
     hi = n - 1
     rng = np.random.default_rng(seed)
-    full = (1 << n) - 1
     last: int | None = None
     for m in range(start_m, max_rows + 1):
         last = m
         for _ in range(attempts_per_m):
-            rows = []
-            covered = 0
-            for _ in range(m):
-                w = int(rng.integers(lo, hi + 1))
-                row = 0
-                for j in rng.choice(n, size=w, replace=False):
-                    row |= 1 << int(j)
-                rows.append(row)
-                covered |= row
-            if covered != full:
-                continue
-            cand = BitMatrix(m, n, tuple(rows))
-            if is_separable(cand, k):
+            # Lazy, so each row's weight is drawn just before its columns.
+            weights = (int(rng.integers(lo, hi + 1)) for _ in range(m))
+            cand = _random_matrix(rng, n, weights)
+            if cand is not None and is_separable(cand, k):
                 return cand
     raise ConstructionError(
         f"no separable matrix with {n} columns found up to {max_rows} rows",
@@ -235,8 +235,8 @@ def btc(
     r: int,
     n: int,
     seed: int,
-    max_rows: int = 64,
-    attempts_per_m: int = 200,
+    max_rows: int = BTC_MAX_ROWS,
+    attempts_per_m: int = BTC_ATTEMPTS,
 ) -> BitMatrix:
     """Tracking code: a correction code stacked on a separable matrix.
 
@@ -280,8 +280,8 @@ class ConstructionRecipe:
     m: int | None = None
     row_weight: int | None = None
     seed: int | None = None
-    max_rows: int | None = None
-    attempts: int | None = None
+    max_rows: int = BTC_MAX_ROWS
+    attempts: int = BTC_ATTEMPTS
 
     def __post_init__(self) -> None:
         if self.kind in RANDOMIZED:
@@ -312,8 +312,8 @@ def build(recipe: ConstructionRecipe) -> BitMatrix:
             need(recipe.r, "r"),
             need(recipe.n, "n"),
             need(recipe.seed, "seed"),
-            recipe.max_rows if recipe.max_rows is not None else 64,
-            recipe.attempts if recipe.attempts is not None else 200,
+            recipe.max_rows,
+            recipe.attempts,
         )
     if kind is RecipeKind.PARTITION:
         return partition_code(need(recipe.m, "m"), need(recipe.n, "n"))

@@ -126,18 +126,18 @@ class DecoderConfig:
             raise ValueError("success rate must lie in [0, 1]")
         if not self.count_prior:
             raise ValueError("count prior must not be empty")
-        object.__setattr__(
-            self, "count_prior", {int(k): float(v) for k, v in self.count_prior.items()}
-        )
+        prior: dict[int, float] = {}
         total = 0.0
         for count, prob in self.count_prior.items():
-            if count < 0:
+            if not isinstance(count, (int, np.integer)) or count < 0:
                 raise ValueError(f"attacker count {count!r} must be a nonnegative int")
             if count > n:
                 raise ValueError(f"attacker count {count} exceeds the {n} users")
+            prob = prior[int(count)] = float(prob)
             if not prob >= 0.0:  # also refuses NaN
                 raise ValueError("count prior probabilities must be nonnegative")
             total += prob
+        object.__setattr__(self, "count_prior", prior)
         if not abs(total - 1.0) <= _PROB_TOL:
             raise ValueError(f"count prior must sum to 1, got {total}")
         sizes = [count for count in sorted(self.count_prior) if self.count_prior[count] > 0.0]
@@ -239,15 +239,28 @@ class _Evidence:
     mask_by_label: np.ndarray  # (T, B, c) logsumexp over t per compromised mask
 
 
+def _class_indices(outputs, num_classes: int) -> np.ndarray:
+    """``outputs`` as int class indices in [0, num_classes), refusing values
+    that are not integers rather than truncating them; no copy of an int array."""
+    y = np.asarray(outputs)
+    if y.dtype.kind not in "biu":
+        with np.errstate(invalid="ignore"):
+            ints = y.astype(int) if y.dtype.kind == "f" else None
+        if ints is None or not np.array_equal(ints, y):
+            raise ValueError("outputs must be integer class indices")
+        y = ints
+    if np.any(y < 0) or np.any(y >= num_classes):
+        raise ValueError(f"outputs must be class indices in [0, {num_classes})")
+    return y.astype(int, copy=False)
+
+
 def _validate_outputs(outputs, cfg: DecoderConfig, block: bool = False) -> np.ndarray:
     """Outputs as a (T, m) block of class indices; a single vector is one row."""
-    y = np.asarray(outputs, dtype=int)
+    y = _class_indices(outputs, cfg.num_classes)
     m = cfg.code.m
     if y.ndim != 1 + block or y.shape[-1] != m:
         expected = f"a (T, {m}) block of outputs" if block else f"{m} outputs"
         raise ValueError(f"expected {expected}, got shape {y.shape}")
-    if np.any(y < 0) or np.any(y >= cfg.num_classes):
-        raise ValueError(f"outputs must be class indices in [0, {cfg.num_classes})")
     return y.reshape(-1, m)
 
 
@@ -343,27 +356,25 @@ def _decode_rows(
     )
 
 
-def _no_evidence(cfg: DecoderConfig) -> DegenerateEvidenceError:
-    return DegenerateEvidenceError(
-        "zero probability under every hypothesis",
-        {"attack_prior": cfg.attack_prior, "success_rate": cfg.success_rate},
-    )
+def _decode_one(outputs, cfg: DecoderConfig, attack_threshold: float = 0.5) -> BlockDecode:
+    """The decoder on one output vector, refusing outputs no hypothesis explains."""
+    block = _decode_rows(_validate_outputs(outputs, cfg), cfg, attack_threshold)
+    if block.degenerate[0]:
+        raise DegenerateEvidenceError(
+            "zero probability under every hypothesis",
+            {"attack_prior": cfg.attack_prior, "success_rate": cfg.success_rate},
+        )
+    return block
 
 
 def attack_posterior(outputs: Sequence[int], cfg: DecoderConfig) -> float:
     """Posterior probability that an attack is active given the outputs."""
-    block = _decode_rows(_validate_outputs(outputs, cfg), cfg)
-    if block.degenerate[0]:
-        raise _no_evidence(cfg)
-    return float(block.attack_posterior[0])
+    return float(_decode_one(outputs, cfg).attack_posterior[0])
 
 
 def label_posterior(outputs: Sequence[int], cfg: DecoderConfig) -> np.ndarray:
     """Posterior over true labels, marginalizing attacks, attackers, targets."""
-    block = _decode_rows(_validate_outputs(outputs, cfg), cfg)
-    if block.degenerate[0]:
-        raise _no_evidence(cfg)
-    return block.label_posterior[0]
+    return _decode_one(outputs, cfg).label_posterior[0]
 
 
 def attacker_posterior(
@@ -424,9 +435,7 @@ def decode(
     probable attacker hypothesis (the first one on ties, which is the first
     support of the first maximal group).
     """
-    block = _decode_rows(_validate_outputs(outputs, cfg), cfg, attack_threshold)
-    if block.degenerate[0]:
-        raise _no_evidence(cfg)
+    block = _decode_one(outputs, cfg, attack_threshold)
     return DecodeResult(
         float(block.attack_posterior[0]),
         block.label_posterior[0],
@@ -440,11 +449,9 @@ def decode(
 def majority_votes(outputs: np.ndarray, num_classes: int) -> np.ndarray:
     """Modal class of every row of a (T, m) block of outputs; ties break
     toward the lowest index."""
-    y = np.asarray(outputs, dtype=int)
+    y = _class_indices(outputs, num_classes)
     if y.ndim != 2 or y.shape[1] == 0:
         raise ValueError("need a (T, m) block of outputs with m >= 1")
-    if np.any(y < 0) or np.any(y >= num_classes):
-        raise ValueError(f"outputs must be class indices in [0, {num_classes})")
     rows = np.arange(len(y))[:, None]
     counts = np.bincount((y + num_classes * rows).ravel(), minlength=len(y) * num_classes)
     return counts.reshape(len(y), num_classes).argmax(axis=1)
@@ -452,11 +459,9 @@ def majority_votes(outputs: np.ndarray, num_classes: int) -> np.ndarray:
 
 def majority_vote(outputs: Sequence[int], num_classes: int) -> int:
     """Modal class of the outputs; ties break toward the lowest index."""
-    y = np.asarray(outputs, dtype=int)
-    if y.ndim != 1:
-        raise ValueError("need one vector of outputs")
-    if y.size == 0:
-        raise ValueError("need at least one output")
+    y = np.asarray(outputs)
+    if y.ndim != 1 or y.size == 0:
+        raise ValueError("need one nonempty vector of outputs")
     return int(majority_votes(y[None], num_classes)[0])
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .bitmatrix import BitMatrix, ColumnSet, column_sums
+from .bitmatrix import BitMatrix, ColumnSet, column_sums, min_row_weight, select_columns
 
 
 class CodeKind(enum.Enum):
@@ -172,4 +172,19 @@ def find_violation(mat: BitMatrix, params: CodeParams) -> Violation | None:
 
 
 def verify(mat: BitMatrix, params: CodeParams) -> bool:
-    return find_violation(mat, params) is None
+    """Whether ``mat`` has the property ``params`` names (``find_violation``
+    explains a failure).  Repeated columns leave the Boolean sums unchanged,
+    so BDC and BCC are decided on the distinct columns and the row weights
+    of the whole matrix, which keeps a column-duplicated code far inside the
+    column-set budget; a repeated column is two equal sums of size 1, so
+    SEPARABLE and BTC fail."""
+    firsts = {col: j for j, col in reversed(list(enumerate(mat.column_masks)))}
+    if len(firsts) == mat.n or mat.n != params.n:  # find_violation refuses the latter
+        return find_violation(mat, params) is None
+    if params.kind in (CodeKind.SEPARABLE, CodeKind.BTC):
+        return False
+    # With at most k distinct columns, their one Boolean sum covers every row.
+    if min_row_weight(mat) < params.r or len(firsts) <= params.k:
+        return False
+    distinct = select_columns(mat, sorted(firsts.values()))
+    return find_violation(distinct, CodeParams(params.kind, params.k, 1, distinct.n)) is None

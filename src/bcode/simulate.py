@@ -127,6 +127,8 @@ class Scenario:
     ) -> "Scenario":
         flags = [0] * n_users
         for j in support:
+            if not 0 <= j < n_users:
+                raise ValueError(f"attacker {j} outside the users [0, {n_users})")
             flags[j] = 1
         return cls(tuple(flags), target, true_label)
 

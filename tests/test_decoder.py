@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from bcode import decoder
 from bcode.bitmatrix import BitMatrix, column_or_mask
 from bcode.construct import general_bcc, minimal_bcc, partition_code
 from bcode.decoder import (
@@ -156,6 +157,12 @@ def test_config_validation():
         DecoderConfig(code, good, 0.5, 1.0, {}, 2)
     with pytest.raises(ValueError):
         DecoderConfig(code, good, 0.5, 1.0, {0: math.nan, 1: 1.0}, 2)
+    with pytest.raises(ValueError, match="must be a nonnegative int"):
+        DecoderConfig(code, good, 0.5, 1.0, {0.5: 0.5, 1.7: 0.5}, 2)
+    with pytest.raises(ValueError, match="must be a nonnegative int"):
+        DecoderConfig(code, good, 0.5, 1.0, {-1: 0.5, 1: 0.5}, 2)
+    numpy_keys = DecoderConfig(code, good, 0.5, 1.0, {np.int64(0): 0.5, np.int64(1): 0.5}, 2)
+    assert numpy_keys.count_prior == {0: 0.5, 1: 0.5}
     bad_rows = good.copy()
     bad_rows[0, 0] = [0.5, 0.6]
     with pytest.raises(ValueError):
@@ -553,9 +560,29 @@ def test_block_decoding_equals_one_row_decoding(make):
 def test_decode_block_validation():
     cfg = three_model_cfg()
     assert decode_block(np.zeros((0, 3), dtype=int), cfg).degenerate.shape == (0,)
-    for bad in ([0, 1, 1], [[0, 1]], [[0, 1, 2]]):
+    for bad in ([0, 1, 1], [[0, 1]], [[0, 1, 2]], [[0.9, 1.2, 1.0]]):
         with pytest.raises(ValueError):
             decode_block(bad, cfg)
+
+
+def test_outputs_that_are_not_integers_are_refused():
+    cfg = three_model_cfg()
+    for bad in ([0.9, 1.2, 1.0], [0, 1, math.nan], ["0", "1", "1"]):
+        for fn in (decode, attack_posterior, label_posterior, attacker_posterior):
+            with pytest.raises(ValueError, match="integer class indices"):
+                fn(bad, cfg)
+    # Integral values of any numeric type decode as the ints they equal.
+    want = decode([0, 1, 1], cfg)
+    for same in ([0.0, 1.0, 1.0], np.array([0, 1, 1], dtype=np.uint8), [False, True, True]):
+        got = decode(same, cfg)
+        assert got.attack_posterior == want.attack_posterior
+        assert got.decoded_attackers == want.decoded_attackers
+
+
+def test_integer_outputs_are_used_without_a_copy():
+    block = np.array([[0, 1, 1], [1, 0, 1]])
+    assert decoder._class_indices(block, 2) is block
+    assert np.shares_memory(decoder._validate_outputs(block, three_model_cfg(), block=True), block)
 
 
 # --- majority vote / confusion estimation -------------------------------------------------
@@ -573,6 +600,10 @@ def test_majority_vote_validation():
         majority_vote((0, 2), 2)
     with pytest.raises(ValueError):
         majority_vote([[0, 1]], 2)
+    with pytest.raises(ValueError, match="integer class indices"):
+        majority_vote((0.9, 1.2, 1.0), 2)
+    with pytest.raises(ValueError, match="integer class indices"):
+        majority_votes([[0.9, 1.2, 1.0]], 2)
 
 
 def test_majority_votes_are_the_row_votes():

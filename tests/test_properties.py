@@ -2,10 +2,18 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from bcode.bitmatrix import BitMatrix, column_or
-from bcode.construct import add_ones_row, btc, general_bcc, minimal_bdc, separable_search
+from bcode import bitmatrix
+from bcode.bitmatrix import BitMatrix, column_or, select_columns
+from bcode.construct import (
+    add_ones_row,
+    btc,
+    general_bcc,
+    minimal_bcc,
+    minimal_bdc,
+    separable_search,
+)
 from bcode.properties import (
     CodeKind,
     CodeParams,
@@ -143,6 +151,62 @@ def test_verify_dispatches_by_kind():
 def test_verify_rejects_mismatched_width():
     with pytest.raises(ValueError):
         verify(BitMatrix.identity(3), CodeParams(CodeKind.BDC, 1, 1, 4))
+    with pytest.raises(ValueError):
+        verify(general_bcc(2, 4, 8), CodeParams(CodeKind.BCC, 2, 4, 9))
+
+
+@st.composite
+def duplicated_codes(draw):
+    """A base matrix (random, or a minimal detection/correction code) with
+    its columns picked, often repeated, in any order, plus a claim of any
+    kind on it."""
+    k0, r0 = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    random_rows = st.lists(st.lists(st.integers(0, 1), min_size=4, max_size=4),
+                           min_size=1, max_size=5)
+    base = draw(st.one_of(st.just(minimal_bdc(k0, r0)), st.just(minimal_bcc(k0, r0)),
+                          random_rows.map(BitMatrix.from_rows)))
+    unique = draw(st.booleans())
+    order = draw(st.lists(st.integers(0, base.n - 1), min_size=2,
+                          max_size=base.n if unique else 12, unique=unique))
+    k = draw(st.integers(1, min(4, len(order) - 1)))
+    r = draw(st.integers(1, min(4, len(order) - k)))
+    kind = draw(st.sampled_from(CodeKind))
+    return select_columns(base, order), CodeParams(kind, k, r, len(order))
+
+
+@given(duplicated_codes())
+@settings(max_examples=400, deadline=None)
+def test_verify_matches_find_violation_on_duplicated_codes(case):
+    matrix, params = case
+    full = find_violation(matrix, params) is None
+    event(f"{params.kind.value} {'PASS' if full else 'FAIL'}")
+    assert verify(matrix, params) == full
+
+
+def test_verify_on_distinct_columns_passes_general_bcc():
+    for k in range(1, 4):
+        for r in range(1, 5):
+            for n in range(k + r, 13):
+                matrix = general_bcc(k, r, n)
+                for kind in (CodeKind.BDC, CodeKind.BCC):
+                    assert verify(matrix, CodeParams(kind, k, r, n))
+
+
+def test_verify_decides_repeated_columns_without_the_full_walk(monkeypatch):
+    # general_bcc(2, 2, 8) repeats the 3 columns of minimal_bcc(2, 1): its
+    # BCC check enumerates 3 + 3 sums, the full one 8 + 28.
+    matrix = general_bcc(2, 2, 8)
+    monkeypatch.setattr(bitmatrix, "MAX_COLUMN_SETS", 6)
+    assert verify(matrix, CodeParams(CodeKind.BDC, 2, 2, 8))
+    assert verify(matrix, CodeParams(CodeKind.BCC, 2, 2, 8))
+    assert not verify(matrix, CodeParams(CodeKind.BCC, 2, 3, 8))  # row weight 2 < 3
+    # A repeated column is two equal sums of size 1.
+    monkeypatch.setattr(bitmatrix, "MAX_COLUMN_SETS", 0)
+    assert not verify(matrix, CodeParams(CodeKind.SEPARABLE, 2, 1, 8))
+    assert not verify(matrix, CodeParams(CodeKind.BTC, 2, 2, 8))
+    # Two distinct columns are one Boolean sum for k = 2, covering every row.
+    pair = select_columns(BitMatrix.from_rows([[1, 0], [0, 1]]), [0, 1, 0, 1, 1])
+    assert not verify(pair, CodeParams(CodeKind.BDC, 2, 1, 5))
 
 
 def test_params_validation():

@@ -122,6 +122,9 @@ def test_scenario_validation():
         Scenario((2, 0), 1, 0)
     sc = Scenario.from_support(4, [1, 3], 0, 2)
     assert sc.attackers == (0, 1, 0, 1) and sc.support == (1, 3)
+    for outside in ([-1], [4]):
+        with pytest.raises(ValueError, match=r"outside the users \[0, 4\)"):
+            Scenario.from_support(4, outside, 1, 0)
 
 
 def test_sample_outputs_worked_example():
