@@ -60,7 +60,6 @@ from .properties import (
 )
 from .search import SearchResult, canonical_form, equivalent, exhaustive_min
 from .simulate import (
-    EvaluationReport,
     Scenario,
     SweepPoint,
     dirichlet_profiles,

@@ -249,6 +249,19 @@ def cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
+def _point_dict(p: simulate.SweepPoint) -> dict:
+    return {
+        "attackerCount": p.attacker_count,
+        "runs": p.runs,
+        "trialsPerRun": p.trials_per_run,
+        "decodeAccuracy": {"mean": p.decode_acc_mean, "sd": p.decode_acc_sd},
+        "majorityAccuracy": {"mean": p.majority_acc_mean, "sd": p.majority_acc_sd},
+        "tp": {"mean": p.tp_mean, "sd": p.tp_sd},
+        "fp": {"mean": p.fp_mean, "sd": p.fp_sd},
+        "degenerate": p.degenerate,
+    }
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     code = formats.load(args.code).matrix
     _check_classes(code.m, args.classes)
@@ -288,7 +301,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "attackRate": args.attack_rate,
             "successRate": args.success_rate,
-            "points": [p.to_dict() for p in points],
+            "points": [_point_dict(p) for p in points],
         }
         _write_report(args.out + ".json", payload)
         with open(args.out + ".csv", "w", encoding="utf-8", newline="") as fh:

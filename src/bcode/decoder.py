@@ -287,17 +287,12 @@ def _evidence(y: np.ndarray, cfg: DecoderConfig) -> _Evidence:
     masks = len(mb)
     compromised = (mb @ factors.reshape(rows, m, c * c)).reshape(rows, masks, c, c)
     clean_part = ((1.0 - mb) @ clean_y)[:, :, None, :]  # (T, B, 1, c_l)
-    ll = compromised + clean_part
-    # The same sums with the target axis first, so that the reduction over
-    # targets adds whole contiguous slices in target order.
-    ll_by_target = np.add(
-        compromised.transpose(2, 0, 1, 3), clean_part.transpose(2, 0, 1, 3), order="C"
-    )
+    ll = compromised + clean_part  # (T, B, c_t, c_l)
 
     return _Evidence(
         clean_ll=_unfloored(clean_y.sum(axis=1)),
         mask_total=_unfloored(_logsumexp(ll.reshape(rows, masks, c * c), axis=2)),
-        mask_by_label=_unfloored(_logsumexp(ll_by_target, axis=0)),
+        mask_by_label=_unfloored(_logsumexp(ll, axis=2)),
     )
 
 

@@ -10,8 +10,10 @@ assumes, so decoder performance isolates the code's contribution.
 
 The evaluated code is the one the ``DecoderConfig`` was built for, and
 outputs are drawn from that config's confusion stack, so a simulation
-samples and decodes under one model.  All sampling is deterministic given
-seeds; each trial derives its own stream from (seed, trial index), so
+samples and decodes under one model.  ``run_trials`` evaluates one attacker
+count, as the paper judges a code against a given number of attackers;
+``sweep`` repeats it over counts and runs.  All sampling is deterministic
+given seeds; each trial derives its own stream from (seed, trial index), so
 results do not depend on execution order and parallel sweeps reproduce
 serial ones bit for bit.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -219,7 +221,14 @@ def sample_outputs(
 
 @dataclass(frozen=True)
 class CountStats:
-    """Per-attacker-count slice of an evaluation report."""
+    """Aggregate statistics over the Monte-Carlo trials of one attacker
+    count.
+
+    True/false positives count decoded attackers inside/outside the planted
+    set; means and standard deviations are per-trial population statistics.
+    Degenerate-evidence decodes are counted, scored as failures, and never
+    fatal.
+    """
 
     trials: int
     decode_accuracy: float
@@ -231,50 +240,34 @@ class CountStats:
     degenerate: int
 
 
-@dataclass(frozen=True, kw_only=True)
-class EvaluationReport(CountStats):
-    """Aggregate statistics over Monte-Carlo trials: the ``CountStats`` of
-    all trials, plus ``clean_accuracy`` and the per-count slices.
-
-    True/false positives count decoded attackers inside/outside the planted
-    set; means and standard deviations are per-trial population statistics.
-    ``clean_accuracy`` covers the zero-attacker trials only (None when there
-    are none); degenerate-evidence decodes are counted, scored as failures,
-    and never fatal.
-    """
-
-    clean_accuracy: float | None
-    per_count: dict[int, CountStats] = field(default_factory=dict)
-
-
-def _population_sd(values: np.ndarray) -> float:
-    return float(np.std(values)) if values.size else 0.0
+def _checked_count(cfg: DecoderConfig, count: int) -> int:
+    """``count`` as an int, refused unless it is an int key of
+    ``cfg.count_prior`` (a float such as 1.7 is never truncated)."""
+    if not isinstance(count, (int, np.integer)) or count not in cfg.count_prior:
+        raise ValueError(f"attacker count {count!r} must be an int key of the decoder count prior")
+    return int(count)
 
 
 def run_trials(
     cfg: DecoderConfig,
-    attacker_counts: Sequence[int],
+    attacker_count: int,
     trials: int,
     seed: int,
-) -> EvaluationReport:
-    """Sample scenarios on ``cfg.code``, decode them, and aggregate
-    accuracy / tracking stats.
+) -> CountStats:
+    """Sample ``trials`` scenarios with ``attacker_count`` attackers on
+    ``cfg.code``, decode them, and aggregate accuracy / tracking stats.
 
-    Per trial: the attacker count is drawn uniformly from
-    ``attacker_counts`` (each one a key of ``cfg.count_prior``), the support
-    uniformly among subsets of that size, the true label uniformly, and the
-    target uniformly among other classes; outputs are sampled from the generative model and decoded.  Each trial
-    uses the stream derived from (seed, trial index).  Outputs are decoded
-    in blocks of ``cfg.block_rows`` trials, which changes no reported
-    number: every row decodes exactly as it would alone.
+    The count must be a key of ``cfg.count_prior``.  Per trial: the support
+    is drawn uniformly among subsets of that size, the true label
+    uniformly, and the target uniformly among the other classes; outputs
+    are sampled from the generative model and decoded.  Each trial uses the
+    stream derived from (seed, trial index).  Outputs are decoded in blocks
+    of ``cfg.block_rows`` trials, which changes no reported number: every
+    row decodes exactly as it would alone.
     """
+    attacker_count = _checked_count(cfg, attacker_count)
     if trials < 1:
         raise ValueError("need at least one trial")
-    counts = [int(c) for c in attacker_counts]
-    if not counts:
-        raise ValueError("need at least one attacker count")
-    if any(c not in cfg.count_prior for c in counts):
-        raise ValueError("attacker counts must be inside the decoder count prior")
     c = cfg.num_classes
     if c < 2:
         raise ValueError("attack simulation needs at least two classes")
@@ -283,7 +276,6 @@ def run_trials(
     n, m = code.n, code.m
     cdfs = _choice_cdfs(cfg.confusions)
     rows = cfg.block_rows
-    count_arr = np.empty(trials, dtype=int)
     label_arr = np.empty(trials, dtype=int)
     decode_ok = np.zeros(trials, dtype=bool)
     majority_ok = np.zeros(trials, dtype=bool)
@@ -297,15 +289,14 @@ def run_trials(
         supports = []
         for b, t in enumerate(block):
             rng = np.random.default_rng([seed, t])
-            count = counts[int(rng.integers(len(counts)))]
-            support = sorted(int(j) for j in rng.choice(n, size=count, replace=False))
+            support = sorted(int(j) for j in rng.choice(n, size=attacker_count, replace=False))
             label = int(rng.integers(c))
             target = int(rng.integers(c - 1))
             if target >= label:
                 target += 1
             mask = column_or_mask(code, support) if support else 0
             y[b] = _sample(mask, target, label, cdfs, cfg.success_rate, rng)
-            count_arr[t], label_arr[t] = count, label
+            label_arr[t] = label
             supports.append(set(support))
 
         sel = slice(block.start, block.stop)
@@ -317,28 +308,15 @@ def run_trials(
             tp[t] = len(support.intersection(found))
             fp[t] = len(found) - tp[t]
 
-    def stats(sel: np.ndarray) -> CountStats:
-        return CountStats(
-            trials=int(sel.sum()),
-            decode_accuracy=float(decode_ok[sel].mean()),
-            majority_accuracy=float(majority_ok[sel].mean()),
-            tp_mean=float(tp[sel].mean()),
-            tp_sd=_population_sd(tp[sel]),
-            fp_mean=float(fp[sel].mean()),
-            fp_sd=_population_sd(fp[sel]),
-            degenerate=int(degenerate[sel].sum()),
-        )
-
-    clean = count_arr == 0
-    per_count = {
-        count: stats(count_arr == count)
-        for count in sorted(set(counts))
-        if np.any(count_arr == count)
-    }
-    return EvaluationReport(
-        **asdict(stats(np.ones(trials, dtype=bool))),
-        clean_accuracy=float(decode_ok[clean].mean()) if np.any(clean) else None,
-        per_count=per_count,
+    return CountStats(
+        trials=trials,
+        decode_accuracy=float(decode_ok.mean()),
+        majority_accuracy=float(majority_ok.mean()),
+        tp_mean=float(tp.mean()),
+        tp_sd=float(np.std(tp)),
+        fp_mean=float(fp.mean()),
+        fp_sd=float(np.std(fp)),
+        degenerate=int(degenerate.sum()),
     )
 
 
@@ -363,22 +341,9 @@ class SweepPoint:
     fp_sd: float
     degenerate: int
 
-    def to_dict(self) -> dict:
-        return {
-            "attackerCount": self.attacker_count,
-            "runs": self.runs,
-            "trialsPerRun": self.trials_per_run,
-            "decodeAccuracy": {"mean": self.decode_acc_mean, "sd": self.decode_acc_sd},
-            "majorityAccuracy": {"mean": self.majority_acc_mean, "sd": self.majority_acc_sd},
-            "tp": {"mean": self.tp_mean, "sd": self.tp_sd},
-            "fp": {"mean": self.fp_mean, "sd": self.fp_sd},
-            "degenerate": self.degenerate,
-        }
 
-
-def _sweep_task(args) -> EvaluationReport:
-    cfg, count, trials, run_seed = args
-    return run_trials(cfg, [count], trials, run_seed)
+def _sweep_task(args) -> CountStats:
+    return run_trials(*args)
 
 
 def sweep(
@@ -398,7 +363,7 @@ def sweep(
     """
     if runs < 1:
         raise ValueError("need at least one run")
-    counts = [int(c) for c in attacker_counts]
+    counts = [_checked_count(cfg, c) for c in attacker_counts]
     rng = np.random.default_rng(seed)
     run_seeds = rng.integers(0, 2**63, size=(len(counts), runs))
     tasks = [
@@ -425,13 +390,13 @@ def sweep(
                 runs=runs,
                 trials_per_run=trials,
                 decode_acc_mean=float(dec.mean()),
-                decode_acc_sd=_population_sd(dec),
+                decode_acc_sd=float(np.std(dec)),
                 majority_acc_mean=float(maj.mean()),
-                majority_acc_sd=_population_sd(maj),
+                majority_acc_sd=float(np.std(maj)),
                 tp_mean=float(tpm.mean()),
-                tp_sd=_population_sd(tpm),
+                tp_sd=float(np.std(tpm)),
                 fp_mean=float(fpm.mean()),
-                fp_sd=_population_sd(fpm),
+                fp_sd=float(np.std(fpm)),
                 degenerate=sum(r.degenerate for r in chunk),
             )
         )

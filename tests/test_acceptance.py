@@ -290,7 +290,7 @@ def test_08_majority_vote_bound():
 def _clean_accuracy(code, profile, classes, seed):
     conf = synth_confusion(code, profile)
     cfg = DecoderConfig(code, conf, 0.5, 0.99, uniform_count_prior(0, 3), classes)
-    return run_trials(cfg, [0], trials=1000, seed=seed).decode_accuracy
+    return run_trials(cfg, 0, trials=1000, seed=seed).decode_accuracy
 
 
 def test_09i_clean_accuracy_ordering_across_row_weights():
@@ -338,8 +338,8 @@ def test_09ii_one_attacker_defended_two_not():
         profile = dirichlet_profiles(0.1, 8, classes, seed=seed)
         conf = synth_confusion(code, profile)
         cfg = DecoderConfig(code, conf, 0.5, 0.99, uniform_count_prior(0, 3), classes)
-        one = run_trials(cfg, [1], trials=1000, seed=seed).decode_accuracy
-        two = run_trials(cfg, [2], trials=1000, seed=seed).decode_accuracy
+        one = run_trials(cfg, 1, trials=1000, seed=seed).decode_accuracy
+        two = run_trials(cfg, 2, trials=1000, seed=seed).decode_accuracy
         gaps.append(one - two)
         if one - two >= 0.1:
             hits += 1

@@ -19,7 +19,6 @@ from bcode.decoder import (
 from bcode.errors import DegenerateEvidenceError
 from bcode.simulate import (
     CountStats,
-    EvaluationReport,
     Scenario,
     dirichlet_profiles,
     run_trials,
@@ -250,8 +249,8 @@ def test_every_stack_the_decoder_accepts_can_be_simulated(confusions):
         cfg = DecoderConfig(THREE_MODEL_CODE, confusions, 0.5, 0.9, uniform_count_prior(0, 1), c)
     except ValueError:
         return
-    rep = run_trials(cfg, [0, 1], trials=4, seed=0)
-    assert rep.trials == 4
+    for count in (0, 1):
+        assert run_trials(cfg, count, trials=4, seed=0).trials == 4
 
 
 # --- trial harness ---------------------------------------------------------------------
@@ -269,22 +268,23 @@ def perfect_cfg(code, kmax, classes=4):
 
 def test_perfect_models_decode_every_attack():
     code = general_bcc(2, 2, 4)
-    rep = run_trials(perfect_cfg(code, 2), [1, 2], trials=150, seed=0)
-    assert rep.decode_accuracy == 1.0
-    assert rep.fp_mean == 0.0
-    assert rep.degenerate == 0
+    for count in (1, 2):
+        rep = run_trials(perfect_cfg(code, 2), count, trials=150, seed=0)
+        assert rep.decode_accuracy == 1.0
+        assert rep.fp_mean == 0.0
+        assert rep.degenerate == 0
 
 
 def test_zero_attackers_defines_clean_accuracy():
     code = general_bcc(2, 2, 4)
-    rep = run_trials(perfect_cfg(code, 2), [0], trials=50, seed=1)
-    assert rep.clean_accuracy == rep.decode_accuracy == 1.0
-    assert rep.per_count[0].trials == 50
+    rep = run_trials(perfect_cfg(code, 2), 0, trials=50, seed=1)
+    assert rep.decode_accuracy == 1.0
+    assert rep.trials == 50
 
 
 def test_tracking_code_with_perfect_models_has_exact_tp():
     code = btc(1, 2, 6, seed=4, max_rows=24)
-    rep = run_trials(perfect_cfg(code, 1), [1], trials=100, seed=2)
+    rep = run_trials(perfect_cfg(code, 1), 1, trials=100, seed=2)
     assert rep.tp_mean == 1.0 and rep.tp_sd == 0.0
     assert rep.fp_mean == 0.0
 
@@ -295,12 +295,13 @@ def test_reports_are_bit_for_bit_deterministic():
     cfg = DecoderConfig(
         code, synth_confusion(code, prof), 0.5, 0.99, uniform_count_prior(0, 2), 5
     )
-    a = run_trials(cfg, [0, 1, 2], trials=60, seed=9)
-    b = run_trials(cfg, [0, 1, 2], trials=60, seed=9)
-    assert a == b
+    for count in (0, 1, 2):
+        a = run_trials(cfg, count, trials=60, seed=9)
+        b = run_trials(cfg, count, trials=60, seed=9)
+        assert a == b
 
 
-def reference_report(code, cfg, attacker_counts, trials, seed):
+def reference_report(code, cfg, attacker_count, trials, seed):
     """``run_trials`` as a loop over trials: draws from per-model
     ``Generator.choice``, then one ``decode`` and one ``majority_vote`` each."""
     bits = [[code.bit(i, j) for j in range(code.n)] for i in range(code.m)]
@@ -309,8 +310,7 @@ def reference_report(code, cfg, attacker_counts, trials, seed):
     rows = []
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        count = attacker_counts[int(rng.integers(len(attacker_counts)))]
-        support = sorted(int(j) for j in rng.choice(code.n, size=count, replace=False))
+        support = sorted(int(j) for j in rng.choice(code.n, size=attacker_count, replace=False))
         label = int(rng.integers(c))
         target = int(rng.integers(c - 1))
         target += target >= label
@@ -322,29 +322,19 @@ def reference_report(code, cfg, attacker_counts, trials, seed):
             ok, found, degenerate = False, set(), True
         else:
             ok, found, degenerate = result.decoded_label == label, set(result.decoded_attackers), False
-        rows.append((count, ok, majority_vote(y, c) == label, len(found & set(support)),
+        rows.append((ok, majority_vote(y, c) == label, len(found & set(support)),
                      len(found - set(support)), degenerate))
-    count, ok, majority, tp, fp, degenerate = (np.array(col) for col in zip(*rows))
+    ok, majority, tp, fp, degenerate = (np.array(col) for col in zip(*rows))
     tp, fp = tp.astype(float), fp.astype(float)
-
-    def stats(sel):
-        return dict(
-            trials=int(sel.sum()),
-            decode_accuracy=float(ok[sel].mean()),
-            majority_accuracy=float(majority[sel].mean()),
-            tp_mean=float(tp[sel].mean()),
-            tp_sd=float(np.std(tp[sel])),
-            fp_mean=float(fp[sel].mean()),
-            fp_sd=float(np.std(fp[sel])),
-            degenerate=int(degenerate[sel].sum()),
-        )
-
-    clean = count == 0
-    return EvaluationReport(
-        **stats(np.ones(trials, dtype=bool)),
-        clean_accuracy=float(ok[clean].mean()) if clean.any() else None,
-        per_count={k: CountStats(**stats(count == k))
-                   for k in sorted(set(attacker_counts)) if (count == k).any()},
+    return CountStats(
+        trials=trials,
+        decode_accuracy=float(ok.mean()),
+        majority_accuracy=float(majority.mean()),
+        tp_mean=float(tp.mean()),
+        tp_sd=float(np.std(tp)),
+        fp_mean=float(fp.mean()),
+        fp_sd=float(np.std(fp)),
+        degenerate=int(degenerate.sum()),
     )
 
 
@@ -378,10 +368,11 @@ ACCEPTANCE_RUNS = [
 @pytest.mark.parametrize("code,make_cfg,counts", ACCEPTANCE_RUNS)
 def test_run_trials_equals_a_loop_of_one_vector_decodes(code, make_cfg, counts):
     cfg = make_cfg(code)
-    got = run_trials(cfg, counts, trials=150, seed=8)
-    assert got == reference_report(code, cfg, counts, trials=150, seed=8)
-    if cfg.count_prior.get(1) == 0.0:
-        assert got.per_count[1].degenerate == got.per_count[1].trials > 0
+    for count in counts:
+        got = run_trials(cfg, count, trials=150, seed=8)
+        assert got == reference_report(code, cfg, count, trials=150, seed=8)
+        if count == 1 and cfg.count_prior[1] == 0.0:
+            assert got.degenerate == got.trials > 0
 
 
 @pytest.mark.parametrize("rows", [1, 7, 1000])
@@ -389,7 +380,8 @@ def test_block_boundaries_do_not_change_the_report(monkeypatch, rows):
     code = general_bcc(2, 4, 8)
     cfg = synth_cfg(code, 10, 2)
     trials = 60
-    want = run_trials(cfg, [0, 1, 2, 3], trials, seed=4)
+    counts = (0, 1, 2, 3)
+    want = [run_trials(cfg, count, trials, seed=4) for count in counts]
     blocks = []
 
     def recording(y, cfg):
@@ -398,28 +390,48 @@ def test_block_boundaries_do_not_change_the_report(monkeypatch, rows):
 
     monkeypatch.setattr(DecoderConfig, "block_rows", rows)
     monkeypatch.setattr(simulate, "decode_block", recording)
-    assert run_trials(cfg, [0, 1, 2, 3], trials, seed=4) == want
-    assert blocks == [min(rows, trials - start) for start in range(0, trials, rows)]
+    for count, report in zip(counts, want):
+        blocks.clear()
+        assert run_trials(cfg, count, trials, seed=4) == report
+        assert blocks == [min(rows, trials - start) for start in range(0, trials, rows)]
 
 
 def test_run_trials_validation():
     code = general_bcc(2, 2, 4)
     cfg = perfect_cfg(code, 2)
     with pytest.raises(ValueError):
-        run_trials(cfg, [3], trials=10, seed=0)  # outside the count prior
+        run_trials(cfg, 3, trials=10, seed=0)  # outside the count prior
     with pytest.raises(ValueError):
-        run_trials(cfg, [], trials=10, seed=0)
+        run_trials(cfg, 1, trials=0, seed=0)
+
+
+@pytest.mark.parametrize("count", [1.7, 1.0, -1, 3, "1", None])
+def test_attacker_counts_must_be_int_keys_of_the_prior(monkeypatch, count):
+    cfg = perfect_cfg(general_bcc(2, 2, 4), 2)
+    with pytest.raises(ValueError, match="attacker count"):
+        run_trials(cfg, count, trials=5, seed=0)
+    # sweep refuses the whole list before it runs a single task
+    monkeypatch.setattr(simulate, "run_trials", lambda *args: pytest.fail("a task ran"))
+    with pytest.raises(ValueError, match="attacker count"):
+        sweep(cfg, [0, count], trials=5, runs=1, seed=0)
+
+
+def test_numpy_integer_counts_are_accepted():
+    cfg = perfect_cfg(general_bcc(2, 2, 4), 2)
+    assert run_trials(cfg, np.int64(1), 10, seed=3) == run_trials(cfg, 1, 10, seed=3)
+    (point,) = sweep(cfg, [np.int64(1)], trials=10, runs=1, seed=3)
+    assert type(point.attacker_count) is int and point.attacker_count == 1
 
 
 def test_majority_vote_bound_on_partitions():
     # Perfect models, 2k+1 groups: majority always survives k attackers.
     code = partition_code(3, 6)
-    rep = run_trials(perfect_cfg(code, 1), [1], trials=80, seed=5)
+    rep = run_trials(perfect_cfg(code, 1), 1, trials=80, seed=5)
     assert rep.majority_accuracy == 1.0
     # A high-utilization code admits attacks that defeat majority voting but
     # not the decoder.
     rich = general_bcc(2, 4, 8)
-    rep = run_trials(perfect_cfg(rich, 2), [2], trials=80, seed=6)
+    rep = run_trials(perfect_cfg(rich, 2), 2, trials=80, seed=6)
     assert rep.majority_accuracy < 1.0
     assert rep.decode_accuracy == 1.0
 
@@ -428,8 +440,8 @@ def test_reliability_cliff_under_mild_noise():
     code = general_bcc(2, 4, 8)
     conf = synth_confusion(code, uniform_profile(8, 10))
     cfg = DecoderConfig(code, conf, 0.5, 0.99, uniform_count_prior(0, 3), 10)
-    one = run_trials(cfg, [1], trials=300, seed=7).decode_accuracy
-    two = run_trials(cfg, [2], trials=300, seed=7).decode_accuracy
+    one = run_trials(cfg, 1, trials=300, seed=7).decode_accuracy
+    two = run_trials(cfg, 2, trials=300, seed=7).decode_accuracy
     assert one > two
 
 
