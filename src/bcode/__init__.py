@@ -51,6 +51,7 @@ from .properties import (
     CodeKind,
     CodeParams,
     Violation,
+    check,
     find_violation,
     is_bcc,
     is_bdc,

@@ -210,18 +210,26 @@ def column_sums(mat: BitMatrix, sizes: Iterable[int]) -> Iterator[tuple[ColumnSe
     nothing.  Raises ``ResourceLimitError`` before enumerating anything when
     the call would visit more than ``MAX_COLUMN_SETS`` sets.
     """
+    return mask_sums(mat.column_masks, sizes)
+
+
+def mask_sums(
+    masks: Sequence[int], sizes: Iterable[int]
+) -> Iterator[tuple[ColumnSet, int]]:
+    """``column_sums`` of the matrix whose columns are ``masks`` (bit i of
+    ``masks[j]`` is entry (i, j)), for callers that hold the columns as ints."""
     sizes = tuple(sizes)
-    total = sum(math.comb(mat.n, size) for size in sizes)
+    total = sum(math.comb(len(masks), size) for size in sizes)
     if total > MAX_COLUMN_SETS:
         raise ResourceLimitError(
-            f"enumerating {total} column sets of {mat.n} columns exceeds the "
+            f"enumerating {total} column sets of {len(masks)} columns exceeds the "
             f"budget of {MAX_COLUMN_SETS}"
         )
-    return _column_sums(mat.column_masks, sizes)
+    return _column_sums(masks, sizes)
 
 
 def _column_sums(
-    masks: tuple[int, ...], sizes: tuple[int, ...]
+    masks: Sequence[int], sizes: tuple[int, ...]
 ) -> Iterator[tuple[ColumnSet, int]]:
     for size in sizes:
         for cols in combinations(range(len(masks)), size):

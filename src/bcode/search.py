@@ -7,8 +7,8 @@ the hard n <= 10 limit).
 
 ``exhaustive_min`` enumerates candidate matrices as size-m subsets of the
 distinct n-bit rows with at least r ones, for m = 1 upward, and returns the
-first height at which the requested verifier passes, with all passing
-candidates deduplicated by canonical form.  Restricting to distinct rows of
+first height at which the requested verifier passes, with one canonical
+representative per equivalence class.  Restricting to distinct rows of
 weight >= r loses no minimal codes: duplicate rows and rows violating the
 weight bound can always be removed from a valid code without breaking any
 Boolean-sum condition.  For the detection/correction/tracking kinds the
@@ -17,6 +17,19 @@ set or that leave a column all-zero (necessary conditions for those kinds,
 but not for plain separability, which is searched without them); pruning
 skips only candidates the verifier would reject, so results match the plain
 enumeration exactly.
+
+The walk works on ints.  It keeps the column masks of the current row stack
+as it pushes and pops rows, and decides each complete candidate with the
+verifier core ``properties._violation`` on the row and column ints; a
+``BitMatrix`` is built only for a passing candidate.  Dedup is by orbit:
+the first passing member of an orbit gets one ``canonical_form`` call, and
+the whole orbit (one row-sorted matrix per column permutation) goes into a
+set.  Properties and prunes are invariant under column permutation, so every
+orbit member passes, and a later member is recognised in the set without
+being verified again.  The walk counts its nodes (every subset prefix it
+visits, complete candidates included; pruned branches are never visited)
+and raises ``ResourceLimitError`` (CLI exit 3) once the count exceeds
+``SEARCH_MAX_NODES``.
 """
 
 from __future__ import annotations
@@ -24,23 +37,49 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
+from typing import Iterator
 
 from .bitmatrix import BitMatrix, column_sums
 from .errors import ResourceLimitError
-from .properties import CodeKind, CodeParams, find_violation
+from .properties import CodeKind, CodeParams, _violation
+
+# The walk no longer calls ``find_violation``; the benchmark's tracer wraps
+# ``search.find_violation`` by name, so the name stays importable here.
+from .properties import find_violation  # noqa: F401
 
 CANONICAL_MAX_COLUMNS = 10
 SEARCH_MAX_COLUMNS = 8
 SEARCH_MAX_ROWS = 12
+# Most subset-walk nodes one ``exhaustive_min`` call may visit.  The
+# benchmark's walk-heavy search visits 55,436, the 7-column separable search
+# in the tests 341,376.
+SEARCH_MAX_NODES = 1_000_000
 
 
-def _row_msb(row: int, perm: tuple[int, ...]) -> int:
-    """Row bits reordered by ``perm`` and packed most-significant-first,
-    so integer order equals bit-string lexicographic order."""
-    acc = 0
-    for j in perm:
-        acc = (acc << 1) | ((row >> j) & 1)
-    return acc
+def _column_images(mat: BitMatrix) -> Iterator[tuple[int, ...]]:
+    """The matrix under every column permutation, rows sorted ascending.
+
+    In the image of ``perm``, bit ``pos`` of a row is bit ``perm[pos]`` of
+    the original row, so the images are exactly the orbit's members as the
+    search walk holds them.
+    """
+    n = mat.n
+    full = (1 << n) - 1
+    # All rows packed into one int, row i at bit i * n, so moving a column
+    # moves it in every row at once.
+    shifts = range(0, mat.m * n, n)
+    packed = sum(row << shift for row, shift in zip(mat.rows, shifts))
+    columns = [sum(1 << (shift + j) for shift in shifts) & packed for j in range(n)]
+    # moved[pos][j] is column j of every row, moved to position pos; an
+    # image is the sum of one moved column per position.
+    moved = [[col << pos >> j for j, col in enumerate(columns)] for pos in range(n)]
+    for perm in permutations(range(n)):
+        image = sum(map(list.__getitem__, moved, perm))
+        yield tuple(sorted([image >> shift & full for shift in shifts]))
+
+
+def _reversed_bits(value: int, n: int) -> int:
+    return int(format(value, f"0{n}b")[::-1], 2)
 
 
 def canonical_form(mat: BitMatrix) -> BitMatrix:
@@ -55,20 +94,13 @@ def canonical_form(mat: BitMatrix) -> BitMatrix:
             f"canonical form enumerates n! column orders; n={mat.n} exceeds "
             f"{CANONICAL_MAX_COLUMNS}"
         )
-    n = mat.n
-    best: tuple[int, ...] | None = None
-    for perm in permutations(range(n)):
-        key = tuple(sorted(_row_msb(row, perm) for row in mat.rows))
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    rows = []
-    for msb in best:
-        row = 0
-        for pos in range(n):
-            row |= ((msb >> (n - 1 - pos)) & 1) << pos
-        rows.append(row)
-    return BitMatrix(mat.m, mat.n, tuple(rows))
+    # The bit string reads column 0 first, as a row's most significant bit;
+    # an image row holds column 0 in its least significant bit.  So an image
+    # read as ints is the bit string of the matrix with the image's columns
+    # reversed, and as the reversed orders are again all column orders, the
+    # least image with each row's bits reversed is the least bit string.
+    best = min(_column_images(mat))
+    return BitMatrix(mat.m, mat.n, tuple(_reversed_bits(row, mat.n) for row in best))
 
 
 def equivalent(a: BitMatrix, b: BitMatrix) -> bool:
@@ -84,7 +116,8 @@ class SearchResult:
     ``min_rows`` is None when no code exists within the row budget.
     ``codes`` holds one canonical representative per equivalence class at
     the minimum height, sorted by canonical form.  ``explored`` counts the
-    complete candidate matrices that were handed to the verifier.
+    complete candidate matrices the walk reached, whether the verifier or
+    the set of seen orbits decided them.
     """
 
     min_rows: int | None
@@ -112,7 +145,7 @@ def exhaustive_min(
     if k < 1 or r < 1 or n < 1 or max_m < 1:
         raise ValueError("k, r, n and max_m must be positive")
     try:
-        params = CodeParams(kind, k, r, n)
+        CodeParams(kind, k, r, n)
     except ValueError:
         # n < k + r: no detection-family code can exist at any height.
         return SearchResult(None, (), 0)
@@ -155,40 +188,54 @@ def exhaustive_min(
         num_sums = sum(math.comb(n, j) for j in range(1, min(k, n) + 1))
         min_m = max(1, (num_sums - 1).bit_length())
 
-    explored = 0
+    budget = SEARCH_MAX_NODES
+    ones = [[j for j in range(n) if v >> j & 1] for v in candidates]
+    rows: list[int] = []
+    cols = [0] * n
+    # Rows are pushed in ascending order, so a candidate's rows form the
+    # sorted tuple that ``_column_images`` yields for each orbit member.
+    seen: set[tuple[int, ...]] = set()
+    codes: list[BitMatrix] = []
+    nodes = explored = 0
+
+    def walk(m: int, start: int, kill_acc: int, col_acc: int) -> None:
+        nonlocal nodes, explored
+        nodes += 1
+        if nodes > budget:
+            raise ResourceLimitError(
+                f"searching {kind.value}(k={k}, r={r}, n={n}) up to m={max_m} "
+                f"visits more than the budget of {budget} walk nodes"
+            )
+        depth = len(rows)
+        left = m - depth
+        if left == 0:
+            explored += 1
+            key = tuple(rows)
+            if key not in seen and _violation(kind, k, r, key, cols) is None:
+                cand = BitMatrix(m, n, key)
+                codes.append(canonical_form(cand))
+                seen.update(_column_images(cand))
+            return
+        if kill_acc | suffix_kill[start] != full_kill:
+            return
+        if col_acc | suffix_cols[start] != full_cols:
+            return
+        missing = (full_kill & ~kill_acc).bit_count()
+        if missing > left * max_kill:
+            return
+        bit = 1 << depth
+        for i in range(start, count - left + 1):
+            row = candidates[i]
+            rows.append(row)
+            for j in ones[i]:
+                cols[j] |= bit
+            walk(m, i + 1, kill_acc | kill[i], col_acc | row)
+            for j in ones[i]:
+                cols[j] ^= bit
+            rows.pop()
 
     for m in range(min_m, max_m + 1):
-        passing: list[BitMatrix] = []
-        stack: list[int] = []
-
-        def walk(start: int, kill_acc: int, col_acc: int) -> None:
-            nonlocal explored
-            left = m - len(stack)
-            if left == 0:
-                explored += 1
-                rows = tuple(candidates[i] for i in stack)
-                cand = BitMatrix(m, n, rows)
-                if find_violation(cand, params) is None:
-                    passing.append(cand)
-                return
-            if kill_acc | suffix_kill[start] != full_kill:
-                return
-            if col_acc | suffix_cols[start] != full_cols:
-                return
-            missing = (full_kill & ~kill_acc).bit_count()
-            if missing > left * max_kill:
-                return
-            for i in range(start, count - left + 1):
-                stack.append(i)
-                walk(i + 1, kill_acc | kill[i], col_acc | candidates[i])
-                stack.pop()
-
-        walk(0, 0, 0)
-        if passing:
-            seen: dict[tuple[int, ...], BitMatrix] = {}
-            for cand in passing:
-                canon = canonical_form(cand)
-                seen.setdefault(canon.rows, canon)
-            codes = tuple(sorted(seen.values(), key=lambda c: c.rows))
-            return SearchResult(m, codes, explored)
+        walk(m, 0, 0, 0)
+        if codes:
+            return SearchResult(m, tuple(sorted(codes, key=lambda c: c.rows)), explored)
     return SearchResult(None, (), explored)

@@ -141,3 +141,30 @@ def choice_sampled_outputs(bits, support, target, true_label, confusions, succes
         else:
             y.append(int(rng.choice(c, p=confusions[i][true_label])))
     return y
+
+
+def naive_search(kind, k, r, n, max_m, canonical):
+    """Minimum height and its sorted canonical codes, by plain enumeration.
+
+    Every size-m subset of the distinct n-bit rows with at least r ones (as
+    ints, bit j is column j) is checked with the naive verifier of ``kind``
+    ("BDC", "BCC", "BTC" or "SEPARABLE"), for m = 1 upward; ``canonical``
+    maps the rows of each passing subset to its orbit's representative.
+    Returns ``(None, [])`` when no height up to ``max_m`` passes.
+    """
+    checks = {
+        "BDC": lambda bits: naive_is_bdc(bits, k, r),
+        "BCC": lambda bits: naive_is_bcc(bits, k, r),
+        "BTC": lambda bits: naive_is_btc(bits, k, r),
+        "SEPARABLE": lambda bits: naive_is_separable(bits, k),
+    }
+    rows = [v for v in range(1, 1 << n) if bin(v).count("1") >= r]
+    for m in range(1, max_m + 1):
+        codes = set()
+        for subset in combinations(rows, m):
+            bits = [[(v >> j) & 1 for j in range(n)] for v in subset]
+            if checks[kind](bits):
+                codes.add(canonical(subset))
+        if codes:
+            return m, sorted(codes)
+    return None, []

@@ -105,6 +105,15 @@ def test_search_reports_minimum(capsys, tmp_path):
     assert parsed.matrix.m == 6
 
 
+def test_search_over_the_walk_budget_is_status_three(capsys):
+    # Separability prunes nothing: C(255, 6) candidates at the first height.
+    assert run_cli("search", "--kind", "separable", "--k", "2", "--r", "1", "--n", "8",
+                   "--max-m", "12") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget of 1000000 walk nodes" in captured.err
+
+
 def test_decode_worked_example(tmp_path, capsys):
     code = tmp_path / "three.bcode"
     formats.save(code, BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]]), "BCC", 1, 1)
@@ -270,6 +279,10 @@ def test_verify_decides_duplicated_code_beyond_the_full_budget(tmp_path, capsys)
     capsys.readouterr()
     assert run_cli("verify", "--kind", "bcc", "--k", "4", "--r", "4", str(out)) == 0
     assert capsys.readouterr().out == f"PASS: {out} is bcc(k=4, r=4)\n"
+    # Column 5 repeats column 0: the tracking witness needs no walk of all 100.
+    for kind in ("btc", "separable"):
+        assert run_cli("verify", "--kind", kind, "--k", "4", "--r", "4", str(out)) == 1
+        assert capsys.readouterr().out == "FAIL: two Boolean sums coincide: columns {0} and {5}\n"
 
 
 def test_construct_refused_verification_writes_nothing(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import permutations
 
@@ -17,6 +18,8 @@ from bcode.construct import (
 from bcode.properties import (
     CodeKind,
     CodeParams,
+    Violation,
+    check,
     find_bcc_violation,
     find_bdc_violation,
     find_btc_violation,
@@ -178,9 +181,22 @@ def duplicated_codes(draw):
 @settings(max_examples=400, deadline=None)
 def test_verify_matches_find_violation_on_duplicated_codes(case):
     matrix, params = case
-    full = find_violation(matrix, params) is None
-    event(f"{params.kind.value} {'PASS' if full else 'FAIL'}")
-    assert verify(matrix, params) == full
+    full = find_violation(matrix, params)
+    event(f"{params.kind.value} {'PASS' if full is None else 'FAIL'}")
+    assert verify(matrix, params) == (full is None)
+    distinct = len(set(matrix.column_masks))
+    if distinct < matrix.n and full is not None and full.reason == "two Boolean sums coincide":
+        # A repeated column is the witness once the weaker property holds:
+        # check finds it without walking the whole matrix, and for BTC walks
+        # only the distinct columns to decide BCC.
+        budget = (0 if params.kind is CodeKind.SEPARABLE else
+                  sum(math.comb(distinct, s) for s in range(1, min(params.k, distinct) + 1)))
+        event(f"{params.kind.value} repeated-column witness")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bitmatrix, "MAX_COLUMN_SETS", budget)
+            assert check(matrix, params) == full
+    else:
+        assert check(matrix, params) == full
 
 
 def test_verify_on_distinct_columns_passes_general_bcc():
@@ -200,10 +216,14 @@ def test_verify_decides_repeated_columns_without_the_full_walk(monkeypatch):
     assert verify(matrix, CodeParams(CodeKind.BDC, 2, 2, 8))
     assert verify(matrix, CodeParams(CodeKind.BCC, 2, 2, 8))
     assert not verify(matrix, CodeParams(CodeKind.BCC, 2, 3, 8))  # row weight 2 < 3
-    # A repeated column is two equal sums of size 1.
-    monkeypatch.setattr(bitmatrix, "MAX_COLUMN_SETS", 0)
-    assert not verify(matrix, CodeParams(CodeKind.SEPARABLE, 2, 1, 8))
+    # A repeated column is two equal sums of size 1, the witness once BCC
+    # holds on the distinct columns (for BTC) or at once (for SEPARABLE).
+    witness = Violation("two Boolean sums coincide", ((0,), (2,)))
+    assert check(matrix, CodeParams(CodeKind.BTC, 2, 2, 8)) == witness
     assert not verify(matrix, CodeParams(CodeKind.BTC, 2, 2, 8))
+    monkeypatch.setattr(bitmatrix, "MAX_COLUMN_SETS", 0)
+    assert check(matrix, CodeParams(CodeKind.SEPARABLE, 2, 1, 8)) == witness
+    assert not verify(matrix, CodeParams(CodeKind.SEPARABLE, 2, 1, 8))
     # Two distinct columns are one Boolean sum for k = 2, covering every row.
     pair = select_columns(BitMatrix.from_rows([[1, 0], [0, 1]]), [0, 1, 0, 1, 1])
     assert not verify(pair, CodeParams(CodeKind.BDC, 2, 1, 5))

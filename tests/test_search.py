@@ -1,14 +1,18 @@
 import math
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bcode import search
 from bcode.bitmatrix import BitMatrix
 from bcode.construct import minimal_bcc, minimal_bdc
 from bcode.errors import ResourceLimitError
 from bcode.properties import CodeKind, CodeParams, find_violation, is_bdc
 from bcode.search import SearchResult, canonical_form, equivalent, exhaustive_min
+
+import oracles
 
 
 @st.composite
@@ -180,3 +184,99 @@ def test_unique_constant_weight_rows_respect_the_lower_bound(n, data):
     mat = BitMatrix(len(rows), n, rows)
     if is_bdc(mat, k, r):
         assert mat.m >= math.comb(n, k)
+
+
+# --- pinned results --------------------------------------------------------------
+
+# (kind, k, r, n, max_m, min_rows, codes as row ints, explored) for every
+# search above, acceptance 03, the benchmark's and the README's searches,
+# recorded before the walk moved onto ints and dedup onto orbits.
+PINNED = [
+    ("BDC", 2, 2, 4, 8, 6, ((12, 10, 6, 9, 5, 3),), 5),
+    ("BCC", 2, 1, 3, 6, 4, ((4, 2, 1, 7),), 12),
+    ("BDC", 1, 1, 2, 4, 2, ((2, 1),), 2),
+    ("BDC", 2, 2, 4, 5, None, (), 0),
+    ("BDC", 2, 2, 3, 6, None, (), 0),
+    ("SEPARABLE", 1, 1, 3, 8, 2, ((4, 2), (4, 6), (6, 5)), 21),
+    ("BCC", 2, 1, 3, 8, 4, ((4, 2, 1, 7),), 12),
+    ("BCC", 1, 2, 3, 8, 3, ((6, 5, 3),), 2),
+    ("SEPARABLE", 1, 1, 4, 8, 2, ((12, 10),), 105),
+    ("SEPARABLE", 1, 1, 5, 8, 3, ((16, 12, 10), (16, 12, 26), (16, 28, 26), (24, 6, 21),
+                                  (24, 20, 10), (24, 20, 14), (24, 20, 18), (24, 20, 26),
+                                  (24, 20, 30), (24, 22, 13), (24, 22, 21), (24, 22, 29),
+                                  (24, 28, 22), (28, 26, 21), (28, 26, 22), (28, 26, 23)), 4495),
+    ("BCC", 2, 2, 6, 12, 4, ((48, 12, 3, 63),), 47887),
+    ("BDC", 1, 1, 2, 12, 2, ((2, 1),), 2),
+    ("BCC", 1, 1, 2, 12, 3, ((2, 1, 3),), 3),
+    ("BDC", 1, 2, 3, 12, 3, ((6, 5, 3),), 2),
+    ("BCC", 1, 2, 3, 12, 3, ((6, 5, 3),), 2),
+    ("BDC", 1, 3, 4, 12, 4, ((14, 13, 11, 7),), 2),
+    ("BCC", 1, 3, 4, 12, 4, ((14, 13, 11, 7),), 2),
+    ("BDC", 1, 4, 5, 12, 5, ((30, 29, 27, 23, 15),), 2),
+    ("BCC", 1, 4, 5, 12, 5, ((30, 29, 27, 23, 15),), 2),
+    ("BDC", 2, 1, 3, 12, 3, ((4, 2, 1),), 5),
+    ("BCC", 2, 1, 3, 12, 4, ((4, 2, 1, 7),), 12),
+    ("BDC", 2, 2, 4, 12, 6, ((12, 10, 6, 9, 5, 3),), 5),
+    ("BCC", 2, 2, 4, 12, 6, ((12, 10, 6, 9, 5, 3),), 5),
+    ("BDC", 2, 3, 5, 12, 10, ((28, 26, 22, 14, 25, 21, 13, 19, 11, 7),), 5),
+    ("BCC", 2, 3, 5, 12, 10, ((28, 26, 22, 14, 25, 21, 13, 19, 11, 7),), 5),
+    ("BDC", 3, 1, 4, 12, 4, ((8, 4, 2, 1),), 11),
+    ("BCC", 3, 1, 4, 12, 5, ((8, 4, 2, 1, 15),), 56),
+    ("BDC", 3, 2, 5, 12, 10, ((24, 20, 12, 18, 10, 6, 17, 9, 5, 3),), 11),
+    ("BCC", 3, 2, 5, 12, 10, ((24, 20, 12, 18, 10, 6, 17, 9, 5, 3),), 11),
+    ("BDC", 4, 1, 5, 12, 5, ((16, 8, 4, 2, 1),), 23),
+    ("BCC", 4, 1, 5, 12, 6, ((16, 8, 4, 2, 1, 31),), 263),
+    ("SEPARABLE", 1, 1, 7, 6, 3, ((112, 76, 42), (112, 76, 106), (112, 108, 90),
+                                  (120, 102, 85)), 333375),
+]
+
+
+@pytest.mark.parametrize("kind,k,r,n,max_m,min_rows,codes,explored", PINNED,
+                         ids=["-".join(map(str, case[:5])) for case in PINNED])
+def test_search_results_are_pinned(kind, k, r, n, max_m, min_rows, codes, explored):
+    result = exhaustive_min(CodeKind(kind), k, r, n, max_m)
+    assert (result.min_rows, tuple(c.rows for c in result.codes), result.explored) == (
+        min_rows, codes, explored)
+
+
+# Every kind on n <= 5 columns, k <= 3, r <= 2 (r = 1 for SEPARABLE, which
+# ignores r).  Heights stop at 6, or earlier where the plain enumeration
+# would pass 5,000 subsets; a case whose minimum lies above compares "not
+# found".
+GRID = [(kind, k, r, n) for kind in CodeKind for n in range(1, 6) for k in range(1, 4)
+        for r in range(1, 3) if kind is not CodeKind.SEPARABLE or r == 1]
+
+
+def _affordable_height(r, n, limit=5000):
+    rows = sum(math.comb(n, j) for j in range(r, n + 1))
+    subsets = accumulate(math.comb(rows, m) for m in range(1, 7))
+    return max(1, sum(1 for total in subsets if total <= limit))
+
+
+@pytest.mark.parametrize("kind,k,r,n", GRID)
+def test_search_matches_plain_enumeration(kind, k, r, n):
+    max_m = _affordable_height(r, n)
+    result = exhaustive_min(kind, k, r, n, max_m)
+    want = oracles.naive_search(
+        kind.value, k, r, n, max_m,
+        lambda rows: canonical_form(BitMatrix(len(rows), n, rows)).rows)
+    assert (result.min_rows, [c.rows for c in result.codes]) == want
+
+
+# --- walk budget ---------------------------------------------------------------
+
+def test_search_walk_budget_boundary(monkeypatch):
+    # BDC(2,2,4) up to 8 rows visits 40 walk nodes: a pruned root at each of
+    # m = 1..5, then 35 at m = 6, 5 of them complete candidates.
+    want = exhaustive_min(CodeKind.BDC, 2, 2, 4, 8)
+    monkeypatch.setattr(search, "SEARCH_MAX_NODES", 40)
+    assert exhaustive_min(CodeKind.BDC, 2, 2, 4, 8) == want
+    monkeypatch.setattr(search, "SEARCH_MAX_NODES", 39)
+    with pytest.raises(ResourceLimitError, match="budget of 39 walk nodes"):
+        exhaustive_min(CodeKind.BDC, 2, 2, 4, 8)
+    # A search that finds nothing counts its pruned roots too.
+    monkeypatch.setattr(search, "SEARCH_MAX_NODES", 5)
+    assert exhaustive_min(CodeKind.BDC, 2, 2, 4, 5).min_rows is None
+    monkeypatch.setattr(search, "SEARCH_MAX_NODES", 4)
+    with pytest.raises(ResourceLimitError):
+        exhaustive_min(CodeKind.BDC, 2, 2, 4, 5)
