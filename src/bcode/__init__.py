@@ -51,7 +51,6 @@ from .properties import (
     CodeKind,
     CodeParams,
     Violation,
-    check,
     find_violation,
     is_bcc,
     is_bdc,

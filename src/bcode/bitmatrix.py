@@ -104,11 +104,6 @@ class BitMatrix:
                 row ^= low
         return tuple(cols)
 
-    @property
-    def all_ones_mask(self) -> int:
-        """Column-vector mask with every row position set."""
-        return (1 << self.m) - 1
-
     def row_weight(self, i: int) -> int:
         return self.rows[i].bit_count()
 

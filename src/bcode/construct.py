@@ -156,9 +156,8 @@ def _random_matrix(rng: np.random.Generator, n: int, weights: Iterable[int]) -> 
     rows = []
     covered = 0
     for weight in weights:
-        row = 0
-        for j in rng.choice(n, size=weight, replace=False):
-            row |= 1 << int(j)
+        # The drawn columns are distinct, so their sum is their OR.
+        row = sum(1 << j for j in rng.choice(n, size=weight, replace=False).tolist())
         rows.append(row)
         covered |= row
     return BitMatrix(len(rows), n, tuple(rows)) if covered == (1 << n) - 1 else None

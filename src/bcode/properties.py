@@ -10,15 +10,16 @@ checked here are:
 * tracking (BTC):    additionally, all such ORs are pairwise distinct
                      (the separability property).
 
-All verifiers enumerate column sets exhaustively and are exact; the intended
-operating range is n <= 24, k <= 4.  The enumeration visits
-sum_{j=1..k} C(n, j) sums through ``bitmatrix.mask_sums``, which refuses
-with ``ResourceLimitError`` any call over ``bitmatrix.MAX_COLUMN_SETS`` sets;
-complement/duplicate detection is done with a hash set over the sums, which
-decides the pairwise conditions without the quadratic pass over pairs.
-``check`` is the entry point for a whole matrix: it returns the first
-witness, as ``find_violation`` does, but decides a matrix with repeated
-columns on its distinct columns.
+Every verifier is exact and decides through one core, ``_decide``, which
+enumerates column sets exhaustively; the intended operating range is
+n <= 24, k <= 4.  The enumeration visits sum_{j=1..k} C(n, j) sums through
+``bitmatrix.mask_sums``, which refuses with ``ResourceLimitError`` any call
+over ``bitmatrix.MAX_COLUMN_SETS`` sets; complement/duplicate detection is
+done with a hash set over the sums, which decides the pairwise conditions
+without the quadratic pass over pairs.  A matrix with repeated columns is
+decided on its distinct columns, since repeats leave the Boolean sums
+unchanged.  ``verify`` gives the verdict and ``find_violation`` the first
+witness, walking the whole matrix at most once.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bitmatrix import BitMatrix, ColumnSet, mask_sums, min_row_weight, select_columns
+from .bitmatrix import BitMatrix, ColumnSet, mask_sums
 
 
 class CodeKind(enum.Enum):
@@ -74,10 +75,10 @@ class Violation:
         return self.reason
 
 
-def _check_args(k: int, r: int | None = None) -> None:
+def _check_args(k: int, r: int) -> None:
     if k < 1:
         raise ValueError("k must be positive")
-    if r is not None and r < 1:
+    if r < 1:
         raise ValueError("r must be positive")
 
 
@@ -87,8 +88,8 @@ def _violation(
     """First witness against ``kind`` for the matrix with these rows and
     columns (``cols[j]`` has bit i set iff entry (i, j) is 1), or None.
 
-    The one verifier: ``find_violation`` and the search walk both decide
-    here, the walk on the ints it keeps without building a ``BitMatrix``.
+    The one walk: ``_decide`` and the search both decide here, the search
+    on the ints it keeps without building a ``BitMatrix``.
     Each kind extends the one before it (BDC, BCC, BTC), and each check runs
     only when the weaker property holds; SEPARABLE checks only distinctness
     and ignores ``r``.  Every enumeration goes through ``mask_sums`` and its
@@ -131,100 +132,75 @@ def _violation(
     return None
 
 
-def find_bdc_violation(mat: BitMatrix, k: int, r: int) -> Violation | None:
-    """First witness against the detection property, or None.
-
-    Checks, in order: zero columns, minimum row weight, then the covering
-    condition on Boolean sums.
-    """
-    _check_args(k, r)
-    return _violation(CodeKind.BDC, k, r, mat.rows, mat.column_masks)
-
-
-def find_bcc_violation(mat: BitMatrix, k: int, r: int) -> Violation | None:
-    """First witness against the correction property, or None: a detection
-    witness, else the first pair of complementary Boolean sums."""
-    _check_args(k, r)
-    return _violation(CodeKind.BCC, k, r, mat.rows, mat.column_masks)
-
-
-def find_separable_violation(mat: BitMatrix, k: int) -> Violation | None:
-    """First pair of distinct column sets with equal Boolean sums, or None."""
-    _check_args(k)
-    return _violation(CodeKind.SEPARABLE, k, 1, mat.rows, mat.column_masks)
-
-
-def find_btc_violation(mat: BitMatrix, k: int, r: int) -> Violation | None:
-    """First witness against the tracking property, or None: a correction
-    witness, else the first pair of equal Boolean sums."""
-    _check_args(k, r)
-    return _violation(CodeKind.BTC, k, r, mat.rows, mat.column_masks)
-
-
-def is_bdc(mat: BitMatrix, k: int, r: int) -> bool:
-    return find_bdc_violation(mat, k, r) is None
-
-
-def is_bcc(mat: BitMatrix, k: int, r: int) -> bool:
-    return find_bcc_violation(mat, k, r) is None
-
-
-def is_separable(mat: BitMatrix, k: int) -> bool:
-    return find_separable_violation(mat, k) is None
-
-
-def is_btc(mat: BitMatrix, k: int, r: int) -> bool:
-    return find_btc_violation(mat, k, r) is None
-
-
-def find_violation(mat: BitMatrix, params: CodeParams) -> Violation | None:
-    """First witness against the property ``params`` names, or None."""
-    if mat.n != params.n:
-        raise ValueError(f"matrix has {mat.n} columns but params expect {params.n}")
-    return _violation(params.kind, params.k, params.r, mat.rows, mat.column_masks)
-
-
-def _decide(mat: BitMatrix, params: CodeParams) -> Violation | None | bool:
+def _decide(mat: BitMatrix, kind: CodeKind, k: int, r: int) -> Violation | None | bool:
     """The verdict on ``mat``, walking the whole matrix only without
-    repeated columns: None when the property holds, else the first witness,
-    or False when ``mat`` fails and only ``find_violation`` on the whole
-    matrix can name the witness.
+    repeated columns: None when ``kind`` holds, else the first witness, or
+    False when ``mat`` fails and only the whole matrix can name the witness.
 
     Repeated columns leave the Boolean sums unchanged, so BDC and BCC are
-    decided on the first-occurrence columns with the row weights of the
-    whole matrix, which keeps a column-duplicated code far inside the
-    column-set budget.  A repeated column is two equal sums of size 1, so
-    where the weaker property holds (always, for SEPARABLE) the first
-    witness is the first column equal to an earlier one.
+    decided on the distinct columns with the rows of the whole matrix.  A
+    repeated column is two equal sums of size 1, so where the weaker
+    property holds (always, for SEPARABLE) the first witness is the first
+    column equal to an earlier one.
     """
+    _check_args(k, r)
     masks = mat.column_masks
-    firsts = {col: j for j, col in reversed(list(enumerate(masks)))}
-    if len(firsts) == mat.n or mat.n != params.n:  # find_violation refuses the latter
-        return find_violation(mat, params)
-    if params.kind is not CodeKind.SEPARABLE:
-        # With at most k distinct columns, their one Boolean sum covers every row.
-        if min_row_weight(mat) < params.r or len(firsts) <= params.k:
+    firsts: dict[int, int] = {}
+    for j, col in enumerate(masks):
+        firsts.setdefault(col, j)
+    if len(firsts) == mat.n:
+        return _violation(kind, k, r, mat.rows, masks)
+    if kind is not CodeKind.SEPARABLE:
+        weaker = CodeKind.BDC if kind is CodeKind.BDC else CodeKind.BCC
+        if _violation(weaker, k, r, mat.rows, list(firsts)) is not None:
             return False
-        distinct = select_columns(mat, sorted(firsts.values()))
-        weaker = CodeKind.BDC if params.kind is CodeKind.BDC else CodeKind.BCC
-        if find_violation(distinct, CodeParams(weaker, params.k, 1, distinct.n)) is not None:
-            return False
-        if weaker is params.kind:
+        if weaker is kind:
             return None
     j = next(j for j, col in enumerate(masks) if firsts[col] != j)
     return Violation("two Boolean sums coincide", ((firsts[masks[j]],), (j,)))
 
 
-def check(mat: BitMatrix, params: CodeParams) -> Violation | None:
-    """``find_violation(mat, params)``, with a matrix that repeats columns
-    decided on its distinct columns: the whole matrix is walked at most
-    once, and only when no column repeats or for the witness of a failure
-    the distinct columns do not name."""
-    verdict = _decide(mat, params)
-    return find_violation(mat, params) if verdict is False else verdict
+def _witness(mat: BitMatrix, kind: CodeKind, k: int, r: int) -> Violation | None:
+    verdict = _decide(mat, kind, k, r)
+    return _violation(kind, k, r, mat.rows, mat.column_masks) if verdict is False else verdict
+
+
+def _check_width(mat: BitMatrix, params: CodeParams) -> None:
+    if mat.n != params.n:
+        raise ValueError(f"matrix has {mat.n} columns but params expect {params.n}")
+
+
+def find_violation(mat: BitMatrix, params: CodeParams) -> Violation | None:
+    """First witness against the property ``params`` names, or None.  The
+    whole matrix is walked at most once: when no column repeats, or for the
+    witness of a failure the distinct columns do not name."""
+    _check_width(mat, params)
+    return _witness(mat, params.kind, params.k, params.r)
 
 
 def verify(mat: BitMatrix, params: CodeParams) -> bool:
-    """Whether ``mat`` has the property ``params`` names (``check`` explains
-    a failure)."""
-    return _decide(mat, params) is None
+    """Whether ``mat`` has the property ``params`` names (``find_violation``
+    explains a failure)."""
+    _check_width(mat, params)
+    return _decide(mat, params.kind, params.k, params.r) is None
+
+
+def find_btc_violation(mat: BitMatrix, k: int, r: int) -> Violation | None:
+    """First witness against the tracking property, or None."""
+    return _witness(mat, CodeKind.BTC, k, r)
+
+
+def is_bdc(mat: BitMatrix, k: int, r: int) -> bool:
+    return _decide(mat, CodeKind.BDC, k, r) is None
+
+
+def is_bcc(mat: BitMatrix, k: int, r: int) -> bool:
+    return _decide(mat, CodeKind.BCC, k, r) is None
+
+
+def is_separable(mat: BitMatrix, k: int) -> bool:
+    return _decide(mat, CodeKind.SEPARABLE, k, 1) is None
+
+
+def is_btc(mat: BitMatrix, k: int, r: int) -> bool:
+    return _decide(mat, CodeKind.BTC, k, r) is None

@@ -63,6 +63,45 @@ def naive_is_btc(bits, k, r):
     return naive_is_bcc(bits, k, r) and naive_is_separable(bits, k)
 
 
+def _first_pair(sums, related):
+    """The earliest later set with an earlier partner, matched with its
+    earliest partner, or None."""
+    for b in range(len(sums)):
+        for a in range(b):
+            if related(sums[a][1], sums[b][1]):
+                return sums[a][0], sums[b][0]
+    return None
+
+
+def naive_first_violation(bits, kind, k, r):
+    """First witness against ``kind`` ("BDC", "BCC", "BTC" or "SEPARABLE")
+    as ``(reason, column_sets)``, or None.  In order: a zero column, a
+    light row, a covering size-k set (any size when n < k), a complement
+    pair, then an equal pair; SEPARABLE checks only the equal pair."""
+    m, n = len(bits), len(bits[0])
+    ones = tuple([1] * m)
+    sums = all_sums(bits, k)
+    if kind != "SEPARABLE":
+        for j in range(n):
+            if all(bits[i][j] == 0 for i in range(m)):
+                return f"column {j} is all zeros", ()
+        for i in range(m):
+            if sum(bits[i]) < r:
+                return f"row {i} has weight {sum(bits[i])} < {r}", ()
+        for cols, vec in sums:
+            if (len(cols) == k or n < k) and vec == ones:
+                return "Boolean sum covers every model", (cols,)
+        if kind == "BDC":
+            return None
+        pair = _first_pair(sums, lambda u, v: tuple(x ^ y for x, y in zip(u, v)) == ones)
+        if pair is not None:
+            return "two Boolean sums are complements", pair
+        if kind == "BCC":
+            return None
+    pair = _first_pair(sums, lambda u, v: u == v)
+    return None if pair is None else ("two Boolean sums coincide", pair)
+
+
 def naive_joint_weight(bits, confusions, success_rate, count_prior, x, y, t, l):
     n = len(bits[0])
     count = sum(x)

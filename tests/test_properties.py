@@ -19,11 +19,7 @@ from bcode.properties import (
     CodeKind,
     CodeParams,
     Violation,
-    check,
-    find_bcc_violation,
-    find_bdc_violation,
     find_btc_violation,
-    find_separable_violation,
     find_violation,
     is_bcc,
     is_bdc,
@@ -37,6 +33,11 @@ import oracles
 
 def as_bits(mat):
     return [[mat.bit(i, j) for j in range(mat.n)] for i in range(mat.m)]
+
+
+def naive_witness(mat, kind, k, r):
+    found = oracles.naive_first_violation(as_bits(mat), kind.value, k, r)
+    return None if found is None else Violation(*found)
 
 
 @st.composite
@@ -66,15 +67,15 @@ def test_larger_minimal_code_is_detection_code():
 
 def test_detection_violations_are_reported_in_order():
     zero_col = BitMatrix.from_rows([[1, 0], [1, 0]])
-    v = find_bdc_violation(zero_col, 1, 1)
+    v = find_violation(zero_col, CodeParams(CodeKind.BDC, 1, 1, 2))
     assert v is not None and "column 1" in str(v)
 
-    light_row = BitMatrix.from_rows([[1, 1], [1, 0]])
-    v = find_bdc_violation(light_row, 1, 2)
+    light_row = BitMatrix.from_rows([[1, 1, 1], [1, 0, 0]])
+    v = find_violation(light_row, CodeParams(CodeKind.BDC, 1, 2, 3))
     assert v is not None and "row 1" in str(v)
 
-    covered = BitMatrix.from_rows([[1, 0], [0, 1]])
-    v = find_bdc_violation(covered, 2, 1)
+    covered = BitMatrix.from_rows([[1, 0, 0], [0, 1, 1]])
+    v = find_violation(covered, CodeParams(CodeKind.BDC, 2, 1, 3))
     assert v is not None and v.column_sets == ((0, 1),)
 
 
@@ -93,7 +94,7 @@ def test_minimal_code_is_correction_code_for_weight_two():
 
 
 def test_correction_violation_reports_complement_pair():
-    v = find_bcc_violation(BitMatrix.identity(3), 2, 1)
+    v = find_violation(BitMatrix.identity(3), CodeParams(CodeKind.BCC, 2, 1, 3))
     assert v is not None and len(v.column_sets) == 2
     a, b = v.column_sets
     vec_a = column_or(BitMatrix.identity(3), a)
@@ -118,7 +119,7 @@ def test_identity_is_two_separable():
 
 def test_separable_violation_reports_equal_pair():
     mat = BitMatrix.from_rows([[1, 1], [1, 1]])
-    v = find_separable_violation(mat, 1)
+    v = find_violation(mat, CodeParams(CodeKind.SEPARABLE, 1, 1, 2))
     assert v is not None and v.column_sets == ((0,), (1,))
 
 
@@ -181,22 +182,22 @@ def duplicated_codes(draw):
 @settings(max_examples=400, deadline=None)
 def test_verify_matches_find_violation_on_duplicated_codes(case):
     matrix, params = case
-    full = find_violation(matrix, params)
+    full = naive_witness(matrix, params.kind, params.k, params.r)
     event(f"{params.kind.value} {'PASS' if full is None else 'FAIL'}")
     assert verify(matrix, params) == (full is None)
     distinct = len(set(matrix.column_masks))
     if distinct < matrix.n and full is not None and full.reason == "two Boolean sums coincide":
         # A repeated column is the witness once the weaker property holds:
-        # check finds it without walking the whole matrix, and for BTC walks
-        # only the distinct columns to decide BCC.
+        # find_violation finds it without walking the whole matrix, and for
+        # BTC walks only the distinct columns to decide BCC.
         budget = (0 if params.kind is CodeKind.SEPARABLE else
                   sum(math.comb(distinct, s) for s in range(1, min(params.k, distinct) + 1)))
         event(f"{params.kind.value} repeated-column witness")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bitmatrix, "MAX_COLUMN_SETS", budget)
-            assert check(matrix, params) == full
+            assert find_violation(matrix, params) == full
     else:
-        assert check(matrix, params) == full
+        assert find_violation(matrix, params) == full
 
 
 def test_verify_on_distinct_columns_passes_general_bcc():
@@ -219,14 +220,27 @@ def test_verify_decides_repeated_columns_without_the_full_walk(monkeypatch):
     # A repeated column is two equal sums of size 1, the witness once BCC
     # holds on the distinct columns (for BTC) or at once (for SEPARABLE).
     witness = Violation("two Boolean sums coincide", ((0,), (2,)))
-    assert check(matrix, CodeParams(CodeKind.BTC, 2, 2, 8)) == witness
+    assert find_violation(matrix, CodeParams(CodeKind.BTC, 2, 2, 8)) == witness
     assert not verify(matrix, CodeParams(CodeKind.BTC, 2, 2, 8))
     monkeypatch.setattr(bitmatrix, "MAX_COLUMN_SETS", 0)
-    assert check(matrix, CodeParams(CodeKind.SEPARABLE, 2, 1, 8)) == witness
+    assert find_violation(matrix, CodeParams(CodeKind.SEPARABLE, 2, 1, 8)) == witness
     assert not verify(matrix, CodeParams(CodeKind.SEPARABLE, 2, 1, 8))
-    # Two distinct columns are one Boolean sum for k = 2, covering every row.
+    # Two distinct columns are one Boolean sum for k = 2, covering every row:
+    # one sum decides, where the whole matrix has 10.
+    monkeypatch.setattr(bitmatrix, "MAX_COLUMN_SETS", 1)
     pair = select_columns(BitMatrix.from_rows([[1, 0], [0, 1]]), [0, 1, 0, 1, 1])
     assert not verify(pair, CodeParams(CodeKind.BDC, 2, 1, 5))
+
+
+def test_every_verifier_decides_a_duplicated_code_within_the_default_budget():
+    # general_bcc(4, 4, 100) repeats the columns of a small correction code;
+    # its whole-matrix walk at k = 4 is 3.9M sums, over the budget.
+    matrix = general_bcc(4, 4, 100)
+    assert is_bdc(matrix, 4, 4)
+    assert is_bcc(matrix, 4, 4)
+    assert not is_btc(matrix, 4, 4)
+    assert not is_separable(matrix, 4)
+    assert str(find_btc_violation(matrix, 4, 4)) == "two Boolean sums coincide: columns {0} and {5}"
 
 
 def test_params_validation():
@@ -256,6 +270,7 @@ def test_verifiers_match_naive_oracles(mat, k, r):
     assert is_bcc(mat, k, r) == oracles.naive_is_bcc(bits, k, r)
     assert is_separable(mat, k) == oracles.naive_is_separable(bits, k)
     assert is_btc(mat, k, r) == oracles.naive_is_btc(bits, k, r)
+    assert find_btc_violation(mat, k, r) == naive_witness(mat, CodeKind.BTC, k, r)
 
 
 @given(bit_matrices(), st.integers(1, 3), st.integers(1, 3))
