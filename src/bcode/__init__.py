@@ -21,8 +21,7 @@ from .bitmatrix import (
     vstack,
 )
 from .construct import (
-    ConstructionRecipe,
-    RecipeKind,
+    CONSTRUCTIONS,
     add_ones_row,
     btc,
     build,

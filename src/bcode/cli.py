@@ -6,7 +6,7 @@ Exit statuses are stable and disjoint:
 * 1: a valid negative answer (verifier says no, or the decoder found the
   observation impossible under every hypothesis),
 * 2: usage error (bad flags, malformed input files, invalid parameters),
-* 3: resource limit or construction budget exhausted.
+* 3: resource limit, construction budget or memory exhausted.
 
 Every subcommand is pure with respect to (flags, input files, seed):
 repeated invocations produce byte-identical output.
@@ -40,15 +40,6 @@ _VERIFY_KINDS = sorted(kind.value.lower() for kind in CodeKind)
 # decoder keeps two more arrays (its copy and its log table) and the
 # `simulate` sampler one (its CDF table).
 MAX_CONFUSION_ENTRIES = 1 << 24
-
-_FILE_KIND_FOR_RECIPE = {
-    construct.RecipeKind.MINIMAL_BDC: "BDC",
-    construct.RecipeKind.MINIMAL_BCC: "BCC",
-    construct.RecipeKind.GENERAL_BCC: "BCC",
-    construct.RecipeKind.BTC: "BTC",
-    construct.RecipeKind.PARTITION: "RAW",
-    construct.RecipeKind.RANDOM: "RAW",
-}
 
 
 def _write_report(path: str, payload: dict) -> None:
@@ -109,31 +100,21 @@ def _decoder_config(
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    kind = construct.RecipeKind(args.kind)
-    seeded = kind in construct.RANDOMIZED
-    recipe = construct.ConstructionRecipe(
-        kind=kind,
-        k=args.k,
-        r=args.r,
-        n=args.n,
-        m=args.m,
-        row_weight=args.row_weight,
-        seed=args.seed if seeded else None,
-        max_rows=args.max_rows,
-        attempts=args.attempts,
+    _, names, claimed = construct.CONSTRUCTIONS[args.kind]
+    seeded = "seed" in names
+    matrix = construct.build(
+        args.kind, k=args.k, r=args.r, n=args.n, m=args.m, row_weight=args.row_weight,
+        seed=args.seed, max_rows=args.max_rows, attempts_per_m=args.attempts,
     )
-    matrix = construct.build(recipe)
     if seeded:
         print(f"seed: {args.seed}")
 
-    file_kind = _FILE_KIND_FOR_RECIPE[kind]
     weight = min_row_weight(matrix)
-    verified = None
-    if file_kind == "RAW":
-        header_k, header_r = 0, weight
+    if claimed is None:
+        file_kind, header_k, header_r, verified = "RAW", 0, weight, None
     else:
-        header_k, header_r = args.k, args.r
-        verified = verify(matrix, CodeParams(CodeKind(file_kind), args.k, args.r, matrix.n))
+        file_kind, header_k, header_r = claimed.value, args.k, args.r
+        verified = verify(matrix, CodeParams(claimed, args.k, args.r, matrix.n))
     text = formats.dumps(matrix, file_kind, header_k, header_r)
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
@@ -336,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a code matrix and write it as .bcode")
-    p.add_argument("--kind", required=True, choices=[k.value for k in construct.RecipeKind])
+    p.add_argument("--kind", required=True, choices=list(construct.CONSTRUCTIONS))
     p.add_argument("--k", type=int, help="max cooperating attackers")
     p.add_argument("--r", type=int, help="row weight")
     p.add_argument("--n", type=int, help="number of users")
@@ -415,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     except (formats.BcodeFormatError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ResourceLimitError, ConstructionError) as exc:
+    except (ResourceLimitError, ConstructionError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except DegenerateEvidenceError as exc:

@@ -23,20 +23,21 @@ Randomized constructions (deterministic given the seed):
 A construction too large to build is refused with ``ResourceLimitError``
 before any row exists, by the entry budget ``MAX_ENTRIES`` or by the
 column-set budget of ``bitmatrix.column_sums``.
+
+``CONSTRUCTIONS`` lists every construction with its parameters and claimed
+property, and ``build`` runs one by name.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .bitmatrix import BitMatrix, column_sums, select_columns, vstack
 from .errors import ConstructionError, ResourceLimitError
-from .properties import find_btc_violation, is_separable
+from .properties import CodeKind, find_btc_violation, is_separable
 
 # Most entries (rows x columns) a constructed matrix may hold: 128 MiB of row
 # bits.  With k = 1 the column-set budget alone admits a 10^6 x 10^6 matrix.
@@ -209,6 +210,8 @@ def separable_search(
         raise ValueError("need at least two users")
     if not 1 <= min_weight <= n - 1:
         raise ValueError("minimum row weight must be in [1, n-1]")
+    if max_rows < 1 or attempts_per_m < 1:
+        raise ValueError("the row budget and the draws per height must be positive")
     num_sums = sum(math.comb(n, j) for j in range(1, min(k, n) + 1))
     start_m = max(1, math.ceil(math.log2(num_sums + 1)))
     lo = max(min_weight, int(n / 2 - math.sqrt(n)), 1)
@@ -252,75 +255,26 @@ def btc(
     return stacked
 
 
-class RecipeKind(enum.Enum):
-    MINIMAL_BDC = "minimal-bdc"
-    MINIMAL_BCC = "minimal-bcc"
-    GENERAL_BCC = "bcc"
-    BTC = "btc"
-    PARTITION = "partition"
-    RANDOM = "random"
+# Every construction by ``--kind`` name: its function, the names of the
+# parameters ``build`` passes it, and the property its output is built to
+# have (None: no claimed property, a RAW code).
+CONSTRUCTIONS = {
+    "minimal-bdc": (minimal_bdc, ("k", "r"), CodeKind.BDC),
+    "minimal-bcc": (minimal_bcc, ("k", "r"), CodeKind.BCC),
+    "bcc": (general_bcc, ("k", "r", "n"), CodeKind.BCC),
+    "btc": (btc, ("k", "r", "n", "seed", "max_rows", "attempts_per_m"), CodeKind.BTC),
+    "partition": (partition_code, ("m", "n"), None),
+    "random": (random_code, ("m", "n", "row_weight", "seed"), None),
+}
 
 
-RANDOMIZED = {RecipeKind.BTC, RecipeKind.RANDOM}
-
-
-@dataclass(frozen=True)
-class ConstructionRecipe:
-    """Parameter bundle for :func:`build`; one recipe per construction kind.
-
-    ``seed`` must be present exactly for the randomized kinds (btc, random).
-    ``m`` and ``row_weight`` apply to partition / random codes only.
-    """
-
-    kind: RecipeKind
-    k: int | None = None
-    r: int | None = None
-    n: int | None = None
-    m: int | None = None
-    row_weight: int | None = None
-    seed: int | None = None
-    max_rows: int = BTC_MAX_ROWS
-    attempts: int = BTC_ATTEMPTS
-
-    def __post_init__(self) -> None:
-        if self.kind in RANDOMIZED:
-            if self.seed is None:
-                raise ValueError(f"{self.kind.value} construction needs a seed")
-        elif self.seed is not None:
-            raise ValueError(f"{self.kind.value} construction takes no seed")
-
-
-def build(recipe: ConstructionRecipe) -> BitMatrix:
-    """Run the construction described by ``recipe``."""
-    kind = recipe.kind
-
-    def need(value: int | None, name: str) -> int:
-        if value is None:
-            raise ValueError(f"{kind.value} construction needs {name}")
-        return value
-
-    if kind is RecipeKind.MINIMAL_BDC:
-        return minimal_bdc(need(recipe.k, "k"), need(recipe.r, "r"))
-    if kind is RecipeKind.MINIMAL_BCC:
-        return minimal_bcc(need(recipe.k, "k"), need(recipe.r, "r"))
-    if kind is RecipeKind.GENERAL_BCC:
-        return general_bcc(need(recipe.k, "k"), need(recipe.r, "r"), need(recipe.n, "n"))
-    if kind is RecipeKind.BTC:
-        return btc(
-            need(recipe.k, "k"),
-            need(recipe.r, "r"),
-            need(recipe.n, "n"),
-            need(recipe.seed, "seed"),
-            recipe.max_rows,
-            recipe.attempts,
-        )
-    if kind is RecipeKind.PARTITION:
-        return partition_code(need(recipe.m, "m"), need(recipe.n, "n"))
-    if kind is RecipeKind.RANDOM:
-        return random_code(
-            need(recipe.m, "m"),
-            need(recipe.n, "n"),
-            need(recipe.row_weight, "row weight"),
-            need(recipe.seed, "seed"),
-        )
-    raise ValueError(f"unknown construction kind {kind!r}")
+def build(kind: str, **params: int | None) -> BitMatrix:
+    """Run the ``kind`` construction on the parameters its table entry
+    names; parameters it does not name are ignored."""
+    if kind not in CONSTRUCTIONS:
+        raise ValueError(f"unknown construction kind {kind!r}")
+    fn, names, _ = CONSTRUCTIONS[kind]
+    for name in names:
+        if params.get(name) is None:
+            raise ValueError(f"{kind} construction needs {name.replace('_', ' ')}")
+    return fn(**{name: params[name] for name in names})

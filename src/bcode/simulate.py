@@ -358,8 +358,8 @@ def sweep(
     ``run_trials`` on ``cfg.code``.
 
     Run seeds derive deterministically from ``seed``; tasks are independent
-    and may execute in a process pool (``workers`` > 1) without changing any
-    reported number.
+    and may execute in a process pool of up to ``workers`` processes, at most
+    one per task, without changing any reported number.
     """
     if runs < 1:
         raise ValueError("need at least one run")
@@ -372,7 +372,9 @@ def sweep(
         for run in range(runs)
     ]
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # The pool forks all its workers at the first submit, so start no
+        # more of them than there are tasks.
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             reports = list(pool.map(_sweep_task, tasks))
     else:
         reports = [_sweep_task(t) for t in tasks]

@@ -7,7 +7,7 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from bcode import bitmatrix, cli, formats
+from bcode import bitmatrix, cli, construct, formats
 from bcode.bitmatrix import BitMatrix
 from bcode.cli import build_parser, main
 from bcode.construct import general_bcc, minimal_bcc
@@ -203,6 +203,51 @@ def test_randomized_constructions_are_byte_identical(tmp_path):
         assert run_cli("construct", "--kind", "btc", "--k", "1", "--r", "1", "--n", "4",
                        "--seed", "9", "--max-rows", "16", "-o", str(tmp_path / name)) == 0
     assert (tmp_path / "a.bcode").read_bytes() == (tmp_path / "b.bcode").read_bytes()
+
+
+CONSTRUCT_FLAGS = {
+    "minimal-bdc": ["--k", "2", "--r", "2"],
+    "minimal-bcc": ["--k", "2", "--r", "1"],
+    "bcc": ["--k", "2", "--r", "4", "--n", "8"],
+    "btc": ["--k", "1", "--r", "1", "--n", "4", "--max-rows", "16"],
+    "partition": ["--m", "3", "--n", "6"],
+    "random": ["--m", "4", "--n", "6", "--row-weight", "2"],
+}
+
+
+@pytest.mark.parametrize("kind", list(construct.CONSTRUCTIONS))
+def test_exactly_the_seeded_kinds_print_and_report_their_seed(tmp_path, capsys, kind):
+    seeded = "seed" in construct.CONSTRUCTIONS[kind][1]
+    assert seeded is (kind in ("btc", "random"))
+    report = tmp_path / "report.json"
+    assert run_cli("construct", "--kind", kind, *CONSTRUCT_FLAGS[kind], "--seed", "4",
+                   "-o", str(tmp_path / "c.bcode"), "--out", str(report)) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("seed: 4\n") if seeded else "seed:" not in printed
+    assert json.loads(report.read_text())["seed"] == (4 if seeded else None)
+
+
+@pytest.mark.parametrize("flag", ["--max-rows", "--attempts"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_construct_refuses_an_empty_search_budget(capsys, flag, value):
+    assert run_cli("construct", "--kind", "btc", "--k", "1", "--r", "1", "--n", "4",
+                   "--seed", "2", flag, value) == 2
+    assert capsys.readouterr().err == (
+        "error: the row budget and the draws per height must be positive\n"
+    )
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--runs"])
+def test_simulate_out_of_memory_is_status_three(tmp_path, capsys, flag):
+    code = tmp_path / "c.bcode"
+    formats.save(code, general_bcc(1, 1, 2), "BCC", 1, 1)
+    # 10**17 counts cannot be allocated on any host, so numpy fails at once.
+    sizes = {"--trials": "1", "--runs": "1", flag: str(10**17)}
+    assert run_cli("simulate", "--code", str(code), "--classes", "2", "--q", "uniform:0:1",
+                   "--attackers", "0", "--threads", "1",
+                   *(arg for item in sizes.items() for arg in item)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
 
 
 def test_constructed_files_feed_every_other_subcommand(tmp_path):

@@ -6,8 +6,7 @@ from bcode import bitmatrix, construct
 from bcode.bitmatrix import BitMatrix, min_row_weight
 from bcode.cli import main
 from bcode.construct import (
-    ConstructionRecipe,
-    RecipeKind,
+    CONSTRUCTIONS,
     add_ones_row,
     btc,
     build,
@@ -312,6 +311,14 @@ def test_separable_search_validation():
         separable_search(1, 4, 4, seed=0, max_rows=4)
 
 
+@pytest.mark.parametrize("max_rows, attempts", [(0, 5), (-3, 5), (8, 0), (8, -1)])
+def test_separable_search_refuses_an_empty_budget(max_rows, attempts):
+    with pytest.raises(ValueError, match="must be positive"):
+        separable_search(1, 4, 1, seed=2, max_rows=max_rows, attempts_per_m=attempts)
+    with pytest.raises(ValueError, match="must be positive"):
+        btc(1, 1, 4, seed=2, max_rows=max_rows, attempts_per_m=attempts)
+
+
 # --- tracking codes ------------------------------------------------------------
 
 def test_btc_stacks_correction_on_separable():
@@ -332,27 +339,53 @@ def test_btc_wide_tracking_code():
     assert min_row_weight(mat) >= 11
 
 
-# --- recipes -------------------------------------------------------------------
+# --- the construction table ------------------------------------------------------
 
-def test_recipe_dispatch_matches_direct_calls():
-    assert build(ConstructionRecipe(RecipeKind.MINIMAL_BDC, k=2, r=2)) == minimal_bdc(2, 2)
-    assert build(ConstructionRecipe(RecipeKind.GENERAL_BCC, k=2, r=4, n=8)) == general_bcc(2, 4, 8)
-    assert build(ConstructionRecipe(RecipeKind.PARTITION, m=3, n=6)) == partition_code(3, 6)
-    assert build(
-        ConstructionRecipe(RecipeKind.RANDOM, m=4, n=6, row_weight=2, seed=1)
-    ) == random_code(4, 6, 2, seed=1)
-    assert build(ConstructionRecipe(RecipeKind.BTC, k=1, r=1, n=2, seed=5)) == btc(
-        1, 1, 2, seed=5, max_rows=64
+BUILD_CASES = {
+    "minimal-bdc": ({"k": 2, "r": 2}, lambda: minimal_bdc(2, 2)),
+    "minimal-bcc": ({"k": 3, "r": 1}, lambda: minimal_bcc(3, 1)),
+    "bcc": ({"k": 2, "r": 4, "n": 8}, lambda: general_bcc(2, 4, 8)),
+    "btc": ({"k": 1, "r": 1, "n": 2, "seed": 5, "max_rows": 64, "attempts_per_m": 200},
+            lambda: btc(1, 1, 2, seed=5, max_rows=64)),
+    "partition": ({"m": 3, "n": 6}, lambda: partition_code(3, 6)),
+    "random": ({"m": 4, "n": 6, "row_weight": 2, "seed": 1},
+               lambda: random_code(4, 6, 2, seed=1)),
+}
+
+
+def test_build_cases_cover_the_table_in_kind_order():
+    assert list(BUILD_CASES) == list(CONSTRUCTIONS)
+    assert all(set(BUILD_CASES[kind][0]) == set(names)
+               for kind, (_, names, _) in CONSTRUCTIONS.items())
+
+
+@pytest.mark.parametrize("kind", list(BUILD_CASES))
+def test_build_matches_the_direct_call(kind):
+    params, direct = BUILD_CASES[kind]
+    assert build(kind, **params) == direct()
+    # The CLI passes every flag; parameters the entry does not name are ignored.
+    flags = dict.fromkeys(
+        ("k", "r", "n", "m", "row_weight", "seed", "max_rows", "attempts_per_m"), 7
     )
+    assert build(kind, **{**flags, **params}) == direct()
 
 
-def test_recipe_seed_rules():
-    with pytest.raises(ValueError):
-        ConstructionRecipe(RecipeKind.MINIMAL_BDC, k=1, r=1, seed=3)
-    with pytest.raises(ValueError):
-        ConstructionRecipe(RecipeKind.RANDOM, m=2, n=4, row_weight=2)
+MISSING_CASES = [
+    ("bcc", {"k": 2, "r": 4}, "n"),
+    ("minimal-bdc", {"r": 2}, "k"),
+    ("partition", {"n": 6, "m": None}, "m"),
+    ("random", {"m": 2, "n": 4, "seed": 0}, "row weight"),
+    ("btc", {"k": 1, "r": 1, "n": 2, "seed": 0, "max_rows": 8}, "attempts per m"),
+]
 
 
-def test_recipe_missing_parameters():
-    with pytest.raises(ValueError):
-        build(ConstructionRecipe(RecipeKind.GENERAL_BCC, k=2, r=4))
+@pytest.mark.parametrize("kind, params, missing", MISSING_CASES,
+                         ids=[kind for kind, _, _ in MISSING_CASES])
+def test_build_refuses_a_missing_parameter(kind, params, missing):
+    with pytest.raises(ValueError, match=f"^{kind} construction needs {missing}$"):
+        build(kind, **params)
+
+
+def test_build_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="^unknown construction kind 'general'$"):
+        build("general", k=2, r=4, n=8)

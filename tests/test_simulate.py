@@ -469,6 +469,30 @@ def test_sweep_parallel_matches_serial():
     assert serial == parallel
 
 
+def test_sweep_starts_at_most_one_worker_per_task(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
+    cfg = perfect_cfg(general_bcc(2, 2, 4), 2)
+    serial = sweep(cfg, [0, 1], trials=5, runs=2, seed=3)
+    assert sweep(cfg, [0, 1], trials=5, runs=2, seed=3, workers=64) == serial
+    assert sweep(cfg, [0, 1], trials=5, runs=2, seed=3, workers=3) == serial
+    assert started == [4, 3]
+
+
 # --- generative / decoder consistency (small version) --------------------------------------
 
 def test_sampled_frequencies_match_the_likelihood_model():
