@@ -22,9 +22,10 @@ from .errors import ResourceLimitError
 # A set of column indices, strictly increasing, no duplicates.
 ColumnSet = tuple[int, ...]
 
-# Most column sets one ``column_sums`` call may enumerate.  The largest
-# documented uses (verifiers at n = 24, k = 4; decoder tables at n = 40,
-# counts up to 4) stay about ten times below it.
+# Most column sets one ``column_sums`` call may enumerate, and most layer
+# updates one ``column_sum_counts`` call may make.  The largest documented
+# enumeration (verifiers at n = 24, k = 4) stays about ten times below it;
+# the decoder tables at n = 100, counts up to 50, take 69,355 updates.
 MAX_COLUMN_SETS = 1_000_000
 
 
@@ -232,6 +233,48 @@ def _column_sums(
             for j in cols:
                 acc |= masks[j]
             yield cols, acc
+
+
+def column_sum_counts(
+    mat: BitMatrix, max_size: int
+) -> list[dict[int, tuple[int, ColumnSet]]]:
+    """For each size s in 0..``max_size``, every Boolean sum of s columns
+    mapped to (number of column sets of size s with that sum, the
+    lexicographically first of them).
+
+    Counts are exact ints, so the C(n, s) sets are never listed.  The columns
+    are added from last to first: column j extends each entry of the layer
+    below with j in front, and of the sets meeting on one new sum the one
+    with the smallest tail comes first.  Each (column, entry of the layer
+    below) is one update; past ``MAX_COLUMN_SETS`` updates it raises
+    ``ResourceLimitError``.  There are never more updates than column sets.
+    """
+    masks = mat.column_masks
+    layers: list[dict[int, tuple[int, ColumnSet]]] = [{0: (1, ())}]
+    layers += [{} for _ in range(min(max_size, mat.n))]
+    updates = 0
+    for j in reversed(range(mat.n)):
+        col = masks[j]
+        for size in range(min(max_size, mat.n - j), 0, -1):
+            below = layers[size - 1]
+            updates += len(below)
+            if updates > MAX_COLUMN_SETS:
+                raise ResourceLimitError(
+                    f"counting the sums of up to {max_size} of {mat.n} columns exceeds "
+                    f"the budget of {MAX_COLUMN_SETS} updates"
+                )
+            reached: dict[int, tuple[int, ColumnSet]] = {}
+            for mask, (count, tail) in below.items():
+                key = mask | col
+                hit = reached.get(key)
+                if hit is not None:
+                    count, tail = hit[0] + count, min(hit[1], tail)
+                reached[key] = (count, tail)
+            layer = layers[size]
+            for key, (count, tail) in reached.items():
+                old = layer.get(key)
+                layer[key] = (count + (old[0] if old else 0), (j,) + tail)
+    return layers
 
 
 def column_or(mat: BitMatrix, columns: Sequence[int]) -> tuple[int, ...]:

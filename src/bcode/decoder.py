@@ -14,10 +14,11 @@ table, so the enumeration is grouped by compromised-model mask; products
 over models are accumulated in log space with max-shift normalization before
 exponentiation (plain products over m factors in [0, 1] underflow quickly).
 An attacker set's score depends only on its size and its mask, so attackers
-are scored per (size, mask) group.  ``DecoderConfig`` enumerates the
-sum_j C(n, j) supports over the sizes j in the count prior once; a decode
-then costs O(B * m * c^2) for B masks plus O(G) for G groups, and reading
-the attacker posterior enumerates the supports once more.
+are scored per (size, mask) group.  ``DecoderConfig`` counts the supports
+of every (size, mask) exactly in one pass over the columns
+(``bitmatrix.column_sum_counts``) without listing them; a decode then costs
+O(B * m * c^2) for B masks plus O(G) for G groups, and only reading the
+attacker posterior enumerates the sum_j C(n, j) supports.
 
 One kernel decodes a (T, m) block of output vectors at once
 (``decode_block``); ``decode`` and the three posterior functions run it on
@@ -34,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bitmatrix import BitMatrix, column_sums
+from .bitmatrix import BitMatrix, column_sum_counts, column_sums
 from .errors import DegenerateEvidenceError
 
 # Stand-in for log(0) inside masked matrix products: 0 * -inf would be NaN,
@@ -144,22 +145,28 @@ class DecoderConfig:
         if not sizes:
             raise ValueError("count prior assigns no probability to any count")
 
-        # One pass over the supports: every support weighs its mask; those of
-        # positive size are also the attacker hypotheses, grouped by (size,
-        # mask) in first-occurrence order with each group's first support.
-        # Only the empty support (listed first when count 0 has mass) is not
-        # a hypothesis.
-        per_size = [math.comb(n, count) for count in sizes]
-        weights = [self.count_prior[count] / num for count, num in zip(sizes, per_size)]
-        mask_idx: list[int] = []
-        mask_order: dict[int, int] = {}
-        first: dict[tuple[int, int], tuple[int, ...]] = {}
-        for combo, mask in column_sums(self.code, sizes):
-            mask_idx.append(mask_order.setdefault(mask, len(mask_order)))
-            if combo:
-                first.setdefault((len(combo), mask), combo)
-        mask_weight = np.bincount(mask_idx, weights=np.repeat(weights, per_size))
-        size_logw = {count: _safe_log(w) for count, w in zip(sizes, weights)}
+        # Exact (size, mask) counts from one pass over the columns.  Masks
+        # come in first-occurrence order over the supports of the sizes with
+        # mass (by smallest such size, then first support), and each weighs
+        # sum_s p_s * count_s / C(n, s).  The groups are the (size, mask)
+        # keys of positive size, ordered by their first supports.
+        layers = column_sum_counts(self.code, sizes[-1])
+        per_size = {count: math.comb(n, count) for count in sizes}
+        mask_key: dict[int, tuple[int, tuple[int, ...]]] = {}
+        mask_weight: dict[int, float] = {}
+        for count in sizes:
+            for mask, (num, first) in layers[count].items():
+                mask_key.setdefault(mask, (count, first))
+                weight = self.count_prior[count] * (num / per_size[count])
+                mask_weight[mask] = mask_weight.get(mask, 0.0) + weight
+        mask_order = {mask: b for b, mask in enumerate(sorted(mask_key, key=mask_key.get))}
+        groups = sorted(
+            ((count, first), mask)
+            for count in sizes
+            if count
+            for mask, (_, first) in layers[count].items()
+        )
+        size_logw = {s: _safe_log(self.count_prior[s] / per_size[s]) for s in sizes}
 
         with np.errstate(divide="ignore"):
             log_conf = _floored(np.log(self.confusions))
@@ -167,11 +174,11 @@ class DecoderConfig:
         tables = {
             "_log_conf": log_conf,
             "_mask_matrix": masks.to_array().astype(float),
-            "_mask_logw": np.array([_safe_log(w) for w in mask_weight]),
-            "_groups": {key: g for g, key in enumerate(first)},
-            "_group_first": tuple(first.values()),
-            "_group_logw": np.array([size_logw[size] for size, _ in first]),
-            "_group_mask_idx": np.array([mask_order[mask] for _, mask in first], dtype=int),
+            "_mask_logw": np.array([_safe_log(mask_weight[mask]) for mask in mask_order]),
+            "_groups": {(count, mask): g for g, ((count, _), mask) in enumerate(groups)},
+            "_group_first": tuple(first for (_, first), _ in groups),
+            "_group_logw": np.array([size_logw[count] for (count, _), _ in groups]),
+            "_group_mask_idx": np.array([mask_order[mask] for _, mask in groups], dtype=int),
         }
         for name, value in tables.items():
             object.__setattr__(self, name, value)
@@ -196,8 +203,9 @@ class DecodeResult:
     probabilities conditioned on an attack being active; it is empty when
     the count prior puts no mass on positive counts or no attacker
     hypothesis has support.  It is expanded from the per-group scores on
-    first read, which enumerates the supports once.  ``decoded_attackers``
-    is empty unless the attack posterior clears the decision threshold.
+    first read, which enumerates the supports once (the config only counts
+    them), within ``column_sums``' budget.  ``decoded_attackers`` is empty
+    unless the attack posterior clears the decision threshold.
     """
 
     attack_posterior: float

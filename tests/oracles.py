@@ -102,6 +102,40 @@ def naive_first_violation(bits, kind, k, r):
     return None if pair is None else ("two Boolean sums coincide", pair)
 
 
+def naive_decoder_tables(bits, count_prior):
+    """The decoder's enumeration tables, by listing every support.
+
+    Supports run over the counts with mass in ascending order, and
+    lexicographically within a count.  A mask is an int (bit i for model i).
+    Returns ``(masks, mask_logw, groups, group_first, group_logw,
+    group_mask_idx)``: the masks in first-occurrence order, the log of each
+    mask's weight summed one support at a time (p_s / C(n, s) per support of
+    count s), the positive-size (size, mask) groups numbered in
+    first-occurrence order, each group's first support, its log weight
+    log(p_s / C(n, s)) and the index of its mask.
+    """
+    n = len(bits[0])
+    masks, weights = [], []
+    groups, group_first, group_logw = {}, [], []
+    for size in sorted(count_prior):
+        if count_prior[size] <= 0:
+            continue
+        weight = count_prior[size] / math.comb(n, size)
+        for cols in combinations(range(n), size):
+            mask = sum(bit << i for i, bit in enumerate(or_of_columns(bits, cols)))
+            if mask not in masks:
+                masks.append(mask)
+                weights.append(0.0)
+            weights[masks.index(mask)] += weight
+            if size and (size, mask) not in groups:
+                groups[size, mask] = len(groups)
+                group_first.append(cols)
+                group_logw.append(math.log(weight) if weight > 0 else -math.inf)
+    mask_logw = [math.log(w) if w > 0 else -math.inf for w in weights]
+    group_mask_idx = [masks.index(mask) for _, mask in groups]
+    return masks, mask_logw, groups, group_first, group_logw, group_mask_idx
+
+
 def naive_joint_weight(bits, confusions, success_rate, count_prior, x, y, t, l):
     n = len(bits[0])
     count = sum(x)

@@ -6,6 +6,7 @@ from bcode.bitmatrix import (
     BitMatrix,
     column_or,
     column_or_mask,
+    column_sum_counts,
     column_sums,
     hstack,
     min_row_weight,
@@ -136,6 +137,18 @@ def test_column_sums_size_zero_and_sizes_above_n():
     assert list(column_sums(mat, (0,))) == [((), 0)]
     assert list(column_sums(mat, (3, 4))) == []
     assert list(column_sums(mat, (2, 0))) == [((0, 1), 3), ((), 0)]
+
+
+@given(bit_matrices(max_m=4, max_n=8), st.integers(0, 10))
+def test_column_sum_counts_count_every_sum_and_find_its_first_set(mat, max_size):
+    # Four rows and eight columns make many sets share a sum.
+    layers = column_sum_counts(mat, max_size)
+    assert len(layers) == min(max_size, mat.n) + 1
+    for size, layer in enumerate(layers):
+        want: dict[int, list] = {}
+        for cols, mask in column_sums(mat, (size,)):
+            want.setdefault(mask, []).append(cols)
+        assert layer == {mask: (len(sets), sets[0]) for mask, sets in want.items()}
 
 
 def test_column_sums_budget_is_checked_before_enumerating():

@@ -86,8 +86,15 @@ def test_enumeration_over_budget_is_status_three(tmp_path, capsys):
     code = tmp_path / "wide.bcode"
     formats.save(code, general_bcc(4, 4, 100), "BCC", 4, 4)
     assert run_cli("verify", "--kind", "bdc", "--k", "50", "--r", "1", str(code)) == 3
-    assert run_cli("decode", "--code", str(code), "--outputs", "0,0,0,0,0,0",
-                   "--classes", "2", "--q", "uniform:0:50") == 3
+    # The decoder tables count supports per (size, mask), so about 10^30
+    # supports on 32 masks decode; the report's attacker posterior has one
+    # key per support, so --out exits 3 before writing anything.
+    decode = ("decode", "--code", str(code), "--outputs", "0,0,0,0,0,0",
+              "--classes", "2", "--q", "uniform:0:50")
+    assert run_cli(*decode) == 0
+    report = tmp_path / "decode.json"
+    assert run_cli(*decode, "--out", str(report)) == 3
+    assert not report.exists()
     err = capsys.readouterr().err
     assert err.count("error:") == 2
     assert "Traceback" not in err

@@ -1,12 +1,15 @@
+import copy
 import dataclasses
+import functools
 import math
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from bcode import decoder
-from bcode.bitmatrix import BitMatrix, column_or_mask
+from bcode import bitmatrix, decoder
+from bcode.bitmatrix import BitMatrix, column_or_mask, select_columns
 from bcode.construct import general_bcc, minimal_bcc, partition_code
 from bcode.decoder import (
     DecoderConfig,
@@ -189,12 +192,25 @@ def test_config_owns_a_frozen_copy_of_its_inputs():
         cfg.confusions[0, 0, 0] = 1.0
 
 
-def test_config_enumeration_budget():
+def test_config_enumeration_budget(monkeypatch):
+    # The tables count supports per (size, mask), so the 4.1M supports of
+    # this column-duplicated code cost 4,325 updates and build.
     code = general_bcc(4, 4, 100)
-    with pytest.raises(ResourceLimitError):
-        DecoderConfig(
-            code, identity_confusions(code.m, 2), 0.5, 0.9, uniform_count_prior(0, 4), 2
-        )
+    cfg = DecoderConfig(
+        code, identity_confusions(code.m, 2), 0.5, 0.9, uniform_count_prior(0, 4), 2
+    )
+    assert len(cfg._mask_matrix) == 31 and len(cfg._groups) == 75
+    # All sums of the identity differ: one update per support of size 1..3,
+    # 6 + 15 + 20 = 41 of them.
+    identity = BitMatrix.identity(6)
+    make = functools.partial(
+        DecoderConfig, identity, identity_confusions(6, 2), 0.5, 0.9, uniform_count_prior(0, 3), 2
+    )
+    monkeypatch.setattr(bitmatrix, "MAX_COLUMN_SETS", 41)
+    make()
+    monkeypatch.setattr(bitmatrix, "MAX_COLUMN_SETS", 40)
+    with pytest.raises(ResourceLimitError, match="budget of 40 updates"):
+        make()
 
 
 # --- joint weight ----------------------------------------------------------------
@@ -439,6 +455,72 @@ def test_posteriors_match_naive_oracle_on_random_configs():
             grouped += shares_groups(cfg, mine)
         checked += 1
     assert checked >= 45 and grouped >= 15
+
+
+@st.composite
+def table_configs(draw):
+    """A config on a random code, on ``general_bcc`` or on a random code with
+    repeated columns, whose count prior may skip counts, put zero mass on
+    some and include count 0 or not; plus a block of outputs, one row drawn
+    from a planted attack."""
+    source = draw(st.sampled_from(["random", "general_bcc", "repeated"]))
+    if source == "general_bcc":
+        k, r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        code = general_bcc(k, r, draw(st.integers(k + r, 9)))
+    else:
+        m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+        code = BitMatrix.from_rows(
+            [[draw(st.integers(0, 1)) for _ in range(n)] for _ in range(m)]
+        )
+        if source == "repeated":
+            columns = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=9))
+            code = select_columns(code, columns)
+    counts = draw(st.sets(st.integers(0, min(code.n, 4)), min_size=1))
+    masses = {count: draw(st.sampled_from([0, 0, 1, 2, 5])) for count in sorted(counts)}
+    assume(any(masses.values()))
+    prior = {count: mass / sum(masses.values()) for count, mass in masses.items()}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = int(rng.integers(2, 4))
+    conf = 0.5 * rng.dirichlet(np.ones(c), size=(code.m, c)) + 0.5 * np.eye(c)
+    cfg = DecoderConfig(code, conf, float(rng.uniform(0.3, 0.95)), 0.9, prior, c)
+    support = rng.choice(code.n, size=int(rng.integers(1, min(code.n, 3) + 1)), replace=False)
+    planted = [1 if any(code.bit(i, int(j)) for j in support) else 0 for i in range(code.m)]
+    outputs = np.vstack([planted, rng.integers(0, c, size=(4, code.m))])
+    return cfg, outputs
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_configs())
+def test_config_tables_match_the_support_enumeration(case):
+    cfg, outputs = case
+    masks, mask_logw, groups, first, group_logw, mask_idx = oracles.naive_decoder_tables(
+        as_bits(cfg.code), cfg.count_prior
+    )
+    assert [int(row @ (1 << np.arange(cfg.code.m))) for row in cfg._mask_matrix] == masks
+    assert list(cfg._groups.items()) == list(groups.items())
+    assert cfg._group_first == tuple(first)
+    assert cfg._group_mask_idx.tolist() == mask_idx
+    assert cfg._group_logw.tolist() == group_logw
+    # The mask weights are summed in another order: equal to 1e-13
+    # relative, so their logs to 1e-13 absolute.
+    assert cfg._mask_logw.tolist() == pytest.approx(mask_logw, rel=1e-13, abs=1e-13)
+    enumerated = copy.copy(cfg)
+    tables = {
+        "_mask_matrix": np.array(
+            [[(mask >> i) & 1 for i in range(cfg.code.m)] for mask in masks], dtype=float
+        ),
+        "_mask_logw": np.array(mask_logw),
+        "_groups": groups,
+        "_group_first": tuple(first),
+        "_group_logw": np.array(group_logw),
+        "_group_mask_idx": np.array(mask_idx, dtype=int),
+    }
+    for name, value in tables.items():
+        object.__setattr__(enumerated, name, value)
+    got, want = decode_block(outputs, cfg), decode_block(outputs, enumerated)
+    assert got.decoded_label.tolist() == want.decoded_label.tolist()
+    assert got.decoded_attackers == want.decoded_attackers
+    assert got.degenerate.tolist() == want.degenerate.tolist()
 
 
 def test_decoded_attackers_are_the_first_most_probable_hypothesis():
