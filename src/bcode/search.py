@@ -19,16 +19,23 @@ skips only candidates the verifier would reject, so results match the plain
 enumeration exactly.
 
 The walk works on ints.  It keeps the column masks of the current row stack
-as it pushes and pops rows, and decides each complete candidate with the
-verifier core ``properties._violation`` on the row and column ints; a
-``BitMatrix`` is built only for a passing candidate.  Dedup is by orbit:
-the first passing member of an orbit gets one ``canonical_form`` call, and
-the whole orbit (one row-sorted matrix per column permutation) goes into a
-set.  Properties and prunes are invariant under column permutation, so every
-orbit member passes, and a later member is recognised in the set without
-being verified again.  The walk counts its nodes (every subset prefix it
-visits, complete candidates included; pruned branches are never visited)
-and raises ``ResourceLimitError`` (CLI exit 3) once the count exceeds
+as it pushes and pops rows, and loops over the last row without recursing.
+Most complete candidates are decided there in O(1) and rejected: for the
+detection/correction/tracking kinds, when the kill accumulator (the size-k
+column sets some row kills) or the column accumulator (the columns some row
+covers) falls short with the last row, since some size-k sum then covers
+every model or some column is all zero; for separability and tracking, when
+two columns are equal, since they are two equal sums of size 1.  Only the
+rest reach the verifier core ``properties._violation`` on the row and
+column ints, and a ``BitMatrix`` is built only for a passing candidate.
+Dedup is by orbit: the first passing member of an orbit gets one
+``canonical_form`` call, and the whole orbit (one row-sorted matrix per
+column permutation) goes into a set.  Properties and prunes are invariant
+under column permutation, so every orbit member passes, and a later member
+is recognised in the set without being verified again.  The walk counts its
+nodes (every subset prefix it visits, complete candidates included, the
+last row's all at once; pruned branches are never visited) and raises
+``ResourceLimitError`` (CLI exit 3) once the count exceeds
 ``SEARCH_MAX_NODES``.
 """
 
@@ -116,8 +123,8 @@ class SearchResult:
     ``min_rows`` is None when no code exists within the row budget.
     ``codes`` holds one canonical representative per equivalence class at
     the minimum height, sorted by canonical form.  ``explored`` counts the
-    complete candidate matrices the walk reached, whether the verifier or
-    the set of seen orbits decided them.
+    complete candidate matrices the walk reached, whether the accumulators,
+    the verifier or the set of seen orbits decided them.
     """
 
     min_rows: int | None
@@ -190,6 +197,8 @@ def exhaustive_min(
 
     budget = SEARCH_MAX_NODES
     ones = [[j for j in range(n) if v >> j & 1] for v in candidates]
+    # A repeated column is two equal sums of size 1.
+    distinct_kinds = kind in (CodeKind.SEPARABLE, CodeKind.BTC)
     rows: list[int] = []
     cols = [0] * n
     # Rows are pushed in ascending order, so a candidate's rows form the
@@ -198,38 +207,59 @@ def exhaustive_min(
     codes: list[BitMatrix] = []
     nodes = explored = 0
 
+    def over_budget() -> ResourceLimitError:
+        return ResourceLimitError(
+            f"searching {kind.value}(k={k}, r={r}, n={n}) up to m={max_m} "
+            f"visits more than the budget of {budget} walk nodes"
+        )
+
     def walk(m: int, start: int, kill_acc: int, col_acc: int) -> None:
         nonlocal nodes, explored
         nodes += 1
         if nodes > budget:
-            raise ResourceLimitError(
-                f"searching {kind.value}(k={k}, r={r}, n={n}) up to m={max_m} "
-                f"visits more than the budget of {budget} walk nodes"
-            )
-        depth = len(rows)
-        left = m - depth
-        if left == 0:
-            explored += 1
-            key = tuple(rows)
-            if key not in seen and _violation(kind, k, r, key, cols) is None:
-                cand = BitMatrix(m, n, key)
-                codes.append(canonical_form(cand))
-                seen.update(_column_images(cand))
-            return
+            raise over_budget()
         if kill_acc | suffix_kill[start] != full_kill:
             return
         if col_acc | suffix_cols[start] != full_cols:
             return
+        depth = len(rows)
+        left = m - depth
         missing = (full_kill & ~kill_acc).bit_count()
         if missing > left * max_kill:
             return
         bit = 1 << depth
-        for i in range(start, count - left + 1):
+        if left > 1:
+            for i in range(start, count - left + 1):
+                row = candidates[i]
+                rows.append(row)
+                for j in ones[i]:
+                    cols[j] |= bit
+                walk(m, i + 1, kill_acc | kill[i], col_acc | row)
+                for j in ones[i]:
+                    cols[j] ^= bit
+                rows.pop()
+            return
+        # One row left: every index from ``start`` on completes a candidate,
+        # and each counts as one node, so they are counted all at once.
+        nodes += count - start
+        if nodes > budget:
+            raise over_budget()
+        explored += count - start
+        for i in range(start, count):
             row = candidates[i]
+            if covering_kinds and (
+                kill_acc | kill[i] != full_kill or col_acc | row != full_cols
+            ):
+                continue
             rows.append(row)
             for j in ones[i]:
                 cols[j] |= bit
-            walk(m, i + 1, kill_acc | kill[i], col_acc | row)
+            if not distinct_kinds or len(set(cols)) == n:
+                key = tuple(rows)
+                if key not in seen and _violation(kind, k, r, key, cols) is None:
+                    cand = BitMatrix(m, n, key)
+                    codes.append(canonical_form(cand))
+                    seen.update(_column_images(cand))
             for j in ones[i]:
                 cols[j] ^= bit
             rows.pop()

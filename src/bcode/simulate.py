@@ -359,10 +359,16 @@ def sweep(
 
     Run seeds derive deterministically from ``seed``; tasks are independent
     and may execute in a process pool of up to ``workers`` processes, at most
-    one per task, without changing any reported number.
+    one per task, without changing any reported number.  An empty count
+    list, fewer than one run or fewer than one worker is refused before any
+    task runs.
     """
     if runs < 1:
         raise ValueError("need at least one run")
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
+    if len(attacker_counts) == 0:
+        raise ValueError("need at least one attacker count")
     counts = [_checked_count(cfg, c) for c in attacker_counts]
     rng = np.random.default_rng(seed)
     run_seeds = rng.integers(0, 2**63, size=(len(counts), runs))

@@ -348,6 +348,22 @@ def test_construct_refused_verification_writes_nothing(tmp_path, monkeypatch, ca
     assert not out.exists() and not report.exists()
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--attackers", ",", "need at least one attacker count"),
+    ("--threads", "0", "need at least one worker, got 0"),
+    ("--threads", "-1", "need at least one worker, got -1"),
+])
+def test_simulate_refuses_an_empty_sweep(tmp_path, capsys, flag, value, message):
+    code = tmp_path / "c.bcode"
+    formats.save(code, minimal_bcc(2, 2))
+    out = tmp_path / "e"
+    argv = {"--trials": "2", "--runs": "1", "--attackers": "0", "--threads": "1", flag: value}
+    assert run_cli("simulate", "--code", str(code), "--out", str(out),
+                   *(part for item in argv.items() for part in item)) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "e.json").exists() and not (tmp_path / "e.csv").exists()
+
+
 def test_simulate_threads_default_to_the_usable_cpus(monkeypatch):
     argv = ["simulate", "--code", "c.bcode"]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)

@@ -190,7 +190,8 @@ def test_unique_constant_weight_rows_respect_the_lower_bound(n, data):
 
 # (kind, k, r, n, max_m, min_rows, codes as row ints, explored) for every
 # search above, acceptance 03, the benchmark's and the README's searches,
-# recorded before the walk moved onto ints and dedup onto orbits.
+# recorded before the walk moved onto ints and dedup onto orbits; the BTC
+# cases were recorded before the walk decided leaves from its accumulators.
 PINNED = [
     ("BDC", 2, 2, 4, 8, 6, ((12, 10, 6, 9, 5, 3),), 5),
     ("BCC", 2, 1, 3, 6, 4, ((4, 2, 1, 7),), 12),
@@ -228,6 +229,20 @@ PINNED = [
     ("BCC", 4, 1, 5, 12, 6, ((16, 8, 4, 2, 1, 31),), 263),
     ("SEPARABLE", 1, 1, 7, 6, 3, ((112, 76, 42), (112, 76, 106), (112, 108, 90),
                                   (120, 102, 85)), 333375),
+    ("BTC", 1, 1, 3, 8, 3, ((4, 2, 1), (4, 2, 7), (6, 5, 3)), 44),
+    ("BTC", 1, 1, 4, 8, 4, ((8, 4, 2, 1), (8, 4, 2, 9), (8, 4, 2, 13), (8, 4, 2, 15),
+                            (8, 4, 10, 3), (8, 4, 10, 13), (8, 4, 10, 15), (8, 4, 14, 3),
+                            (8, 4, 14, 11), (8, 4, 14, 13), (8, 4, 14, 15), (8, 6, 5, 3),
+                            (8, 6, 5, 15), (8, 6, 13, 11), (8, 6, 13, 15), (8, 6, 14, 5),
+                            (8, 6, 14, 13), (8, 12, 6, 5), (8, 12, 6, 11), (8, 12, 6, 15),
+                            (8, 14, 13, 7), (12, 10, 5, 15), (12, 10, 6, 9), (12, 10, 6, 13),
+                            (12, 10, 6, 15), (12, 10, 7, 15), (12, 10, 9, 7), (12, 10, 13, 7),
+                            (12, 14, 11, 7), (14, 13, 11, 7)), 1680),
+    ("BTC", 2, 1, 4, 8, 5, ((8, 4, 2, 1, 15), (8, 4, 2, 14, 1)), 1209),
+    ("BTC", 1, 2, 4, 8, 4, ((12, 10, 5, 15), (12, 10, 6, 9), (12, 10, 6, 13), (12, 10, 6, 15),
+                            (12, 10, 7, 15), (12, 10, 9, 7), (12, 10, 13, 7), (12, 14, 11, 7),
+                            (14, 13, 11, 7)), 395),
+    ("BTC", 2, 1, 5, 8, 5, ((16, 8, 4, 2, 1),), 57961),
 ]
 
 
@@ -280,3 +295,36 @@ def test_search_walk_budget_boundary(monkeypatch):
     monkeypatch.setattr(search, "SEARCH_MAX_NODES", 4)
     with pytest.raises(ResourceLimitError):
         exhaustive_min(CodeKind.BDC, 2, 2, 4, 5)
+    # The last row's leaves are counted in one batch, and the boundary stays
+    # where a count per leaf puts it: the benchmark's walk search (7,549
+    # inner nodes, 47,887 leaves) and an unpruned separable walk (465 inner
+    # nodes, 4,495 leaves).
+    for kind, k, r, n, max_m, nodes in [(CodeKind.BCC, 2, 2, 6, 12, 55436),
+                                        (CodeKind.SEPARABLE, 1, 1, 5, 8, 4960)]:
+        monkeypatch.setattr(search, "SEARCH_MAX_NODES", 1_000_000)
+        want = exhaustive_min(kind, k, r, n, max_m)
+        monkeypatch.setattr(search, "SEARCH_MAX_NODES", nodes)
+        assert exhaustive_min(kind, k, r, n, max_m) == want
+        monkeypatch.setattr(search, "SEARCH_MAX_NODES", nodes - 1)
+        with pytest.raises(ResourceLimitError, match=f"budget of {nodes - 1} walk nodes"):
+            exhaustive_min(kind, k, r, n, max_m)
+
+
+@pytest.mark.parametrize("kind,k,r,n,max_m,calls", [
+    (CodeKind.BCC, 2, 2, 6, 12, 1101),
+    (CodeKind.SEPARABLE, 1, 1, 5, 8, 16),
+])
+def test_walk_accumulators_decide_most_leaves(monkeypatch, kind, k, r, n, max_m, calls):
+    # Of 47,887 and 4,495 complete candidates, only these reach the verifier
+    # core; the rest are rejected by the walk's kill and column accumulators
+    # or by a repeated column, or are members of an orbit already seen.
+    reached = []
+    core = search._violation
+
+    def counted(*args):
+        reached.append(args[3])
+        return core(*args)
+
+    monkeypatch.setattr(search, "_violation", counted)
+    exhaustive_min(kind, k, r, n, max_m)
+    assert len(reached) == calls
