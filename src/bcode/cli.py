@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -243,21 +244,29 @@ def _point_dict(p: simulate.SweepPoint) -> dict:
     }
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     code = formats.load(args.code).matrix
     _check_classes(code.m, args.classes)
     profile = _profile(args.alpha, code.n, args)
     confusions = simulate.synth_confusion(code, profile, args.a_max, args.kappa)
     cfg = _decoder_config(args, code, confusions)
-    print(f"seed: {args.seed}")
     points = simulate.sweep(
         cfg,
         args.attackers,
         trials=args.trials,
         runs=args.runs,
         seed=args.seed,
-        workers=args.threads,
+        workers=_usable_cpus() if args.threads is None else args.threads,
     )
+    print(f"seed: {args.seed}")
     header = (
         f"{'attackers':>9}  {'decode':>14}  {'majority':>14}  "
         f"{'TP':>12}  {'FP':>12}  {'degen':>5}"
@@ -380,17 +389,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, default=0.05,
                    help="data mass at which synthetic accuracy reaches half its ceiling")
     p.add_argument("--seed", type=int, default=0)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    p.add_argument("--threads", type=int, default=cpus,
+    p.add_argument("--threads", type=int,
                    help="worker processes for repeated runs (results are identical)")
     p.add_argument("--out", help="report path prefix; writes <out>.json and <out>.csv")
     p.set_defaults(func=cmd_simulate)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parsing leaves it unchanged, and nothing in
+    it depends on the host, so ``main`` builds it only once."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (formats.BcodeFormatError, ValueError, OverflowError, OSError) as exc:

@@ -21,7 +21,6 @@ serial ones bit for bit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -274,6 +273,7 @@ def run_trials(
 
     code = cfg.code
     n, m = code.n, code.m
+    masks = code.column_masks
     cdfs = _choice_cdfs(cfg.confusions)
     rows = cfg.block_rows
     label_arr = np.empty(trials, dtype=int)
@@ -294,7 +294,9 @@ def run_trials(
             target = int(rng.integers(c - 1))
             if target >= label:
                 target += 1
-            mask = column_or_mask(code, support) if support else 0
+            mask = 0
+            for j in support:
+                mask |= masks[j]
             y[b] = _sample(mask, target, label, cdfs, cfg.success_rate, rng)
             label_arr[t] = label
             supports.append(set(support))
@@ -378,8 +380,12 @@ def sweep(
         for run in range(runs)
     ]
     if workers > 1 and len(tasks) > 1:
-        # The pool forks all its workers at the first submit, so start no
-        # more of them than there are tasks.
+        # Imported here, or every `import bcode` would load the pool stack
+        # (multiprocessing, subprocess, socket, logging).  The pool forks all
+        # its workers at the first submit, so start no more than there are
+        # tasks.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             reports = list(pool.map(_sweep_task, tasks))
     else:

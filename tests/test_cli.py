@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -360,19 +362,89 @@ def test_simulate_refuses_an_empty_sweep(tmp_path, capsys, flag, value, message)
     argv = {"--trials": "2", "--runs": "1", "--attackers": "0", "--threads": "1", flag: value}
     assert run_cli("simulate", "--code", str(code), "--out", str(out),
                    *(part for item in argv.items() for part in item)) == 2
-    assert message in capsys.readouterr().err
+    printed = capsys.readouterr()
+    assert message in printed.err
+    assert printed.out == ""
     assert not (tmp_path / "e.json").exists() and not (tmp_path / "e.csv").exists()
 
 
-def test_simulate_threads_default_to_the_usable_cpus(monkeypatch):
-    argv = ["simulate", "--code", "c.bcode"]
+def test_simulate_threads_default_to_the_usable_cpus(tmp_path, monkeypatch):
+    # Read when the command runs, so one parser serves every host setting.
+    code = tmp_path / "c.bcode"
+    formats.save(code, minimal_bcc(2, 2))
+    workers = []
+    monkeypatch.setattr(cli.simulate, "sweep", lambda *a, **kw: workers.append(kw["workers"]) or [])
+
+    def run():
+        assert run_cli("simulate", "--code", str(code)) == 0
+        return workers[-1]
+
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    assert build_parser().parse_args(argv).threads == 3
+    assert run() == 3
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 7)
-    assert build_parser().parse_args(argv).threads == 7
+    assert run() == 7
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert build_parser().parse_args(argv).threads == 1
+    assert run() == 1
+    assert run_cli("simulate", "--code", str(code), "--threads", "2") == 0
+    assert workers == [3, 7, 1, 2]
+
+
+def test_importing_the_package_loads_no_process_pool():
+    probe = ("import sys, bcode, bcode.cli; "
+             "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout == "[]\n"
+
+
+def test_main_builds_one_parser_per_process(monkeypatch):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    assert run_cli("construct", "--kind", "minimal-bcc", "--k", "1", "--r", "1") == 0
+    assert run_cli("search", "--kind", "bdc", "--k", "1", "--r", "1", "--n", "3",
+                   "--max-m", "3") == 0
+    assert len(built) == 1
+
+
+def test_repeated_commands_in_one_process_print_alike(tmp_path):
+    code = str(tmp_path / "c.bcode")
+    sequence = [
+        ["construct", "--kind", "bcc", "--k", "1", "--r", "2", "--n", "4", "-o", code],
+        ["verify", "--kind", "bcc", "--k", "1", "--r", "2", code],
+        ["verify", "--kind", "bcc", "--k", "1", "--bogus", code],
+        ["search", "--kind", "nope", "--k", "1", "--r", "1", "--n", "3", "--max-m", "3"],
+        [],
+        ["verify", "--help"],
+        ["decode", "--code", code, "--outputs", "0,1,0", "--classes", "2"],
+        ["simulate", "--code", code, "--classes", "2", "--trials", "3", "--runs", "1",
+         "--attackers", "0,1", "--q", "uniform:0:1", "--threads", "1"],
+        ["search", "--kind", "bdc", "--k", "1", "--r", "1", "--n", "3", "--max-m", "3"],
+    ]
+
+    def run_all():
+        seen = []
+        for argv in sequence:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    status = main(argv)
+                except SystemExit as exc:
+                    status = exc.code
+            seen.append((status, out.getvalue(), err.getvalue()))
+        return seen
+
+    first = run_all()
+    assert [status for status, _, _ in first] == [0, 0, 2, 2, 2, 0, 0, 0, 0]
+    assert first[5][1].startswith("usage: bcode verify")
+    assert run_all() == first
 
 
 def test_comma_lists_are_rejected_alike(tmp_path, capsys):

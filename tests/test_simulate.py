@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -485,7 +486,7 @@ def test_sweep_starts_at_most_one_worker_per_task(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     cfg = perfect_cfg(general_bcc(2, 2, 4), 2)
     serial = sweep(cfg, [0, 1], trials=5, runs=2, seed=3)
     assert sweep(cfg, [0, 1], trials=5, runs=2, seed=3, workers=64) == serial
