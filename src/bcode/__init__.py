@@ -57,7 +57,7 @@ from .properties import (
     is_separable,
     verify,
 )
-from .search import SearchResult, canonical_form, equivalent, exhaustive_min
+from .search import SearchResult, canonical_form, exhaustive_min
 from .simulate import (
     Scenario,
     SweepPoint,

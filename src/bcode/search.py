@@ -11,12 +11,17 @@ first height at which the requested verifier passes, with one canonical
 representative per equivalence class.  Restricting to distinct rows of
 weight >= r loses no minimal codes: duplicate rows and rows violating the
 weight bound can always be removed from a valid code without breaking any
-Boolean-sum condition.  For the detection/correction/tracking kinds the
+Boolean-sum condition.  Column symmetry is broken at the first row: a
+column permutation turns any code whose least row weight is w into one
+whose least row is 2^w - 1, so the walk takes only 2^w - 1 (w = r..n) as
+first row, and only rows of weight >= w after it.  Every orbit keeps a
+member the walk reaches.  For the detection/correction/tracking kinds the
 subset walk prunes branches that provably cannot cover every size-k column
 set or that leave a column all-zero (necessary conditions for those kinds,
 but not for plain separability, which is searched without them); pruning
-skips only candidates the verifier would reject, so results match the plain
-enumeration exactly.
+skips only candidates the verifier would reject.  Properties and prunes are
+invariant under column permutation, so results match the plain enumeration
+exactly.
 
 The walk works on ints.  It keeps the column masks of the current row stack
 as it pushes and pops rows, and loops over the last row without recursing.
@@ -30,13 +35,13 @@ rest reach the verifier core ``properties._violation`` on the row and
 column ints, and a ``BitMatrix`` is built only for a passing candidate.
 Dedup is by orbit: the first passing member of an orbit gets one
 ``canonical_form`` call, and the whole orbit (one row-sorted matrix per
-column permutation) goes into a set.  Properties and prunes are invariant
-under column permutation, so every orbit member passes, and a later member
-is recognised in the set without being verified again.  The walk counts its
-nodes (every subset prefix it visits, complete candidates included, the
-last row's all at once; pruned branches are never visited) and raises
-``ResourceLimitError`` (CLI exit 3) once the count exceeds
-``SEARCH_MAX_NODES``.
+column permutation) goes into a set.  Every orbit member passes, and a later
+member is recognised in the set without being verified again.  The walk
+counts its nodes (a root per height and first row, then every subset prefix
+it visits, complete candidates included, the last row's all at once; pruned
+branches, and first rows whose pool can satisfy the prunes at no height, are
+never visited) and raises ``ResourceLimitError`` (CLI exit 3) once the count
+exceeds ``SEARCH_MAX_NODES``.
 """
 
 from __future__ import annotations
@@ -58,8 +63,7 @@ CANONICAL_MAX_COLUMNS = 10
 SEARCH_MAX_COLUMNS = 8
 SEARCH_MAX_ROWS = 12
 # Most subset-walk nodes one ``exhaustive_min`` call may visit.  The
-# benchmark's walk-heavy search visits 55,436, the 7-column separable search
-# in the tests 341,376.
+# benchmark's walk-heavy search visits 11,174, BCC(k=2, r=2, n=7) 142,045.
 SEARCH_MAX_NODES = 1_000_000
 
 
@@ -110,12 +114,6 @@ def canonical_form(mat: BitMatrix) -> BitMatrix:
     return BitMatrix(mat.m, mat.n, tuple(_reversed_bits(row, mat.n) for row in best))
 
 
-def equivalent(a: BitMatrix, b: BitMatrix) -> bool:
-    if (a.m, a.n) != (b.m, b.n):
-        return False
-    return canonical_form(a) == canonical_form(b)
-
-
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of an exhaustive minimum-row search.
@@ -141,9 +139,10 @@ def exhaustive_min(
 ) -> SearchResult:
     """Smallest row count admitting a ``kind`` code, by exhaustive search.
 
-    Candidate rows are the distinct n-bit words with at least r ones,
-    ordered as integers ascending; subsets are visited in combinatorial
-    order, so the first witness found is deterministic.
+    The first row is 2^w - 1 for w = r..n in turn, and the later rows are
+    the distinct n-bit words above it with at least w ones, ordered as
+    integers ascending; subsets are visited in combinatorial order, so the
+    first witness found is deterministic.
     """
     if n > SEARCH_MAX_COLUMNS:
         raise ValueError(f"search supports n <= {SEARCH_MAX_COLUMNS}, got {n}")
@@ -157,7 +156,6 @@ def exhaustive_min(
         # n < k + r: no detection-family code can exist at any height.
         return SearchResult(None, (), 0)
 
-    candidates = [v for v in range(1, 1 << n) if v.bit_count() >= r]
     full_cols = (1 << n) - 1
 
     # Kind-sound prunes only.  For the detection family (and tracking, which
@@ -165,28 +163,44 @@ def exhaustive_min(
     # whose zero set contains it, otherwise that set's Boolean sum covers
     # every model; and no column may end up all-zero.  Neither holds for
     # plain separability (an always-covered column is fine there), so those
-    # walks prune nothing.  kill[i] is a bitmask over the size-k sets row i
+    # walks prune nothing.  kill[v] is a bitmask over the size-k sets row v
     # kills.
     covering_kinds = kind is not CodeKind.SEPARABLE
     set_masks = (
         [sm for _, sm in column_sums(BitMatrix.identity(n), (k,))] if covering_kinds else []
     )
     full_kill = (1 << len(set_masks)) - 1
-    kill = []
-    for v in candidates:
-        km = 0
-        for idx, sm in enumerate(set_masks):
-            if v & sm == 0:
-                km |= 1 << idx
-        kill.append(km)
-    max_kill = max((km.bit_count() for km in kill), default=0)
+    kill = [0] * (1 << n)
+    for idx, sm in enumerate(set_masks):
+        # The rows that kill a set are the subsets of its complement.
+        rest = sub = full_cols ^ sm
+        while True:
+            kill[sub] |= 1 << idx
+            if not sub:
+                break
+            sub = (sub - 1) & rest
 
-    count = len(candidates)
-    suffix_kill = [0] * (count + 1)
-    suffix_cols = [0] * (count + 1)
-    for i in range(count - 1, -1, -1):
-        suffix_kill[i] = suffix_kill[i + 1] | kill[i]
-        suffix_cols[i] = suffix_cols[i + 1] | (candidates[i] if covering_kinds else full_cols)
+    # The first-row symmetry break (module docstring) as one pool of rows
+    # per least row weight w: 2^w - 1 at index 0, the only first row the
+    # walk's root tries, then the rows above it of weight >= w.  Each pool
+    # keeps its own kill, suffix and column-index arrays, so the walk needs
+    # no weight test.
+    pools = []
+    for w in range(r, n + 1):
+        first = (1 << w) - 1
+        values = [first] + [v for v in range(first + 1, 1 << n) if v.bit_count() >= w]
+        kills = [kill[v] for v in values]
+        count = len(values)
+        suffix_kill = [0] * (count + 1)
+        suffix_cols = [0] * (count + 1)
+        for i in range(count - 1, -1, -1):
+            suffix_kill[i] = suffix_kill[i + 1] | kills[i]
+            suffix_cols[i] = suffix_cols[i + 1] | (values[i] if covering_kinds else full_cols)
+        if suffix_kill[0] != full_kill or suffix_cols[0] != full_cols:
+            continue  # the root would prune this pool at every height
+        max_kill = max(km.bit_count() for km in kills)
+        ones = [[j for j in range(n) if v >> j & 1] for v in values]
+        pools.append((values, kills, suffix_kill, suffix_cols, max_kill, ones))
 
     # Separability needs sum_{j<=k} C(n, j) distinct sum vectors, which do
     # not fit below ceil(log2) rows; sound for tracking codes as well.
@@ -196,7 +210,6 @@ def exhaustive_min(
         min_m = max(1, (num_sums - 1).bit_length())
 
     budget = SEARCH_MAX_NODES
-    ones = [[j for j in range(n) if v >> j & 1] for v in candidates]
     # A repeated column is two equal sums of size 1.
     distinct_kinds = kind in (CodeKind.SEPARABLE, CodeKind.BTC)
     rows: list[int] = []
@@ -213,8 +226,11 @@ def exhaustive_min(
             f"visits more than the budget of {budget} walk nodes"
         )
 
-    def walk(m: int, start: int, kill_acc: int, col_acc: int) -> None:
+    def walk(pool: tuple, m: int, start: int, stop: int, kill_acc: int, col_acc: int) -> None:
+        # The row at depth len(rows) is a pool index in [start, stop), where
+        # stop leaves room for the rows after it.
         nonlocal nodes, explored
+        values, kills, suffix_kill, suffix_cols, max_kill, ones = pool
         nodes += 1
         if nodes > budget:
             raise over_budget()
@@ -229,26 +245,27 @@ def exhaustive_min(
             return
         bit = 1 << depth
         if left > 1:
-            for i in range(start, count - left + 1):
-                row = candidates[i]
+            next_stop = len(values) - left + 2
+            for i in range(start, stop):
+                row = values[i]
                 rows.append(row)
                 for j in ones[i]:
                     cols[j] |= bit
-                walk(m, i + 1, kill_acc | kill[i], col_acc | row)
+                walk(pool, m, i + 1, next_stop, kill_acc | kills[i], col_acc | row)
                 for j in ones[i]:
                     cols[j] ^= bit
                 rows.pop()
             return
-        # One row left: every index from ``start`` on completes a candidate,
+        # One row left: every index in [start, stop) completes a candidate,
         # and each counts as one node, so they are counted all at once.
-        nodes += count - start
+        nodes += stop - start
         if nodes > budget:
             raise over_budget()
-        explored += count - start
-        for i in range(start, count):
-            row = candidates[i]
+        explored += stop - start
+        for i in range(start, stop):
+            row = values[i]
             if covering_kinds and (
-                kill_acc | kill[i] != full_kill or col_acc | row != full_cols
+                kill_acc | kills[i] != full_kill or col_acc | row != full_cols
             ):
                 continue
             rows.append(row)
@@ -265,7 +282,9 @@ def exhaustive_min(
             rows.pop()
 
     for m in range(min_m, max_m + 1):
-        walk(m, 0, 0, 0)
+        for pool in pools:
+            # The root takes only index 0, the pool's 2^w - 1.
+            walk(pool, m, 0, min(1, len(pool[0]) - m + 1), 0, 0)
         if codes:
             return SearchResult(m, tuple(sorted(codes, key=lambda c: c.rows)), explored)
     return SearchResult(None, (), explored)

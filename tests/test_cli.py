@@ -123,6 +123,12 @@ def test_search_over_the_walk_budget_is_status_three(capsys):
     assert "budget of 1000000 walk nodes" in captured.err
 
 
+def test_search_bcc_on_seven_columns_fits_the_walk_budget(capsys):
+    assert run_cli("search", "--kind", "bcc", "--k", "2", "--r", "2", "--n", "7",
+                   "--max-m", "12") == 0
+    assert capsys.readouterr().out.startswith("minRows=4, classes=2, explored=135131\n")
+
+
 def test_decode_worked_example(tmp_path, capsys):
     code = tmp_path / "three.bcode"
     formats.save(code, BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]]), "BCC", 1, 1)

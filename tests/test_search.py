@@ -1,16 +1,16 @@
 import math
 import random
-from itertools import accumulate
+from itertools import accumulate, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bcode import search
 from bcode.bitmatrix import BitMatrix
-from bcode.construct import minimal_bcc, minimal_bdc
+from bcode.construct import general_bcc, minimal_bcc, minimal_bdc
 from bcode.errors import ResourceLimitError
 from bcode.properties import CodeKind, CodeParams, find_violation, is_bdc
-from bcode.search import SearchResult, canonical_form, equivalent, exhaustive_min
+from bcode.search import SearchResult, canonical_form, exhaustive_min
 
 import oracles
 
@@ -37,21 +37,20 @@ def test_row_swap_does_not_change_canonical_form():
     a = BitMatrix.identity(2)
     b = BitMatrix.from_rows([[0, 1], [1, 0]])
     assert canonical_form(a) == canonical_form(b)
-    assert equivalent(a, b)
 
 
 def test_shuffles_of_the_minimal_code_are_equivalent():
     mat = minimal_bdc(2, 2)
     rnd = random.Random(7)
     for _ in range(5):
-        assert equivalent(mat, permuted(mat, rnd))
+        assert canonical_form(mat) == canonical_form(permuted(mat, rnd))
 
 
 def test_different_codes_have_different_canonical_forms():
     assert canonical_form(BitMatrix.identity(2)) != canonical_form(
         BitMatrix.from_rows([[1, 1], [1, 1]])
     )
-    assert not equivalent(BitMatrix.identity(2), BitMatrix.identity(3))
+    assert canonical_form(BitMatrix.identity(2)) != canonical_form(BitMatrix.identity(3))
 
 
 @given(bit_matrices(), st.randoms(use_true_random=False))
@@ -74,21 +73,21 @@ def test_search_finds_unique_minimal_detection_code():
     result = exhaustive_min(CodeKind.BDC, 2, 2, 4, 8)
     assert result.min_rows == 6
     assert len(result.codes) == 1
-    assert equivalent(result.codes[0], minimal_bdc(2, 2))
+    assert result.codes[0] == canonical_form(minimal_bdc(2, 2))
     assert result.explored >= 1
 
 
 def test_search_finds_minimal_correction_code_for_weight_one():
     result = exhaustive_min(CodeKind.BCC, 2, 1, 3, 6)
     assert result.min_rows == 4
-    assert any(equivalent(code, minimal_bcc(2, 1)) for code in result.codes)
+    assert canonical_form(minimal_bcc(2, 1)) in result.codes
 
 
 def test_search_tiny_case_returns_identity():
     result = exhaustive_min(CodeKind.BDC, 1, 1, 2, 4)
     assert result.min_rows == 2
     assert len(result.codes) == 1
-    assert equivalent(result.codes[0], BitMatrix.identity(2))
+    assert result.codes[0] == canonical_form(BitMatrix.identity(2))
 
 
 def test_search_budget_too_small_reports_not_found():
@@ -189,24 +188,26 @@ def test_unique_constant_weight_rows_respect_the_lower_bound(n, data):
 # --- pinned results --------------------------------------------------------------
 
 # (kind, k, r, n, max_m, min_rows, codes as row ints, explored) for every
-# search above, acceptance 03, the benchmark's and the README's searches,
-# recorded before the walk moved onto ints and dedup onto orbits; the BTC
-# cases were recorded before the walk decided leaves from its accumulators.
+# search above, acceptance 03, the benchmark's and the README's searches.
+# min_rows and codes were recorded before the walk moved onto ints and dedup
+# onto orbits (the BTC cases before the walk decided leaves from its
+# accumulators), explored since the walk takes only 2^w - 1 as first row.
+# The last two searches passed the walk budget before that.
 PINNED = [
     ("BDC", 2, 2, 4, 8, 6, ((12, 10, 6, 9, 5, 3),), 5),
     ("BCC", 2, 1, 3, 6, 4, ((4, 2, 1, 7),), 12),
     ("BDC", 1, 1, 2, 4, 2, ((2, 1),), 2),
     ("BDC", 2, 2, 4, 5, None, (), 0),
     ("BDC", 2, 2, 3, 6, None, (), 0),
-    ("SEPARABLE", 1, 1, 3, 8, 2, ((4, 2), (4, 6), (6, 5)), 21),
+    ("SEPARABLE", 1, 1, 3, 8, 2, ((4, 2), (4, 6), (6, 5)), 9),
     ("BCC", 2, 1, 3, 8, 4, ((4, 2, 1, 7),), 12),
     ("BCC", 1, 2, 3, 8, 3, ((6, 5, 3),), 2),
-    ("SEPARABLE", 1, 1, 4, 8, 2, ((12, 10),), 105),
+    ("SEPARABLE", 1, 1, 4, 8, 2, ((12, 10),), 28),
     ("SEPARABLE", 1, 1, 5, 8, 3, ((16, 12, 10), (16, 12, 26), (16, 28, 26), (24, 6, 21),
                                   (24, 20, 10), (24, 20, 14), (24, 20, 18), (24, 20, 26),
                                   (24, 20, 30), (24, 22, 13), (24, 22, 21), (24, 22, 29),
-                                  (24, 28, 22), (28, 26, 21), (28, 26, 22), (28, 26, 23)), 4495),
-    ("BCC", 2, 2, 6, 12, 4, ((48, 12, 3, 63),), 47887),
+                                  (24, 28, 22), (28, 26, 21), (28, 26, 22), (28, 26, 23)), 850),
+    ("BCC", 2, 2, 6, 12, 4, ((48, 12, 3, 63),), 10062),
     ("BDC", 1, 1, 2, 12, 2, ((2, 1),), 2),
     ("BCC", 1, 1, 2, 12, 3, ((2, 1, 3),), 3),
     ("BDC", 1, 2, 3, 12, 3, ((6, 5, 3),), 2),
@@ -228,8 +229,8 @@ PINNED = [
     ("BDC", 4, 1, 5, 12, 5, ((16, 8, 4, 2, 1),), 23),
     ("BCC", 4, 1, 5, 12, 6, ((16, 8, 4, 2, 1, 31),), 263),
     ("SEPARABLE", 1, 1, 7, 6, 3, ((112, 76, 42), (112, 76, 106), (112, 108, 90),
-                                  (120, 102, 85)), 333375),
-    ("BTC", 1, 1, 3, 8, 3, ((4, 2, 1), (4, 2, 7), (6, 5, 3)), 44),
+                                  (120, 102, 85)), 22001),
+    ("BTC", 1, 1, 3, 8, 3, ((4, 2, 1), (4, 2, 7), (6, 5, 3)), 23),
     ("BTC", 1, 1, 4, 8, 4, ((8, 4, 2, 1), (8, 4, 2, 9), (8, 4, 2, 13), (8, 4, 2, 15),
                             (8, 4, 10, 3), (8, 4, 10, 13), (8, 4, 10, 15), (8, 4, 14, 3),
                             (8, 4, 14, 11), (8, 4, 14, 13), (8, 4, 14, 15), (8, 6, 5, 3),
@@ -237,12 +238,14 @@ PINNED = [
                             (8, 6, 14, 13), (8, 12, 6, 5), (8, 12, 6, 11), (8, 12, 6, 15),
                             (8, 14, 13, 7), (12, 10, 5, 15), (12, 10, 6, 9), (12, 10, 6, 13),
                             (12, 10, 6, 15), (12, 10, 7, 15), (12, 10, 9, 7), (12, 10, 13, 7),
-                            (12, 14, 11, 7), (14, 13, 11, 7)), 1680),
-    ("BTC", 2, 1, 4, 8, 5, ((8, 4, 2, 1, 15), (8, 4, 2, 14, 1)), 1209),
+                            (12, 14, 11, 7), (14, 13, 11, 7)), 641),
+    ("BTC", 2, 1, 4, 8, 5, ((8, 4, 2, 1, 15), (8, 4, 2, 14, 1)), 721),
     ("BTC", 1, 2, 4, 8, 4, ((12, 10, 5, 15), (12, 10, 6, 9), (12, 10, 6, 13), (12, 10, 6, 15),
                             (12, 10, 7, 15), (12, 10, 9, 7), (12, 10, 13, 7), (12, 14, 11, 7),
-                            (14, 13, 11, 7)), 395),
-    ("BTC", 2, 1, 5, 8, 5, ((16, 8, 4, 2, 1),), 57961),
+                            (14, 13, 11, 7)), 172),
+    ("BTC", 2, 1, 5, 8, 5, ((16, 8, 4, 2, 1),), 21112),
+    ("BCC", 2, 2, 7, 12, 4, ((96, 24, 6, 127), (96, 24, 7, 127)), 135131),
+    ("BDC", 2, 3, 8, 12, 4, ((224, 152, 120, 7), (224, 208, 56, 7)), 293526),
 ]
 
 
@@ -281,13 +284,14 @@ def test_search_matches_plain_enumeration(kind, k, r, n):
 # --- walk budget ---------------------------------------------------------------
 
 def test_search_walk_budget_boundary(monkeypatch):
-    # BDC(2,2,4) up to 8 rows visits 40 walk nodes: a pruned root at each of
-    # m = 1..5, then 35 at m = 6, 5 of them complete candidates.
+    # BDC(2,2,4) up to 8 rows visits 35 walk nodes: a pruned root at each of
+    # m = 1..5, then 30 at m = 6, 5 of them complete candidates.  Only the
+    # first row 3 has a root: no rows of weight >= 3 kill a pair of columns.
     want = exhaustive_min(CodeKind.BDC, 2, 2, 4, 8)
-    monkeypatch.setattr(search, "SEARCH_MAX_NODES", 40)
+    monkeypatch.setattr(search, "SEARCH_MAX_NODES", 35)
     assert exhaustive_min(CodeKind.BDC, 2, 2, 4, 8) == want
-    monkeypatch.setattr(search, "SEARCH_MAX_NODES", 39)
-    with pytest.raises(ResourceLimitError, match="budget of 39 walk nodes"):
+    monkeypatch.setattr(search, "SEARCH_MAX_NODES", 34)
+    with pytest.raises(ResourceLimitError, match="budget of 34 walk nodes"):
         exhaustive_min(CodeKind.BDC, 2, 2, 4, 8)
     # A search that finds nothing counts its pruned roots too.
     monkeypatch.setattr(search, "SEARCH_MAX_NODES", 5)
@@ -296,11 +300,11 @@ def test_search_walk_budget_boundary(monkeypatch):
     with pytest.raises(ResourceLimitError):
         exhaustive_min(CodeKind.BDC, 2, 2, 4, 5)
     # The last row's leaves are counted in one batch, and the boundary stays
-    # where a count per leaf puts it: the benchmark's walk search (7,549
-    # inner nodes, 47,887 leaves) and an unpruned separable walk (465 inner
-    # nodes, 4,495 leaves).
-    for kind, k, r, n, max_m, nodes in [(CodeKind.BCC, 2, 2, 6, 12, 55436),
-                                        (CodeKind.SEPARABLE, 1, 1, 5, 8, 4960)]:
+    # where a count per leaf puts it: the benchmark's walk search (1,112
+    # inner nodes, 10,062 leaves) and an unpruned separable walk (80 inner
+    # nodes, 850 leaves).
+    for kind, k, r, n, max_m, nodes in [(CodeKind.BCC, 2, 2, 6, 12, 11174),
+                                        (CodeKind.SEPARABLE, 1, 1, 5, 8, 930)]:
         monkeypatch.setattr(search, "SEARCH_MAX_NODES", 1_000_000)
         want = exhaustive_min(kind, k, r, n, max_m)
         monkeypatch.setattr(search, "SEARCH_MAX_NODES", nodes)
@@ -311,13 +315,15 @@ def test_search_walk_budget_boundary(monkeypatch):
 
 
 @pytest.mark.parametrize("kind,k,r,n,max_m,calls", [
-    (CodeKind.BCC, 2, 2, 6, 12, 1101),
+    (CodeKind.BCC, 2, 2, 6, 12, 227),
     (CodeKind.SEPARABLE, 1, 1, 5, 8, 16),
 ])
 def test_walk_accumulators_decide_most_leaves(monkeypatch, kind, k, r, n, max_m, calls):
-    # Of 47,887 and 4,495 complete candidates, only these reach the verifier
+    # Of 10,062 and 850 complete candidates, only these reach the verifier
     # core; the rest are rejected by the walk's kill and column accumulators
     # or by a repeated column, or are members of an orbit already seen.
+    # Each of them is the walk's corner of its orbit: its first row is
+    # 2^w - 1, and no row weighs less than w.
     reached = []
     core = search._violation
 
@@ -328,3 +334,30 @@ def test_walk_accumulators_decide_most_leaves(monkeypatch, kind, k, r, n, max_m,
     monkeypatch.setattr(search, "_violation", counted)
     exhaustive_min(kind, k, r, n, max_m)
     assert len(reached) == calls
+    for rows in reached:
+        w = rows[0].bit_count()
+        assert rows[0] == 2**w - 1
+        assert min(row.bit_count() for row in rows) == w
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))))
+@settings(max_examples=60)
+def test_a_column_permutation_makes_the_least_row_all_ones_at_the_bottom(case):
+    # The walk's first-row restriction: for distinct rows whose least weight
+    # is w, some column order makes 2^w - 1 the least row.
+    n, rows = case
+    w = min(row.bit_count() for row in rows)
+    assert any(
+        min(sum((row >> src & 1) << pos for pos, src in enumerate(perm)) for row in rows)
+        == 2**w - 1
+        for perm in permutations(range(n))
+    )
+
+
+def test_search_reaches_bcc_2_2_7_where_general_bcc_is_optimal():
+    result = exhaustive_min(CodeKind.BCC, 2, 2, 7, 12)
+    assert (result.min_rows, len(result.codes)) == (4, 2)
+    for code in result.codes:
+        assert oracles.naive_is_bcc([[row >> j & 1 for j in range(7)] for row in code.rows], 2, 2)
+    assert general_bcc(2, 2, 7).m == 4
