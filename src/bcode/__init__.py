@@ -13,9 +13,7 @@ tool.
 from .bitmatrix import (
     BitMatrix,
     ColumnSet,
-    column_or,
     column_or_mask,
-    hstack,
     min_row_weight,
     select_columns,
     vstack,
@@ -48,12 +46,8 @@ from .errors import ConstructionError, DegenerateEvidenceError, ResourceLimitErr
 from .formats import CodeFile, dumps, load, load_confusions, loads, save, save_confusions
 from .properties import (
     CodeKind,
-    CodeParams,
     Violation,
     find_violation,
-    is_bcc,
-    is_bdc,
-    is_btc,
     is_separable,
     verify,
 )

@@ -81,6 +81,9 @@ class BitMatrix:
         a = np.asarray(arr)
         if a.ndim != 2:
             raise ValueError("expected a 2-D array")
+        bad = a[(a != 0) & (a != 1)]
+        if bad.size:
+            raise ValueError(f"entry {bad[0].item()!r} is not 0 or 1")
         return cls.from_rows(a.astype(int).tolist())
 
     @classmethod
@@ -142,22 +145,6 @@ def vstack(*mats: BitMatrix) -> BitMatrix:
     return BitMatrix(len(rows), n, tuple(rows))
 
 
-def hstack(*mats: BitMatrix) -> BitMatrix:
-    """Concatenate matrices side by side; all must share the row count."""
-    if not mats:
-        raise ValueError("nothing to stack")
-    m = mats[0].m
-    if any(mat.m != m for mat in mats):
-        raise ValueError("row counts differ")
-    rows = [0] * m
-    shift = 0
-    for mat in mats:
-        for i, row in enumerate(mat.rows):
-            rows[i] |= row << shift
-        shift += mat.n
-    return BitMatrix(m, shift, tuple(rows))
-
-
 def select_columns(mat: BitMatrix, columns: Sequence[int]) -> BitMatrix:
     """New matrix made of the given columns of ``mat``, in the given order."""
     if not columns:
@@ -198,22 +185,19 @@ def column_or_mask(mat: BitMatrix, columns: Sequence[int]) -> int:
     return acc
 
 
-def column_sums(mat: BitMatrix, sizes: Iterable[int]) -> Iterator[tuple[ColumnSet, int]]:
-    """(column set, Boolean sum) for every column set whose size is in ``sizes``.
+def column_sums(
+    masks: Sequence[int], sizes: Iterable[int]
+) -> Iterator[tuple[ColumnSet, int]]:
+    """(column set, Boolean sum) for every column set whose size is in
+    ``sizes``, over the matrix whose columns are ``masks`` (bit i of
+    ``masks[j]`` is entry (i, j); a ``BitMatrix`` passes its
+    ``column_masks``).
 
     Sizes are visited in the order given and sets lexicographically within
-    a size; size 0 yields ``((), 0)`` and sizes above ``mat.n`` yield
+    a size; size 0 yields ``((), 0)`` and sizes above ``len(masks)`` yield
     nothing.  Raises ``ResourceLimitError`` before enumerating anything when
     the call would visit more than ``MAX_COLUMN_SETS`` sets.
     """
-    return mask_sums(mat.column_masks, sizes)
-
-
-def mask_sums(
-    masks: Sequence[int], sizes: Iterable[int]
-) -> Iterator[tuple[ColumnSet, int]]:
-    """``column_sums`` of the matrix whose columns are ``masks`` (bit i of
-    ``masks[j]`` is entry (i, j)), for callers that hold the columns as ints."""
     sizes = tuple(sizes)
     total = sum(math.comb(len(masks), size) for size in sizes)
     if total > MAX_COLUMN_SETS:
@@ -221,18 +205,19 @@ def mask_sums(
             f"enumerating {total} column sets of {len(masks)} columns exceeds the "
             f"budget of {MAX_COLUMN_SETS}"
         )
-    return _column_sums(masks, sizes)
 
+    # Only the inner function is a generator, so the budget check above runs
+    # at the call, not at the first ``next``.  It takes its inputs as
+    # arguments, read as fast locals rather than closure cells.
+    def sums(masks: Sequence[int], sizes: tuple[int, ...]) -> Iterator[tuple[ColumnSet, int]]:
+        for size in sizes:
+            for cols in combinations(range(len(masks)), size):
+                acc = 0
+                for j in cols:
+                    acc |= masks[j]
+                yield cols, acc
 
-def _column_sums(
-    masks: Sequence[int], sizes: tuple[int, ...]
-) -> Iterator[tuple[ColumnSet, int]]:
-    for size in sizes:
-        for cols in combinations(range(len(masks)), size):
-            acc = 0
-            for j in cols:
-                acc |= masks[j]
-            yield cols, acc
+    return sums(masks, sizes)
 
 
 def column_sum_counts(
@@ -275,12 +260,6 @@ def column_sum_counts(
                 old = layer.get(key)
                 layer[key] = (count + (old[0] if old else 0), (j,) + tail)
     return layers
-
-
-def column_or(mat: BitMatrix, columns: Sequence[int]) -> tuple[int, ...]:
-    """Boolean sum (OR) of the given columns, as a 0/1 vector of length m."""
-    mask = column_or_mask(mat, columns)
-    return tuple((mask >> i) & 1 for i in range(mat.m))
 
 
 def min_row_weight(mat: BitMatrix) -> int:

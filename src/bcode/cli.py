@@ -32,7 +32,7 @@ from .decoder import (
     uniform_count_prior,
 )
 from .errors import ConstructionError, DegenerateEvidenceError, ResourceLimitError
-from .properties import CodeKind, CodeParams, find_violation, verify
+from .properties import CodeKind, find_violation, verify
 
 _VERIFY_KINDS = sorted(kind.value.lower() for kind in CodeKind)
 
@@ -115,7 +115,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         file_kind, header_k, header_r, verified = "RAW", 0, weight, None
     else:
         file_kind, header_k, header_r = claimed.value, args.k, args.r
-        verified = verify(matrix, CodeParams(claimed, args.k, args.r, matrix.n))
+        verified = verify(matrix, claimed, args.k, args.r)
     text = formats.dumps(matrix, file_kind, header_k, header_r)
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
@@ -144,10 +144,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     doc = formats.load(args.file)
-    kind = CodeKind(args.kind.upper())
-    r = max(args.r, 1) if kind is CodeKind.SEPARABLE else args.r
-    params = CodeParams(kind, args.k, r, doc.matrix.n)
-    violation = find_violation(doc.matrix, params)
+    violation = find_violation(doc.matrix, CodeKind(args.kind.upper()), args.k, args.r)
     if violation is None:
         print(f"PASS: {args.file} is {args.kind}(k={args.k}, r={args.r})")
         if args.out:

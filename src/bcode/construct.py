@@ -68,7 +68,7 @@ def minimal_bdc(k: int, r: int) -> BitMatrix:
         raise ValueError("k and r must be positive")
     rows = math.comb(k + r, k)
     _check_entries(f"minimal detection code for k={k}, r={r}", rows, k + r)
-    sums = column_sums(BitMatrix.identity(k + r), (r,))
+    sums = column_sums(BitMatrix.identity(k + r).column_masks, (r,))
     return BitMatrix(rows, k + r, tuple(mask for _, mask in sums))
 
 

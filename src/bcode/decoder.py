@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -74,6 +75,28 @@ def _safe_log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
+class _ReadOnlyDict(Mapping):
+    """Read-only view of a dict that, unlike a ``types.MappingProxyType``,
+    pickles (``sweep`` sends configs to pool workers)."""
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items: dict) -> None:
+        self._items = items
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __repr__(self) -> str:
+        return repr(self._items)
+
+
 @dataclass(frozen=True)
 class DecoderConfig:
     """Everything the decoder needs to know about code, noise and priors.
@@ -87,13 +110,14 @@ class DecoderConfig:
     from it cannot go stale.
     ``count_prior`` maps attacker counts to probabilities (its keys define
     which counts are enumerated; they must sum to 1 and stay within [0, n]).
+    The config keeps a read-only copy of it, for the same reason.
     """
 
     code: BitMatrix
     confusions: np.ndarray
     attack_prior: float
     success_rate: float
-    count_prior: dict[int, float]
+    count_prior: Mapping[int, float]
     num_classes: int
 
     # Derived enumeration tables, built once and reused across decodes.
@@ -138,10 +162,10 @@ class DecoderConfig:
             if not prob >= 0.0:  # also refuses NaN
                 raise ValueError("count prior probabilities must be nonnegative")
             total += prob
-        object.__setattr__(self, "count_prior", prior)
+        object.__setattr__(self, "count_prior", _ReadOnlyDict(prior))
         if not abs(total - 1.0) <= _PROB_TOL:
             raise ValueError(f"count prior must sum to 1, got {total}")
-        sizes = [count for count in sorted(self.count_prior) if self.count_prior[count] > 0.0]
+        sizes = [count for count in sorted(prior) if prior[count] > 0.0]
         if not sizes:
             raise ValueError("count prior assigns no probability to any count")
 
@@ -157,7 +181,7 @@ class DecoderConfig:
         for count in sizes:
             for mask, (num, first) in layers[count].items():
                 mask_key.setdefault(mask, (count, first))
-                weight = self.count_prior[count] * (num / per_size[count])
+                weight = prior[count] * (num / per_size[count])
                 mask_weight[mask] = mask_weight.get(mask, 0.0) + weight
         mask_order = {mask: b for b, mask in enumerate(sorted(mask_key, key=mask_key.get))}
         groups = sorted(
@@ -166,7 +190,7 @@ class DecoderConfig:
             if count
             for mask, (_, first) in layers[count].items()
         )
-        size_logw = {s: _safe_log(self.count_prior[s] / per_size[s]) for s in sizes}
+        size_logw = {s: _safe_log(prior[s] / per_size[s]) for s in sizes}
 
         with np.errstate(divide="ignore"):
             log_conf = _floored(np.log(self.confusions))
@@ -404,7 +428,7 @@ def _expand_attackers(
     keys: list[tuple[int, ...]] = []
     group_idx: list[int] = []
     sizes = sorted({size for size, _ in cfg._groups})
-    for combo, mask in column_sums(cfg.code, sizes):
+    for combo, mask in column_sums(cfg.code.column_masks, sizes):
         indicator = [0] * cfg.code.n
         for j in combo:
             indicator[j] = 1

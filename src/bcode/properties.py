@@ -13,13 +13,14 @@ checked here are:
 Every verifier is exact and decides through one core, ``_decide``, which
 enumerates column sets exhaustively; the intended operating range is
 n <= 24, k <= 4.  The enumeration visits sum_{j=1..k} C(n, j) sums through
-``bitmatrix.mask_sums``, which refuses with ``ResourceLimitError`` any call
+``bitmatrix.column_sums``, which refuses with ``ResourceLimitError`` any call
 over ``bitmatrix.MAX_COLUMN_SETS`` sets; complement/duplicate detection is
 done with a hash set over the sums, which decides the pairwise conditions
 without the quadratic pass over pairs.  A matrix with repeated columns is
 decided on its distinct columns, since repeats leave the Boolean sums
 unchanged.  ``verify`` gives the verdict and ``find_violation`` the first
-witness, walking the whole matrix at most once.
+witness, walking the whole matrix at most once; both take the kind, k and r,
+and read n off the matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bitmatrix import BitMatrix, ColumnSet, mask_sums
+from .bitmatrix import BitMatrix, ColumnSet, column_sums
 
 
 class CodeKind(enum.Enum):
@@ -36,24 +37,6 @@ class CodeKind(enum.Enum):
     BCC = "BCC"
     BTC = "BTC"
     SEPARABLE = "SEPARABLE"
-
-
-@dataclass(frozen=True)
-class CodeParams:
-    """Target property plus its parameters (k attackers, row weight r, n users)."""
-
-    kind: CodeKind
-    k: int
-    r: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.r < 1 or self.n < 1:
-            raise ValueError("k, r and n must be positive")
-        if self.kind in (CodeKind.BDC, CodeKind.BCC, CodeKind.BTC) and self.n < self.k + self.r:
-            raise ValueError(
-                f"{self.kind.value}({self.k},{self.r},{self.n}) cannot exist: need n >= k + r"
-            )
 
 
 @dataclass(frozen=True)
@@ -75,11 +58,14 @@ class Violation:
         return self.reason
 
 
-def _check_args(k: int, r: int) -> None:
-    if k < 1:
-        raise ValueError("k must be positive")
-    if r < 1:
-        raise ValueError("r must be positive")
+def _check_params(kind: CodeKind, k: int, r: int, n: int) -> None:
+    """Refuse parameters no ``kind`` code on n >= 1 users can have:
+    nonpositive k, nonpositive r (except for SEPARABLE, which ignores r),
+    or, for the detection family, n < k + r."""
+    if k < 1 or (r < 1 and kind is not CodeKind.SEPARABLE):
+        raise ValueError("k, r and n must be positive")
+    if kind is not CodeKind.SEPARABLE and n < k + r:
+        raise ValueError(f"{kind.value}({k},{r},{n}) cannot exist: need n >= k + r")
 
 
 def _violation(
@@ -92,7 +78,7 @@ def _violation(
     on the ints it keeps without building a ``BitMatrix``.
     Each kind extends the one before it (BDC, BCC, BTC), and each check runs
     only when the weaker property holds; SEPARABLE checks only distinctness
-    and ignores ``r``.  Every enumeration goes through ``mask_sums`` and its
+    and ignores ``r``.  Every enumeration goes through ``column_sums`` and its
     budget.
     """
     full = (1 << len(rows)) - 1
@@ -108,7 +94,7 @@ def _violation(
         # Boolean sums are monotone in the addend set, so only size-k sets
         # need covering checks when n >= k: a smaller covering sum implies a
         # covering size-k superset.
-        for cols_set, acc in mask_sums(cols, (k,) if n >= k else sizes):
+        for cols_set, acc in column_sums(cols, (k,) if n >= k else sizes):
             if acc == full:
                 return Violation("Boolean sum covers every model", (cols_set,))
         if kind is CodeKind.BDC:
@@ -116,7 +102,7 @@ def _violation(
         # Two sums XOR to all-ones exactly when one is the complement of the
         # other, so one pass with a sum -> first-achiever table decides it.
         seen: dict[int, ColumnSet] = {}
-        for cols_set, acc in mask_sums(cols, sizes):
+        for cols_set, acc in column_sums(cols, sizes):
             other = seen.get(acc ^ full)
             if other is not None:
                 return Violation("two Boolean sums are complements", (other, cols_set))
@@ -124,7 +110,7 @@ def _violation(
         if kind is CodeKind.BCC:
             return None
     seen = {}
-    for cols_set, acc in mask_sums(cols, sizes):
+    for cols_set, acc in column_sums(cols, sizes):
         other = seen.get(acc)
         if other is not None:
             return Violation("two Boolean sums coincide", (other, cols_set))
@@ -143,7 +129,7 @@ def _decide(mat: BitMatrix, kind: CodeKind, k: int, r: int) -> Violation | None 
     property holds (always, for SEPARABLE) the first witness is the first
     column equal to an earlier one.
     """
-    _check_args(k, r)
+    _check_params(kind, k, r, mat.n)
     masks = mat.column_masks
     firsts: dict[int, int] = {}
     for j, col in enumerate(masks):
@@ -160,47 +146,25 @@ def _decide(mat: BitMatrix, kind: CodeKind, k: int, r: int) -> Violation | None 
     return Violation("two Boolean sums coincide", ((firsts[masks[j]],), (j,)))
 
 
-def _witness(mat: BitMatrix, kind: CodeKind, k: int, r: int) -> Violation | None:
+def find_violation(mat: BitMatrix, kind: CodeKind, k: int, r: int) -> Violation | None:
+    """First witness against ``kind`` with k attackers and row weight r, or
+    None.  The whole matrix is walked at most once: when no column repeats,
+    or for the witness of a failure the distinct columns do not name."""
     verdict = _decide(mat, kind, k, r)
     return _violation(kind, k, r, mat.rows, mat.column_masks) if verdict is False else verdict
 
 
-def _check_width(mat: BitMatrix, params: CodeParams) -> None:
-    if mat.n != params.n:
-        raise ValueError(f"matrix has {mat.n} columns but params expect {params.n}")
+def verify(mat: BitMatrix, kind: CodeKind, k: int, r: int) -> bool:
+    """Whether ``mat`` is a ``kind`` code with k attackers and row weight r
+    (``find_violation`` explains a failure)."""
+    return _decide(mat, kind, k, r) is None
 
 
-def find_violation(mat: BitMatrix, params: CodeParams) -> Violation | None:
-    """First witness against the property ``params`` names, or None.  The
-    whole matrix is walked at most once: when no column repeats, or for the
-    witness of a failure the distinct columns do not name."""
-    _check_width(mat, params)
-    return _witness(mat, params.kind, params.k, params.r)
-
-
-def verify(mat: BitMatrix, params: CodeParams) -> bool:
-    """Whether ``mat`` has the property ``params`` names (``find_violation``
-    explains a failure)."""
-    _check_width(mat, params)
-    return _decide(mat, params.kind, params.k, params.r) is None
+# ``construct`` calls the next two, and the benchmark's tracer wraps them
+# there by name; they go once the tracer stops wrapping them.
+def is_separable(mat: BitMatrix, k: int) -> bool:
+    return verify(mat, CodeKind.SEPARABLE, k, 1)
 
 
 def find_btc_violation(mat: BitMatrix, k: int, r: int) -> Violation | None:
-    """First witness against the tracking property, or None."""
-    return _witness(mat, CodeKind.BTC, k, r)
-
-
-def is_bdc(mat: BitMatrix, k: int, r: int) -> bool:
-    return _decide(mat, CodeKind.BDC, k, r) is None
-
-
-def is_bcc(mat: BitMatrix, k: int, r: int) -> bool:
-    return _decide(mat, CodeKind.BCC, k, r) is None
-
-
-def is_separable(mat: BitMatrix, k: int) -> bool:
-    return _decide(mat, CodeKind.SEPARABLE, k, 1) is None
-
-
-def is_btc(mat: BitMatrix, k: int, r: int) -> bool:
-    return _decide(mat, CodeKind.BTC, k, r) is None
+    return find_violation(mat, CodeKind.BTC, k, r)

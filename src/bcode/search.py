@@ -53,7 +53,7 @@ from typing import Iterator
 
 from .bitmatrix import BitMatrix, column_sums
 from .errors import ResourceLimitError
-from .properties import CodeKind, CodeParams, _violation
+from .properties import CodeKind, _check_params, _violation
 
 # The walk no longer calls ``find_violation``; the benchmark's tracer wraps
 # ``search.find_violation`` by name, so the name stays importable here.
@@ -151,7 +151,7 @@ def exhaustive_min(
     if k < 1 or r < 1 or n < 1 or max_m < 1:
         raise ValueError("k, r, n and max_m must be positive")
     try:
-        CodeParams(kind, k, r, n)
+        _check_params(kind, k, r, n)
     except ValueError:
         # n < k + r: no detection-family code can exist at any height.
         return SearchResult(None, (), 0)
@@ -167,7 +167,9 @@ def exhaustive_min(
     # kills.
     covering_kinds = kind is not CodeKind.SEPARABLE
     set_masks = (
-        [sm for _, sm in column_sums(BitMatrix.identity(n), (k,))] if covering_kinds else []
+        [sm for _, sm in column_sums(BitMatrix.identity(n).column_masks, (k,))]
+        if covering_kinds
+        else []
     )
     full_kill = (1 << len(set_masks)) - 1
     kill = [0] * (1 << n)

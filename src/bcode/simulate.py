@@ -197,7 +197,8 @@ def sample_outputs(
     (like every clean model) draws from its confusion row for the true
     label.  Models are independent; deterministic given the seed.  The
     draws are those of one ``Generator.choice`` per clean model, and a
-    confusion row that ``choice`` would refuse raises ``ValueError``.
+    confusion row that ``choice`` would refuse raises ``ValueError``, and so
+    does a target or true label outside the stack's classes.
     """
     confusions = np.asarray(confusions, dtype=float)
     if len(scenario.attackers) != code.n:
@@ -206,13 +207,17 @@ def sample_outputs(
         raise ValueError(f"need one confusion matrix per model ({code.m})")
     if not 0.0 <= success_rate <= 1.0:
         raise ValueError("success rate must lie in [0, 1]")
+    cdfs = _choice_cdfs(confusions)
+    classes = cdfs.shape[1]
+    if scenario.target >= classes or scenario.true_label >= classes:
+        raise ValueError(f"target and true label must be classes in [0, {classes})")
     support = scenario.support
     mask = column_or_mask(code, support) if support else 0
     return _sample(
         mask,
         scenario.target,
         scenario.true_label,
-        _choice_cdfs(confusions),
+        cdfs,
         success_rate,
         np.random.default_rng(seed),
     )

@@ -33,7 +33,7 @@ from bcode.decoder import (
     uniform_count_prior,
 )
 from bcode.errors import DegenerateEvidenceError
-from bcode.properties import CodeKind, is_bcc, is_bdc, is_btc
+from bcode.properties import CodeKind, verify
 from bcode.search import exhaustive_min
 from bcode.simulate import (
     Scenario,
@@ -66,7 +66,7 @@ def test_01_minimal_detection_codes_have_binomial_rows():
             if k + r > 8:
                 continue
             mat = minimal_bdc(k, r)
-            if mat.m != math.comb(k + r, k) or not is_bdc(mat, k, r):
+            if mat.m != math.comb(k + r, k) or not verify(mat, CodeKind.BDC, k, r):
                 failures.append((k, r))
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 60.0
@@ -82,13 +82,13 @@ def test_02_correction_split_between_weight_one_and_higher():
         for r in range(2, 8):
             if k + r > 8:
                 continue
-            if not is_bcc(minimal_bdc(k, r), k, r):
+            if not verify(minimal_bdc(k, r), CodeKind.BCC, k, r):
                 bad.append(("bcc", k, r))
     for k in range(1, 7):
         eye = BitMatrix.identity(k + 1)
-        if is_bcc(eye, k, 1):
+        if verify(eye, CodeKind.BCC, k, 1):
             bad.append(("identity-bcc", k))
-        if not is_bcc(add_ones_row(eye), k, 1):
+        if not verify(add_ones_row(eye), CodeKind.BCC, k, 1):
             bad.append(("ones-row", k))
     ok = not bad
     assert report("02 correction-split", ok, f"exact boolean checks, failures={bad}")
@@ -121,7 +121,7 @@ def test_04_duplication_keeps_row_count_constant():
     for j in (0, 1, 2):
         mat = general_bcc(2, 2 * 2**j, 4 * 2**j)
         rows.append(mat.m)
-        ok = ok and mat.m == 6 and is_bcc(mat, 2, 2 * 2**j)
+        ok = ok and mat.m == 6 and verify(mat, CodeKind.BCC, 2, 2 * 2**j)
     assert report("04 scale-independence", ok, f"row counts {rows} (expect [6, 6, 6])")
 
 

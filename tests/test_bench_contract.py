@@ -5,6 +5,7 @@
 seeded runs, and ROADMAP requires byte-identical reports across changes.
 """
 
+import ast
 import hashlib
 import importlib.util
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 from bcode.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = Path(__file__).resolve().parent.parent / "src" / "bcode"
 
 # sha256 of stdout, <out>.json and <out>.csv of the seeded simulate below,
 # recorded before run_trials took a single attacker count.
@@ -36,6 +38,27 @@ def test_every_attribute_the_tracer_patches_exists():
     missing = [f"{module.__name__}.{attr}" for module, attr, _, _ in tracing.PATCHES
                if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_every_unused_import_in_src_is_one_the_tracer_patches():
+    # An import marked ``# noqa: F401`` keeps a name only for the tracer to
+    # wrap; one the tracer does not wrap on that module is dead.
+    tracing = _load_bench_module("tracing")
+    wrapped = {(module.__name__, attr) for module, attr, _, _ in tracing.PATCHES}
+    unwrapped = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if not any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name
+                if (f"bcode.{path.stem}", name) not in wrapped:
+                    unwrapped.append(f"bcode.{path.stem}.{name}")
+    assert unwrapped == []
 
 
 def _sha256(data: bytes) -> str:

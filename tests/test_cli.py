@@ -84,6 +84,27 @@ def test_verify_rejects_bad_inputs(tmp_path, capsys):
     assert run_cli("verify", "--kind", "bdc", "--k", "1", "--r", "1", str(tmp_path / "none")) == 2
 
 
+@pytest.mark.parametrize("kind,k,r,err", [
+    ("bcc", "3", "2", "error: BCC(3,2,4) cannot exist: need n >= k + r\n"),
+    ("bdc", "0", "1", "error: k, r and n must be positive\n"),
+    ("bcc", "1", "0", "error: k, r and n must be positive\n"),
+])
+def test_verify_refuses_impossible_parameters(tmp_path, capsys, kind, k, r, err):
+    code = tmp_path / "eye.bcode"
+    formats.save(code, BitMatrix.identity(4))
+    capsys.readouterr()
+    assert run_cli("verify", "--kind", kind, "--k", k, "--r", r, str(code)) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_verify_separable_takes_any_row_weight(tmp_path, capsys):
+    code = tmp_path / "eye.bcode"
+    formats.save(code, BitMatrix.identity(4))
+    capsys.readouterr()
+    assert run_cli("verify", "--kind", "separable", "--k", "1", "--r", "0", str(code)) == 0
+    assert capsys.readouterr() == (f"PASS: {code} is separable(k=1, r=0)\n", "")
+
+
 def test_enumeration_over_budget_is_status_three(tmp_path, capsys):
     code = tmp_path / "wide.bcode"
     formats.save(code, general_bcc(4, 4, 100), "BCC", 4, 4)

@@ -18,7 +18,7 @@ from bcode.construct import (
     separable_search,
 )
 from bcode.errors import ConstructionError, ResourceLimitError
-from bcode.properties import is_bcc, is_bdc, is_btc, is_separable
+from bcode.properties import CodeKind, verify
 from bcode.search import canonical_form
 
 import oracles
@@ -56,7 +56,7 @@ def test_minimal_bdc_row_count_and_property(k, r):
     mat = minimal_bdc(k, r)
     assert mat.m == math.comb(k + r, k)
     assert mat.n == k + r
-    assert is_bdc(mat, k, r)
+    assert verify(mat, CodeKind.BDC, k, r)
 
 
 def test_minimal_bdc_resource_limit(monkeypatch, capsys):
@@ -75,7 +75,7 @@ def test_minimal_bdc_resource_limit(monkeypatch, capsys):
 def test_minimal_bdc_with_large_row_weight():
     mat = minimal_bdc(1, 1500)
     assert (mat.m, mat.n) == (1501, 1501)
-    assert is_bdc(mat, 1, 1500)
+    assert verify(mat, CodeKind.BDC, 1, 1500)
     # Within the column-set budget, but 10^6 x 10^6 entries.
     with pytest.raises(ResourceLimitError):
         minimal_bdc(1, 999_999)
@@ -93,7 +93,7 @@ def test_minimal_bdc_validates_arguments():
 def test_add_ones_row_prepends():
     out = add_ones_row(BitMatrix.identity(3))
     assert out.m == 4 and out.to_strings()[0] == "111"
-    assert is_bcc(out, 2, 1)
+    assert verify(out, CodeKind.BCC, 2, 1)
 
 
 def test_add_ones_row_on_single_cell():
@@ -103,7 +103,7 @@ def test_add_ones_row_on_single_cell():
 
 def test_add_ones_row_keeps_correction_property():
     out = add_ones_row(minimal_bdc(2, 2))
-    assert out.m == 7 and is_bcc(out, 2, 2)
+    assert out.m == 7 and verify(out, CodeKind.BCC, 2, 2)
 
 
 # --- minimal correction codes ------------------------------------------------
@@ -112,17 +112,17 @@ def test_minimal_bcc_examples():
     assert minimal_bcc(2, 2).m == 6 and minimal_bcc(2, 2).n == 4
     four_by_three = minimal_bcc(2, 1)
     assert (four_by_three.m, four_by_three.n) == (4, 3)
-    assert is_bcc(four_by_three, 2, 1)
+    assert verify(four_by_three, CodeKind.BCC, 2, 1)
     three = minimal_bcc(1, 2)
     assert (three.m, three.n) == (3, 3)
-    assert is_bcc(three, 1, 2)
+    assert verify(three, CodeKind.BCC, 1, 2)
 
 
 @pytest.mark.parametrize(
     "k,r", [(k, r) for k in range(1, 6) for r in range(2, 6) if k + r <= 8]
 )
 def test_minimal_detection_code_is_already_correcting_for_r_above_one(k, r):
-    assert is_bcc(minimal_bdc(k, r), k, r)
+    assert verify(minimal_bdc(k, r), CodeKind.BCC, k, r)
 
 
 # --- general correction codes ------------------------------------------------
@@ -132,13 +132,13 @@ def test_general_bcc_doubles_columns_when_ratio_matches():
     base = minimal_bcc(2, 2)
     assert (mat.m, mat.n) == (6, 8)
     assert mat.to_strings() == [s + s for s in base.to_strings()]
-    assert is_bcc(mat, 2, 4)
+    assert verify(mat, CodeKind.BCC, 2, 4)
 
 
 def test_general_bcc_with_rounding_overflow_falls_back_to_fitting_copies():
     mat = general_bcc(2, 2, 8)
     assert (mat.m, mat.n) == (4, 8)  # built from the 4x3 minimal correction code
-    assert is_bcc(mat, 2, 2)
+    assert verify(mat, CodeKind.BCC, 2, 2)
     assert min_row_weight(mat) >= 2
 
 
@@ -155,7 +155,7 @@ def test_general_bcc_rejects_too_few_users():
 def test_general_bcc_row_count_is_scale_independent(j):
     mat = general_bcc(2, 2 * 2**j, 4 * 2**j)
     assert mat.m == 6
-    assert is_bcc(mat, 2, 2 * 2**j)
+    assert verify(mat, CodeKind.BCC, 2, 2 * 2**j)
 
 
 @pytest.mark.parametrize(
@@ -172,7 +172,7 @@ def test_general_bcc_verifies_across_the_operating_range(k, r, n):
     mat = general_bcc(k, r, n)
     assert mat.n == n
     assert min_row_weight(mat) >= r
-    assert is_bcc(mat, k, r)
+    assert verify(mat, CodeKind.BCC, k, r)
 
 
 # --- partition codes -----------------------------------------------------------
@@ -206,8 +206,8 @@ def test_partition_code_correction_threshold(k, m):
     n = 2 * m
     mat = partition_code(m, n)
     r = n // m
-    assert is_bdc(mat, k, r) == (m >= k + 1)
-    assert is_bcc(mat, k, r) == (m >= 2 * k + 1)
+    assert verify(mat, CodeKind.BDC, k, r) == (m >= k + 1)
+    assert verify(mat, CodeKind.BCC, k, r) == (m >= 2 * k + 1)
     bits = as_bits(mat)
     assert oracles.naive_is_bcc(bits, k, r) == (m >= 2 * k + 1)
 
@@ -242,7 +242,7 @@ def test_random_code_validation():
 
 
 def test_random_wide_codes_usually_correct_one_attacker():
-    hits = sum(is_bcc(random_code(12, 12, 6, seed=s), 1, 6) for s in range(50))
+    hits = sum(verify(random_code(12, 12, 6, seed=s), CodeKind.BCC, 1, 6) for s in range(50))
     assert hits >= 40
 
 
@@ -278,15 +278,15 @@ def test_entry_budget_boundary(monkeypatch):
 
 def test_separable_search_small_cases():
     mat = separable_search(1, 8, 1, seed=0, max_rows=16)
-    assert is_separable(mat, 1)
+    assert verify(mat, CodeKind.SEPARABLE, 1, 1)
     assert len(set(mat.column_masks)) == 8 and 0 not in mat.column_masks
 
     mat = separable_search(2, 8, 2, seed=0, max_rows=24)
-    assert is_separable(mat, 2)
+    assert verify(mat, CodeKind.SEPARABLE, 2, 1)
     assert min_row_weight(mat) >= 2
 
     mat = separable_search(1, 2, 1, seed=0, max_rows=4)
-    assert is_separable(mat, 1)
+    assert verify(mat, CodeKind.SEPARABLE, 1, 1)
 
 
 def test_separable_search_is_deterministic():
@@ -325,17 +325,17 @@ def test_btc_stacks_correction_on_separable():
     mat = btc(2, 2, 8, seed=1, max_rows=24)
     top = general_bcc(2, 2, 8)
     assert mat.to_strings()[: top.m] == top.to_strings()
-    assert is_btc(mat, 2, 2)
+    assert verify(mat, CodeKind.BTC, 2, 2)
 
 
 def test_btc_minimal_case():
     mat = btc(1, 1, 2, seed=2, max_rows=8)
-    assert is_btc(mat, 1, 1)
+    assert verify(mat, CodeKind.BTC, 1, 1)
 
 
 def test_btc_wide_tracking_code():
     mat = btc(1, 11, 16, seed=0, max_rows=32)
-    assert is_btc(mat, 1, 11)
+    assert verify(mat, CodeKind.BTC, 1, 11)
     assert min_row_weight(mat) >= 11
 
 

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import functools
 import math
+import pickle
 from itertools import combinations
 
 import numpy as np
@@ -190,6 +191,20 @@ def test_config_owns_a_frozen_copy_of_its_inputs():
         cfg.success_rate = 0.5
     with pytest.raises(ValueError):
         cfg.confusions[0, 0, 0] = 1.0
+
+
+def test_config_count_prior_is_read_only_and_pickles():
+    code = general_bcc(2, 2, 4)
+    cfg = DecoderConfig(code, identity_confusions(code.m, 3), 0.5, 0.9,
+                        uniform_count_prior(0, 2), 3)
+    with pytest.raises(TypeError):
+        cfg.count_prior[4] = 0.0
+    assert cfg.kmax == 2 and sorted(cfg.count_prior) == [0, 1, 2]
+    restored = pickle.loads(pickle.dumps(cfg))
+    assert restored.count_prior == cfg.count_prior
+    for name in ("_mask_matrix", "_mask_logw", "_group_logw", "_group_mask_idx"):
+        assert np.array_equal(getattr(restored, name), getattr(cfg, name))
+    assert (restored._groups, restored._group_first) == (cfg._groups, cfg._group_first)
 
 
 def test_config_enumeration_budget(monkeypatch):

@@ -9,7 +9,7 @@ from bcode import search
 from bcode.bitmatrix import BitMatrix
 from bcode.construct import general_bcc, minimal_bcc, minimal_bdc
 from bcode.errors import ResourceLimitError
-from bcode.properties import CodeKind, CodeParams, find_violation, is_bdc
+from bcode.properties import CodeKind, find_violation, verify
 from bcode.search import SearchResult, canonical_form, exhaustive_min
 
 import oracles
@@ -150,7 +150,7 @@ def test_every_witness_passes_its_verifier():
         result = exhaustive_min(kind, k, r, n, 8)
         assert result.min_rows is not None
         for code in result.codes:
-            assert find_violation(code, CodeParams(kind, k, r, n)) is None
+            assert find_violation(code, kind, k, r) is None
 
 
 def test_search_monotone_cross_check():
@@ -161,7 +161,7 @@ def test_search_monotone_cross_check():
     extended = BitMatrix(
         witness.m + 1, witness.n, witness.rows + (witness.rows[0],)
     )
-    assert is_bdc(extended, 2, 2)
+    assert verify(extended, CodeKind.BDC, 2, 2)
 
 
 def test_search_is_deterministic():
@@ -181,7 +181,7 @@ def test_unique_constant_weight_rows_respect_the_lower_bound(n, data):
     size = data.draw(st.integers(1, len(pool)))
     rows = tuple(sorted(data.draw(st.permutations(pool))[:size]))
     mat = BitMatrix(len(rows), n, rows)
-    if is_bdc(mat, k, r):
+    if verify(mat, CodeKind.BDC, k, r):
         assert mat.m >= math.comb(n, k)
 
 

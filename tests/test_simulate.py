@@ -161,6 +161,13 @@ def test_sample_outputs_validation():
         sample_outputs(THREE_MODEL_CODE, sc, identity_confusions(3, 2), 1.0, seed=0)
 
 
+@pytest.mark.parametrize("target,label", [(7, 0), (1, 9), (3, 0)])
+def test_sample_outputs_refuses_classes_outside_the_stack(target, label):
+    sc = Scenario.from_support(2, [0], target, label)
+    with pytest.raises(ValueError, match=r"classes in \[0, 3\)"):
+        sample_outputs(THREE_MODEL_CODE, sc, identity_confusions(3, 3), 1.0, seed=0)
+
+
 @st.composite
 def sampling_cases(draw):
     """A code, a scenario, a confusion stack with hard zeros and a success
