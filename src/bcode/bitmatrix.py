@@ -65,16 +65,11 @@ class BitMatrix:
             for j, b in enumerate(r):
                 if b not in (0, 1):
                     raise ValueError(f"entry {b!r} is not 0 or 1")
-                acc |= b << j
+                acc |= int(b) << j  # int: 1.0 and True pass the test above
             rows.append(acc)
         if n is None or not rows:
             raise ValueError("matrix must have at least one row")
         return cls(len(rows), n, tuple(rows))
-
-    @classmethod
-    def from_strings(cls, lines: Sequence[str]) -> "BitMatrix":
-        """Build from strings of '0'/'1' characters, one per row."""
-        return cls.from_rows([[int(ch) for ch in line] for line in lines])
 
     @classmethod
     def from_array(cls, arr) -> "BitMatrix":

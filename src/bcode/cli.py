@@ -198,15 +198,17 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_decode(args: argparse.Namespace) -> int:
     code = formats.load(args.code).matrix
     _check_classes(code.m, args.classes)
+    synth = args.confusion.startswith("synth:")
     if args.confusion == "id":
         confusions = identity_confusions(code.m, args.classes)
-    elif args.confusion.startswith("synth:"):
+    elif synth:
         profile = _profile(args.confusion.removeprefix("synth:"), code.n, args)
         confusions = simulate.synth_confusion(code, profile)
-        print(f"seed: {args.seed}")
     else:
         confusions = formats.load_confusions(args.confusion)
     result = decode(args.outputs, _decoder_config(args, code, confusions), args.threshold)
+    if synth:  # printed only once the decode succeeds, as ``simulate`` does
+        print(f"seed: {args.seed}")
     print(f"attack posterior: {result.attack_posterior:.6f}")
     print(f"decoded label: {result.decoded_label}")
     print("label posterior: " + ", ".join(f"{p:.6f}" for p in result.label_posterior))

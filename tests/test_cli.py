@@ -47,8 +47,12 @@ def test_construct_partition_and_random(tmp_path, capsys):
 
 
 def test_construct_rejects_impossible_parameters(capsys):
-    assert run_cli("construct", "--kind", "bcc", "--k", "2", "--r", "2", "--n", "3") == 2
-    assert "need n >= k + r" in capsys.readouterr().err
+    # The same wording as verify and search refuse the parameters with.
+    for kind in ("bcc", "btc"):
+        assert run_cli("construct", "--kind", kind, "--k", "2", "--r", "2", "--n", "3") == 2
+        assert capsys.readouterr() == ("", "error: BCC(2,2,3) cannot exist: need n >= k + r\n")
+        assert run_cli("construct", "--kind", kind, "--k", "0", "--r", "2", "--n", "3") == 2
+        assert capsys.readouterr() == ("", "error: k, r and n must be positive\n")
 
 
 def test_construct_resource_limit_is_status_three(capsys):
@@ -72,6 +76,21 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     assert run_cli("verify", "--kind", "bcc", "--k", "2", "--r", "1", str(bad)) == 1
     printed = capsys.readouterr().out
     assert "FAIL" in printed and "columns" in printed
+
+
+def test_verify_fail_report(tmp_path, capsys):
+    code, report = tmp_path / "c.bcode", tmp_path / "verify.json"
+    assert run_cli("construct", "--kind", "bcc", "--k", "2", "--r", "4", "--n", "8",
+                   "-o", str(code)) == 0
+    capsys.readouterr()
+    assert run_cli("verify", "--kind", "btc", "--k", "2", "--r", "4", "--out", str(report),
+                   str(code)) == 1
+    assert capsys.readouterr() == ("FAIL: two Boolean sums coincide: columns {0} and {4}\n", "")
+    assert json.loads(report.read_text()) == {
+        "result": "fail",
+        "kind": "btc",
+        "witness": {"reason": "two Boolean sums coincide", "columnSets": [[0], [4]]},
+    }
 
 
 def test_verify_rejects_bad_inputs(tmp_path, capsys):
@@ -175,6 +194,19 @@ def test_decode_degenerate_evidence_is_status_one(tmp_path, capsys):
         "decode", "--code", str(code), "--outputs", "1,2,0", "--confusion", "id",
         "--classes", "3", "--success-rate", "1.0", "--q", "uniform:0:1",
     ) == 1
+
+
+@pytest.mark.parametrize("outputs, status", [
+    ("9,9,9,9,9,9", 2),  # class indices out of range
+    ("0,1,0,1,0,1", 1),  # degenerate: every user is on every model, which disagree
+])
+def test_refused_synth_decode_prints_nothing(tmp_path, capsys, outputs, status):
+    code = tmp_path / "c.bcode"
+    formats.save(code, BitMatrix(6, 2, (0b11,) * 6))
+    assert run_cli("decode", "--code", str(code), "--outputs", outputs, "--classes", "3",
+                   "--confusion", "synth:iid", "--attack-rate", "1.0", "--success-rate", "1.0",
+                   "--q", "uniform:1:2") == status
+    assert capsys.readouterr().out == ""
 
 
 def test_decode_validates_q_spec(tmp_path):

@@ -202,6 +202,8 @@ def test_config_count_prior_is_read_only_and_pickles():
     assert cfg.kmax == 2 and sorted(cfg.count_prior) == [0, 1, 2]
     restored = pickle.loads(pickle.dumps(cfg))
     assert restored.count_prior == cfg.count_prior
+    with pytest.raises(TypeError):
+        restored.count_prior[4] = 0.0
     for name in ("_mask_matrix", "_mask_logw", "_group_logw", "_group_mask_idx"):
         assert np.array_equal(getattr(restored, name), getattr(cfg, name))
     assert (restored._groups, restored._group_first) == (cfg._groups, cfg._group_first)
@@ -332,6 +334,15 @@ def test_attacker_posterior_requires_positive_counts():
     )
     with pytest.raises(ValueError):
         attacker_posterior((0, 0, 0), cfg)
+
+
+def test_attacker_posterior_refuses_outputs_no_attacker_explains():
+    # Each user compromises one model, which emits the target; the other two
+    # are perfect, so they would agree on the label, but all three differ.
+    code = BitMatrix.identity(3)
+    cfg = DecoderConfig(code, identity_confusions(3, 3), 0.5, 1.0, {1: 1.0}, 3)
+    with pytest.raises(DegenerateEvidenceError, match="no attacker hypothesis has support"):
+        attacker_posterior([0, 1, 2], cfg)
 
 
 def test_attacker_posterior_recovers_planted_attackers_on_tracking_code():

@@ -114,6 +114,7 @@ def test_loads_rejects_cleanly_or_round_trips(text):
 def test_parser_accepts_the_good_document():
     doc = formats.loads(GOOD)
     assert doc.matrix == BitMatrix.identity(2)
+    assert formats.loads(GOOD + "\n\n") == doc  # trailing blank lines are dropped
 
 
 def test_dumps_rejects_bad_kind():
