@@ -76,7 +76,7 @@ def _safe_log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecoderConfig:
     """Everything the decoder needs to know about code, noise and priors.
 
@@ -91,6 +91,8 @@ class DecoderConfig:
     which counts are enumerated; they must sum to 1 and stay within [0, n]).
     The config keeps a read-only copy of it, for the same reason.
     A config pickles as its constructor arguments: a pool worker rebuilds it.
+    Configs compare and hash by identity, since an array has no one truth
+    value to compare by.
     """
 
     code: BitMatrix
@@ -202,7 +204,7 @@ class DecoderConfig:
         return max(1, BLOCK_ENTRIES // per_row)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecodeResult:
     """All decoder outputs for one ensemble prediction vector.
 
@@ -212,15 +214,16 @@ class DecodeResult:
     hypothesis has support.  It is expanded from the per-group scores on
     first read, which enumerates the supports once (the config only counts
     them), within ``column_sums``' budget.  ``decoded_attackers`` is empty
-    unless the attack posterior clears the decision threshold.
+    unless the attack posterior clears the decision threshold.  Results
+    compare and hash by identity, as configs do.
     """
 
     attack_posterior: float
     label_posterior: np.ndarray
     decoded_label: int
     decoded_attackers: tuple[int, ...]
-    _cfg: DecoderConfig = field(repr=False, compare=False)
-    _scores: np.ndarray = field(repr=False, compare=False)
+    _cfg: DecoderConfig = field(repr=False)
+    _scores: np.ndarray = field(repr=False)
 
     @functools.cached_property
     def attacker_posterior(self) -> dict[tuple[int, ...], float]:

@@ -2,8 +2,10 @@
 
 Two codes are equivalent when one is a row/column permutation of the other;
 ``canonical_form`` picks a unique orbit representative by minimizing the
-row-sorted bit string over all column permutations (factorial in n, hence
-the hard n <= 10 limit).
+row-sorted bit string over all column permutations.  The minimum puts the
+columns of a least-weight row first, so only those t * w! * (n - w)!
+column orders are tried (t distinct rows of least weight w); that is still
+n! at worst, hence the hard n <= 10 limit.
 
 ``exhaustive_min`` enumerates candidate matrices as size-m subsets of the
 distinct n-bit rows with at least r ones, for m = 1 upward, and returns the
@@ -17,10 +19,14 @@ whose least row is 2^w - 1, so the walk takes only 2^w - 1 (w = r..n) as
 first row, and only rows of weight >= w after it.  Every orbit keeps a
 member the walk reaches.  For the detection/correction/tracking kinds the
 subset walk prunes branches that provably cannot kill every size-k column
-set (a necessary condition for those kinds, but not for plain separability,
-which is searched without it); pruning skips only candidates the verifier
-would reject.  Properties and prunes are invariant under column
-permutation, so results match the plain enumeration exactly.
+set (a necessary condition for those kinds, but not for plain
+separability).  For separability and tracking it prunes by the split bound
+(the counting bound of nonadaptive group testing, Du & Hwang,
+*Combinatorial Group Testing*): the sums of 1..k columns must end pairwise
+distinct, so a group of sums equal on the rows so far must be split by the
+``left`` rows to come, which tell at most 2^left apart.  Pruning skips only
+candidates the verifier would reject.  Properties and prunes are invariant
+under column permutation, so results match the plain enumeration exactly.
 
 The walk works on ints.  It keeps the column masks of the current row stack
 as it pushes and pops rows, and loops over the last row without recursing.
@@ -33,23 +39,26 @@ only the last row can settle that); for separability and tracking, when
 two columns are equal, since they are two equal sums of size 1.  Only the
 rest reach the verifier core ``properties._violation`` on the row and
 column ints, and a ``BitMatrix`` is built only for a passing candidate.
-Dedup is by orbit: the first passing member of an orbit gets one
-``canonical_form`` call, and the whole orbit (one row-sorted matrix per
-column permutation) goes into a set.  Every orbit member passes, and a later
-member is recognised in the set without being verified again.  The walk
-counts its nodes (a root per height and first row, then every subset prefix
-it visits, complete candidates included, the last row's all at once; pruned
-branches, and first rows whose pool can satisfy the prunes at no height, are
-never visited) and raises ``ResourceLimitError`` (CLI exit 3) once the count
-exceeds ``SEARCH_MAX_NODES``.
+Dedup is by orbit, and builds only the members the walk can reach
+(McKay's canonical augmentation, "Isomorph-free exhaustive generation",
+*J. Algorithms* 26, 1998): every candidate's least row is 2^w - 1, so the
+first passing member of an orbit gets one ``_orbit`` call, which gives the
+row-sorted images whose least row is 2^w - 1.  They all go into a set, and
+the least of them is the orbit's canonical form.  Every orbit member
+passes, and a later member is recognised in the set without being verified
+again.  The walk counts its nodes (a root per height and first row, then
+every subset prefix it visits, complete candidates included, the last row's
+all at once; pruned branches, and first rows whose pool can satisfy the
+prunes at no height, are never visited) and raises ``ResourceLimitError``
+(CLI exit 3) once the count exceeds ``SEARCH_MAX_NODES``.
 """
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator
+from typing import Sequence
 
 from .bitmatrix import BitMatrix, column_sums
 from .errors import ResourceLimitError
@@ -63,34 +72,59 @@ CANONICAL_MAX_COLUMNS = 10
 SEARCH_MAX_COLUMNS = 8
 SEARCH_MAX_ROWS = 12
 # Most subset-walk nodes one ``exhaustive_min`` call may visit.  The
-# benchmark's walk-heavy search visits 11,174, BCC(k=2, r=2, n=7) 142,045.
+# benchmark's walk-heavy search visits 11,174, BCC(k=2, r=2, n=7) 142,045
+# and, under the split bound, SEPARABLE(k=2, r=1, n=7) 619,916.
 SEARCH_MAX_NODES = 1_000_000
 
 
-def _column_images(mat: BitMatrix) -> Iterator[tuple[int, ...]]:
-    """The matrix under every column permutation, rows sorted ascending.
+def _orbit(rows: Sequence[int], n: int) -> set[tuple[int, ...]]:
+    """The members of the rows' orbit that the search walk can reach, each
+    as its rows sorted ascending.
 
-    In the image of ``perm``, bit ``pos`` of a row is bit ``perm[pos]`` of
-    the original row, so the images are exactly the orbit's members as the
-    search walk holds them.
+    A member is the matrix under a column order: in the image of ``perm``,
+    bit ``pos`` of a row is bit ``perm[pos]`` of the original row.  Every
+    walk candidate's least row is 2^w - 1, w its least row weight, and an
+    image has that least row exactly when ``perm`` puts the columns of a
+    least-weight row first.  So for t distinct such rows this enumerates
+    t * w! * (n - w)! column orders instead of n!, and as no row sorts
+    below 2^w - 1, the orbit's least image is among them.
     """
-    n = mat.n
     full = (1 << n) - 1
     # All rows packed into one int, row i at bit i * n, so moving a column
     # moves it in every row at once.
-    shifts = range(0, mat.m * n, n)
-    packed = sum(row << shift for row, shift in zip(mat.rows, shifts))
+    shifts = range(0, len(rows) * n, n)
+    packed = sum(row << shift for row, shift in zip(rows, shifts))
     columns = [sum(1 << (shift + j) for shift in shifts) & packed for j in range(n)]
-    # moved[pos][j] is column j of every row, moved to position pos; an
-    # image is the sum of one moved column per position.
-    moved = [[col << pos >> j for j, col in enumerate(columns)] for pos in range(n)]
-    for perm in permutations(range(n)):
-        image = sum(map(list.__getitem__, moved, perm))
-        yield tuple(sorted([image >> shift & full for shift in shifts]))
+    w = min(row.bit_count() for row in rows)
+    images: set[tuple[int, ...]] = set()
+    for least in {row for row in rows if row.bit_count() == w}:
+        # An image is a head (the least row's columns moved to positions
+        # 0..w-1) plus a tail (the other columns moved to w..n-1).
+        first = [j for j in range(n) if least >> j & 1]
+        rest = [j for j in range(n) if not least >> j & 1]
+        heads = [sum(columns[j] << pos >> j for pos, j in enumerate(perm))
+                 for perm in permutations(first)]
+        tails = [sum(columns[j] << pos >> j for pos, j in enumerate(perm, w))
+                 for perm in permutations(rest)]
+        for head in heads:
+            images.update(tuple(sorted([(head | tail) >> shift & full for shift in shifts]))
+                          for tail in tails)
+    return images
 
 
-def _reversed_bits(value: int, n: int) -> int:
-    return int(format(value, f"0{n}b")[::-1], 2)
+def _least(orbit: set[tuple[int, ...]], n: int) -> BitMatrix:
+    """The canonical form of an orbit, from its members as ``_orbit`` gives
+    them.
+
+    The canonical bit string reads column 0 first, as a row's most
+    significant bit; an image row holds column 0 in its least significant
+    bit.  So an image read as ints is the bit string of the matrix with the
+    image's columns reversed, and as the reversed orders are again all
+    column orders, the least image with each row's bits reversed is the
+    least bit string.
+    """
+    best = min(orbit)
+    return BitMatrix(len(best), n, tuple(int(format(row, f"0{n}b")[::-1], 2) for row in best))
 
 
 def canonical_form(mat: BitMatrix) -> BitMatrix:
@@ -105,13 +139,7 @@ def canonical_form(mat: BitMatrix) -> BitMatrix:
             f"canonical form enumerates n! column orders; n={mat.n} exceeds "
             f"{CANONICAL_MAX_COLUMNS}"
         )
-    # The bit string reads column 0 first, as a row's most significant bit;
-    # an image row holds column 0 in its least significant bit.  So an image
-    # read as ints is the bit string of the matrix with the image's columns
-    # reversed, and as the reversed orders are again all column orders, the
-    # least image with each row's bits reversed is the least bit string.
-    best = min(_column_images(mat))
-    return BitMatrix(mat.m, mat.n, tuple(_reversed_bits(row, mat.n) for row in best))
+    return _least(_orbit(mat.rows, mat.n), mat.n)
 
 
 @dataclass(frozen=True)
@@ -162,15 +190,12 @@ def exhaustive_min(
     # contains it): every size-k column set must be "killed" by some row
     # whose zero set contains it, otherwise that set's Boolean sum covers
     # every model; and no column may end up all-zero.  Neither holds for
-    # plain separability (an always-covered column is fine there), so those
-    # walks prune nothing.  kill[v] is a bitmask over the size-k sets row v
-    # kills.
+    # plain separability (an always-covered column is fine there), whose
+    # walks prune by the split bound alone.  kill[v] is a bitmask over the
+    # size-k sets row v kills.
     covering_kinds = kind is not CodeKind.SEPARABLE
-    set_masks = (
-        [sm for _, sm in column_sums(BitMatrix.identity(n).column_masks, (k,))]
-        if covering_kinds
-        else []
-    )
+    unit_masks = BitMatrix.identity(n).column_masks
+    set_masks = [sm for _, sm in column_sums(unit_masks, (k,))] if covering_kinds else []
     full_kill = (1 << len(set_masks)) - 1
     kill = [0] * (1 << n)
     for idx, sm in enumerate(set_masks):
@@ -182,10 +207,24 @@ def exhaustive_min(
                 break
             sub = (sub - 1) & rest
 
+    # The split bound, for separability and tracking: the sums of 1..k
+    # columns must end pairwise distinct, so sums equal on the rows pushed
+    # so far must be told apart by the rows still to come, and ``left`` rows
+    # tell at most 2^left apart.  The walk keeps every set's partial sum in
+    # one int, set s in the 16 bits from 16 * s (a height is at most
+    # SEARCH_MAX_ROWS = 12), and pushing row v at depth d ORs in
+    # hit[v] << d: hit[v] has bit 0 of set s's field set iff row v meets s.
+    distinct_kinds = kind in (CodeKind.SEPARABLE, CodeKind.BTC)
+    sum_masks = (
+        [sm for _, sm in column_sums(unit_masks, range(1, min(k, n) + 1))] if distinct_kinds else []
+    )
+    num_sums = len(sum_masks)
+    hit = [sum(1 << 16 * s for s, sm in enumerate(sum_masks) if sm & v) for v in range(1 << n)]
+
     # The first-row symmetry break (module docstring) as one pool of rows
     # per least row weight w: 2^w - 1 at index 0, the only first row the
     # walk's root tries, then the rows above it of weight >= w, ending with
-    # 2^n - 1.  Each pool keeps its own kill, suffix and column-index
+    # 2^n - 1.  Each pool keeps its own kill, suffix, column-index and hit
     # arrays, so the walk needs no weight test.
     pools = []
     for w in range(r, n + 1):
@@ -200,22 +239,17 @@ def exhaustive_min(
             continue  # the root would prune this pool at every height
         max_kill = max(km.bit_count() for km in kills)
         ones = [[j for j in range(n) if v >> j & 1] for v in values]
-        pools.append((values, kills, suffix_kill, max_kill, ones))
+        pools.append((values, kills, suffix_kill, max_kill, ones, [hit[v] for v in values]))
 
-    # Separability needs sum_{j<=k} C(n, j) distinct sum vectors, which do
-    # not fit below ceil(log2) rows; sound for tracking codes as well.
-    min_m = 1
-    if kind in (CodeKind.SEPARABLE, CodeKind.BTC):
-        num_sums = sum(math.comb(n, j) for j in range(1, min(k, n) + 1))
-        min_m = max(1, (num_sums - 1).bit_length())
+    # The split bound at the root: the num_sums distinct sums do not fit
+    # below ceil(log2(num_sums)) rows.
+    min_m = max(1, (num_sums - 1).bit_length()) if distinct_kinds else 1
 
     budget = SEARCH_MAX_NODES
-    # A repeated column is two equal sums of size 1.
-    distinct_kinds = kind in (CodeKind.SEPARABLE, CodeKind.BTC)
     rows: list[int] = []
     cols = [0] * n
     # Rows are pushed in ascending order, so a candidate's rows form the
-    # sorted tuple that ``_column_images`` yields for each orbit member.
+    # sorted tuple that ``_orbit`` gives for each orbit member it reaches.
     seen: set[tuple[int, ...]] = set()
     codes: list[BitMatrix] = []
     nodes = explored = 0
@@ -226,11 +260,13 @@ def exhaustive_min(
             f"visits more than the budget of {budget} walk nodes"
         )
 
-    def walk(pool: tuple, m: int, start: int, stop: int, kill_acc: int, col_acc: int) -> None:
+    def walk(
+        pool: tuple, m: int, start: int, stop: int, kill_acc: int, col_acc: int, sum_acc: int
+    ) -> None:
         # The row at depth len(rows) is a pool index in [start, stop), where
         # stop leaves room for the rows after it.
         nonlocal nodes, explored
-        values, kills, suffix_kill, max_kill, ones = pool
+        values, kills, suffix_kill, max_kill, ones, hits = pool
         nodes += 1
         if nodes > budget:
             raise over_budget()
@@ -241,6 +277,11 @@ def exhaustive_min(
         missing = (full_kill & ~kill_acc).bit_count()
         if missing > left * max_kill:
             return
+        if 1 << left < num_sums:
+            # Each set's field as one 16-bit word: equal sums, equal words.
+            fields = memoryview(sum_acc.to_bytes(2 * num_sums, "little")).cast("H")
+            if max(Counter(fields).values()) > 1 << left:
+                return
         bit = 1 << depth
         if left > 1:
             next_stop = len(values) - left + 2
@@ -249,7 +290,8 @@ def exhaustive_min(
                 rows.append(row)
                 for j in ones[i]:
                     cols[j] |= bit
-                walk(pool, m, i + 1, next_stop, kill_acc | kills[i], col_acc | row)
+                walk(pool, m, i + 1, next_stop, kill_acc | kills[i], col_acc | row,
+                     sum_acc | hits[i] << depth)
                 for j in ones[i]:
                     cols[j] ^= bit
                 rows.pop()
@@ -269,12 +311,13 @@ def exhaustive_min(
             rows.append(row)
             for j in ones[i]:
                 cols[j] |= bit
+            # A repeated column is two equal sums of size 1.
             if not distinct_kinds or len(set(cols)) == n:
                 key = tuple(rows)
                 if key not in seen and _violation(kind, k, r, key, cols) is None:
-                    cand = BitMatrix(m, n, key)
-                    codes.append(canonical_form(cand))
-                    seen.update(_column_images(cand))
+                    orbit = _orbit(key, n)
+                    seen.update(orbit)
+                    codes.append(_least(orbit, n))
             for j in ones[i]:
                 cols[j] ^= bit
             rows.pop()
@@ -282,7 +325,7 @@ def exhaustive_min(
     for m in range(min_m, max_m + 1):
         for pool in pools:
             # The root takes only index 0, the pool's 2^w - 1.
-            walk(pool, m, 0, min(1, len(pool[0]) - m + 1), 0, 0)
+            walk(pool, m, 0, min(1, len(pool[0]) - m + 1), 0, 0, 0)
         if codes:
             return SearchResult(m, tuple(sorted(codes, key=lambda c: c.rows)), explored)
     return SearchResult(None, (), explored)

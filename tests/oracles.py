@@ -8,7 +8,7 @@ no log-space tricks.  Slower but obviously faithful to the definitions.
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 
 def or_of_columns(bits, cols):
@@ -61,6 +61,18 @@ def naive_is_separable(bits, k):
 
 def naive_is_btc(bits, k, r):
     return naive_is_bcc(bits, k, r) and naive_is_separable(bits, k)
+
+
+def naive_canonical_form(bits):
+    """The least row-sorted bit string over all column orders, as rows.
+
+    Under each column order the rows are read column 0 first and sorted;
+    the least such string (rows compared in turn, all of one length) is
+    returned as its sorted list of bit tuples.
+    """
+    n = len(bits[0])
+    return min(sorted(tuple(row[j] for j in perm) for row in bits)
+               for perm in permutations(range(n)))
 
 
 def _first_pair(sums, related):

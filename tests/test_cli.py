@@ -155,7 +155,7 @@ def test_search_reports_minimum(capsys, tmp_path):
 
 
 def test_search_over_the_walk_budget_is_status_three(capsys):
-    # Separability prunes nothing: C(255, 6) candidates at the first height.
+    # Even under the split bound, separability on 8 columns passes the walk budget.
     assert run_cli("search", "--kind", "separable", "--k", "2", "--r", "1", "--n", "8",
                    "--max-m", "12") == 3
     captured = capsys.readouterr()

@@ -209,6 +209,19 @@ def test_config_count_prior_is_read_only_and_pickles():
     assert (restored._groups, restored._group_first) == (cfg._groups, cfg._group_first)
 
 
+def test_configs_and_results_compare_and_hash_by_identity():
+    code = general_bcc(2, 2, 4)
+    cfg = DecoderConfig(code, identity_confusions(code.m, 3), 0.5, 0.9,
+                        uniform_count_prior(0, 2), 3)
+    restored = pickle.loads(pickle.dumps(cfg))
+    assert cfg == cfg and cfg != restored
+    assert {cfg: 1, restored: 2}[restored] == 2
+    result = decode([0] * code.m, cfg)
+    again = decode([0] * code.m, cfg)
+    assert result == result and result != again
+    assert {result: 1, again: 2}[again] == 2
+
+
 def test_config_enumeration_budget(monkeypatch):
     # The tables count supports per (size, mask), so the 4.1M supports of
     # this column-duplicated code cost 4,325 updates and build.

@@ -3,7 +3,7 @@ import random
 from itertools import accumulate, permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bcode import search
 from bcode.bitmatrix import BitMatrix
@@ -59,6 +59,44 @@ def test_canonical_form_is_permutation_invariant_and_idempotent(mat, rnd):
     canon = canonical_form(mat)
     assert canonical_form(canon) == canon
     assert canonical_form(permuted(mat, rnd)) == canon
+
+
+def _bits(rows, n):
+    return [[row >> j & 1 for j in range(n)] for row in rows]
+
+
+# Repeated rows, zero rows and all-ones rows.
+EDGE_MATRICES = [BitMatrix(4, 3, (5, 5, 0, 7)), BitMatrix(2, 4, (0, 0)),
+                 BitMatrix(3, 4, (15, 15, 15)), BitMatrix(5, 6, (3, 12, 48, 3, 63)),
+                 BitMatrix(4, 3, (5, 6, 3, 5)), BitMatrix(3, 4, (0, 9, 0))]
+
+
+def with_edge_examples(test):
+    for mat in EDGE_MATRICES:
+        test = example(mat)(test)
+    return test
+
+
+@given(bit_matrices(max_m=6, max_n=6))
+@with_edge_examples
+@settings(max_examples=80)
+def test_canonical_form_equals_the_naive_oracle(mat):
+    assert (_bits(canonical_form(mat).rows, mat.n)
+            == [list(row) for row in oracles.naive_canonical_form(_bits(mat.rows, mat.n))])
+
+
+@given(bit_matrices(max_m=6, max_n=6))
+@with_edge_examples
+@settings(max_examples=80)
+def test_orbit_is_every_image_whose_least_row_is_all_ones_at_the_bottom(mat):
+    # The members the walk can reach: the full orbit's images (rows sorted)
+    # whose least row is 2^w - 1, w the least row weight.
+    n, rows = mat.n, mat.rows
+    least = 2 ** min(row.bit_count() for row in rows) - 1
+    images = {tuple(sorted(sum((row >> src & 1) << pos for pos, src in enumerate(perm))
+                           for row in rows))
+              for perm in permutations(range(n))}
+    assert search._orbit(rows, n) == {image for image in images if image[0] == least}
 
 
 def test_canonical_form_has_a_column_budget():
@@ -191,8 +229,10 @@ def test_unique_constant_weight_rows_respect_the_lower_bound(n, data):
 # search above, acceptance 03, the benchmark's and the README's searches.
 # min_rows and codes were recorded before the walk moved onto ints and dedup
 # onto orbits (the BTC cases before the walk decided leaves from its
-# accumulators), explored since the walk takes only 2^w - 1 as first row.
-# The last two searches passed the walk budget before that.
+# accumulators), explored since the walk takes only 2^w - 1 as first row,
+# and for SEPARABLE and BTC since the split bound prunes their walks.  The
+# BCC(2,2,7) and BDC(2,3,8) searches passed the walk budget before the
+# first-row break, the last three before the split bound.
 PINNED = [
     ("BDC", 2, 2, 4, 8, 6, ((12, 10, 6, 9, 5, 3),), 5),
     ("BCC", 2, 1, 3, 6, 4, ((4, 2, 1, 7),), 12),
@@ -202,11 +242,11 @@ PINNED = [
     ("SEPARABLE", 1, 1, 3, 8, 2, ((4, 2), (4, 6), (6, 5)), 9),
     ("BCC", 2, 1, 3, 8, 4, ((4, 2, 1, 7),), 12),
     ("BCC", 1, 2, 3, 8, 3, ((6, 5, 3),), 2),
-    ("SEPARABLE", 1, 1, 4, 8, 2, ((12, 10),), 28),
+    ("SEPARABLE", 1, 1, 4, 8, 2, ((12, 10),), 10),
     ("SEPARABLE", 1, 1, 5, 8, 3, ((16, 12, 10), (16, 12, 26), (16, 28, 26), (24, 6, 21),
                                   (24, 20, 10), (24, 20, 14), (24, 20, 18), (24, 20, 26),
                                   (24, 20, 30), (24, 22, 13), (24, 22, 21), (24, 22, 29),
-                                  (24, 28, 22), (28, 26, 21), (28, 26, 22), (28, 26, 23)), 850),
+                                  (24, 28, 22), (28, 26, 21), (28, 26, 22), (28, 26, 23)), 567),
     ("BCC", 2, 2, 6, 12, 4, ((48, 12, 3, 63),), 10062),
     ("BDC", 1, 1, 2, 12, 2, ((2, 1),), 2),
     ("BCC", 1, 1, 2, 12, 3, ((2, 1, 3),), 3),
@@ -229,7 +269,7 @@ PINNED = [
     ("BDC", 4, 1, 5, 12, 5, ((16, 8, 4, 2, 1),), 23),
     ("BCC", 4, 1, 5, 12, 6, ((16, 8, 4, 2, 1, 31),), 263),
     ("SEPARABLE", 1, 1, 7, 6, 3, ((112, 76, 42), (112, 76, 106), (112, 108, 90),
-                                  (120, 102, 85)), 22001),
+                                  (120, 102, 85)), 2721),
     ("BTC", 1, 1, 3, 8, 3, ((4, 2, 1), (4, 2, 7), (6, 5, 3)), 23),
     ("BTC", 1, 1, 4, 8, 4, ((8, 4, 2, 1), (8, 4, 2, 9), (8, 4, 2, 13), (8, 4, 2, 15),
                             (8, 4, 10, 3), (8, 4, 10, 13), (8, 4, 10, 15), (8, 4, 14, 3),
@@ -238,15 +278,28 @@ PINNED = [
                             (8, 6, 14, 13), (8, 12, 6, 5), (8, 12, 6, 11), (8, 12, 6, 15),
                             (8, 14, 13, 7), (12, 10, 5, 15), (12, 10, 6, 9), (12, 10, 6, 13),
                             (12, 10, 6, 15), (12, 10, 7, 15), (12, 10, 9, 7), (12, 10, 13, 7),
-                            (12, 14, 11, 7), (14, 13, 11, 7)), 641),
-    ("BTC", 2, 1, 4, 8, 5, ((8, 4, 2, 1, 15), (8, 4, 2, 14, 1)), 721),
+                            (12, 14, 11, 7), (14, 13, 11, 7)), 626),
+    ("BTC", 2, 1, 4, 8, 5, ((8, 4, 2, 1, 15), (8, 4, 2, 14, 1)), 331),
     ("BTC", 1, 2, 4, 8, 4, ((12, 10, 5, 15), (12, 10, 6, 9), (12, 10, 6, 13), (12, 10, 6, 15),
                             (12, 10, 7, 15), (12, 10, 9, 7), (12, 10, 13, 7), (12, 14, 11, 7),
                             (14, 13, 11, 7)), 172),
-    ("BTC", 2, 1, 5, 8, 5, ((16, 8, 4, 2, 1),), 21112),
+    ("BTC", 2, 1, 5, 8, 5, ((16, 8, 4, 2, 1),), 234),
     ("BCC", 2, 2, 7, 12, 4, ((96, 24, 6, 127), (96, 24, 7, 127)), 135131),
     ("BDC", 2, 3, 8, 12, 4, ((224, 152, 120, 7), (224, 208, 56, 7)), 293526),
+    ("BTC", 2, 1, 6, 12, 6, ((32, 16, 8, 4, 2, 1), (48, 12, 42, 22, 25, 37)), 65985),
+    ("SEPARABLE", 2, 1, 6, 12, 6, ((32, 16, 8, 4, 2, 1), (32, 24, 20, 10, 5, 3),
+                                   (32, 24, 20, 10, 5, 35), (48, 12, 42, 22, 25, 3),
+                                   (48, 12, 42, 22, 25, 37), (48, 40, 20, 10, 5, 3),
+                                   (48, 40, 20, 26, 37, 3), (48, 40, 36, 18, 9, 7)), 81876),
+    ("SEPARABLE", 2, 1, 7, 12, 6, ((112, 76, 42, 22, 25, 37),), 34794),
 ]
+
+NAIVE = {
+    "BDC": oracles.naive_is_bdc,
+    "BCC": oracles.naive_is_bcc,
+    "BTC": oracles.naive_is_btc,
+    "SEPARABLE": lambda bits, k, r: oracles.naive_is_separable(bits, k),
+}
 
 
 @pytest.mark.parametrize("kind,k,r,n,max_m,min_rows,codes,explored", PINNED,
@@ -255,6 +308,8 @@ def test_search_results_are_pinned(kind, k, r, n, max_m, min_rows, codes, explor
     result = exhaustive_min(CodeKind(kind), k, r, n, max_m)
     assert (result.min_rows, tuple(c.rows for c in result.codes), result.explored) == (
         min_rows, codes, explored)
+    for rows in codes:
+        assert NAIVE[kind](_bits(rows, n), k, r)
 
 
 # Every kind on n <= 5 columns, k <= 3, r <= 2 (r = 1 for SEPARABLE, which
@@ -301,10 +356,10 @@ def test_search_walk_budget_boundary(monkeypatch):
         exhaustive_min(CodeKind.BDC, 2, 2, 4, 5)
     # The last row's leaves are counted in one batch, and the boundary stays
     # where a count per leaf puts it: the benchmark's walk search (1,112
-    # inner nodes, 10,062 leaves) and an unpruned separable walk (80 inner
-    # nodes, 850 leaves).
+    # inner nodes, 10,062 leaves) and a separable walk under the split bound
+    # (80 inner nodes, 567 leaves).
     for kind, k, r, n, max_m, nodes in [(CodeKind.BCC, 2, 2, 6, 12, 11174),
-                                        (CodeKind.SEPARABLE, 1, 1, 5, 8, 930)]:
+                                        (CodeKind.SEPARABLE, 1, 1, 5, 8, 647)]:
         monkeypatch.setattr(search, "SEARCH_MAX_NODES", 1_000_000)
         want = exhaustive_min(kind, k, r, n, max_m)
         monkeypatch.setattr(search, "SEARCH_MAX_NODES", nodes)
@@ -319,7 +374,7 @@ def test_search_walk_budget_boundary(monkeypatch):
     (CodeKind.SEPARABLE, 1, 1, 5, 8, 16),
 ])
 def test_walk_accumulators_decide_most_leaves(monkeypatch, kind, k, r, n, max_m, calls):
-    # Of 10,062 and 850 complete candidates, only these reach the verifier
+    # Of 10,062 and 567 complete candidates, only these reach the verifier
     # core; the rest are rejected by the walk's kill and column accumulators
     # or by a repeated column, or are members of an orbit already seen.
     # Each of them is the walk's corner of its orbit: its first row is
