@@ -13,27 +13,46 @@ outputs are drawn from that config's confusion stack, so a simulation
 samples and decodes under one model.  ``run_trials`` evaluates one attacker
 count, as the paper judges a code against a given number of attackers;
 ``sweep`` repeats it over counts and runs.  All sampling is deterministic
-given seeds; each trial derives its own stream from (seed, trial index), so
-results do not depend on execution order and parallel sweeps reproduce
-serial ones bit for bit.
+given seeds; each trial draws from its own stream, the one
+``np.random.default_rng([seed, trial index])`` gives, so results do not
+depend on execution order and parallel sweeps reproduce serial ones bit for
+bit.  ``run_trials`` seeds all of a call's streams in one vectorized pass
+that computes exactly what ``default_rng`` computes, and samples the outputs
+of a block of trials at once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .bitmatrix import BitMatrix, column_or_mask
 from .decoder import DecoderConfig, decode_block, majority_votes
+from .errors import ResourceLimitError
 # The one-vector forms stay importable here: bench/tracing.py wraps them by
 # these names.
 from .decoder import decode, majority_vote  # noqa: F401
 
 # Generator.choice's tolerance on a probability row's sum.
 _CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+# Trials per run: a trial index is one 32-bit word of its stream's entropy.
+MAX_TRIALS = 2**32
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): pool size, hash and
+# mix constants.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 2**32 - 1
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = 2**128 - 1
 
 
 def dirichlet_profiles(
@@ -156,31 +175,120 @@ def _choice_cdfs(confusions: np.ndarray) -> np.ndarray:
     return cdfs
 
 
-def _sample(
-    mask: int,
-    target: int,
-    true_label: int,
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """``init`` and its first ``count`` multiples by ``mult`` mod 2^32, as
+    a (count + 1, 1) uint32 column: the successive hash constants of
+    SeedSequence."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _seed_words(seed: int, trials: np.ndarray) -> np.ndarray:
+    """``SeedSequence([seed, t]).generate_state(4, np.uint64)`` for every t
+    in ``trials`` (uint32 indices), one row each.
+
+    This is SeedSequence's pool mixing and state generation on uint32
+    words, with one column per trial: the entropy of (seed, t) is the
+    little-endian 32-bit words of the seed followed by the one word of t.
+    The hashes a source word makes for the pool words are independent, so
+    each source word updates all of them in one step.  A negative seed
+    raises ``ValueError``, as ``default_rng`` does.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    # Entropy shorter than the pool is padded with zero words.
+    entropy = np.zeros((max(len(words) + 1, _POOL_SIZE), len(trials)), dtype=np.uint32)
+    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = trials
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
+    used = 0
+
+    def hashmix(values: np.ndarray, count: int) -> np.ndarray:
+        nonlocal used
+        out = values ^ consts[used : used + count]
+        out *= consts[used + 1 : used + count + 1]
+        out ^= out >> 16
+        used += count
+        return out
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = _MIX_MULT_L * x - _MIX_MULT_R * y
+        out ^= out >> 16
+        return out
+
+    pool = hashmix(entropy[:_POOL_SIZE], _POOL_SIZE)
+    for src in range(_POOL_SIZE):
+        others = [dst for dst in range(_POOL_SIZE) if dst != src]
+        pool[others] = mix(pool[others], hashmix(pool[src], _POOL_SIZE - 1))
+    for src in range(_POOL_SIZE, len(entropy)):
+        pool = mix(pool, hashmix(entropy[src], _POOL_SIZE))
+
+    consts = _hash_consts(_INIT_B, _MULT_B, 8)
+    state = pool[np.arange(8) % _POOL_SIZE] ^ consts[:-1]
+    state *= consts[1:]
+    state ^= state >> 16
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _pcg64_states(words: np.ndarray) -> Iterator[dict]:
+    """The state of a ``PCG64`` seeded with each row of ``words``, as
+    ``PCG64.state`` reads it: the first two words are the initial state and
+    the last two the stream, and seeding steps the LCG twice."""
+    for s_hi, s_lo, i_hi, i_lo in words.tolist():
+        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        yield {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+
+def _sample_block(
+    compromised: np.ndarray,
+    targets: np.ndarray,
+    labels: np.ndarray,
     cdfs: np.ndarray,
     success_rate: float,
-    rng: np.random.Generator,
+    draws: np.ndarray,
 ) -> np.ndarray:
-    """One output vector; the models in ``mask`` are compromised.
+    """Output vectors of a block of trials, one row each; the models
+    flagged in a row of the (T, m) ``compromised`` are compromised.
 
-    Draws exactly what one ``rng.choice(c, p=row)`` per clean draw would:
-    one ``rng.random()`` mapped through the row's CDF (``searchsorted``
-    with side="right" on a nondecreasing CDF counts the entries <= u).
+    Row b reads the doubles of ``draws[b]`` in order, model by model, as one
+    ``rng.random()`` per draw would: a compromised model reads one and emits
+    the target if it is below ``success_rate``; otherwise the model reads
+    one more, its clean draw, which maps through its CDF row for the true
+    label to what ``rng.choice(c, p=row)`` draws (counting the CDF entries
+    <= u).  A row holds 2m doubles, enough for every model's two draws;
+    the ones past those it reads are never used, and a trial draws nothing
+    after them.
     """
-    m = cdfs.shape[0]
-    y = np.full(m, target)
-    clean: list[int] = []
-    draws: list[float] = []
-    for i in range(m):
-        if (mask >> i) & 1 and rng.random() < success_rate:
-            continue
-        clean.append(i)
-        draws.append(rng.random())
-    y[clean] = (cdfs[clean, true_label] <= np.array(draws)[:, None]).sum(axis=1)
-    return y
+    rows, m = compromised.shape
+    flat = draws.ravel()
+    # Each row's read pointer at model i's clean draw, in ``flat``, had no
+    # earlier attack succeeded: one draw per earlier model, one success draw
+    # per compromised model up to i.  Every success before i moves it back
+    # by one, and a compromised model's success draw sits just before it.
+    clean_at = (np.arange(0, flat.size, draws.shape[1])[:, None] + np.arange(m)
+                + np.cumsum(compromised, axis=1))
+    hit = np.zeros((rows, m), dtype=bool)
+    hits = np.zeros(rows, dtype=np.intp)
+    for i in np.flatnonzero(compromised.any(axis=0)):
+        # Rows that do not flag model i read some double and ignore it.
+        success = flat[clean_at[:, i] - hits - 1] < success_rate
+        hit[:, i] = compromised[:, i] & success
+        hits += hit[:, i]
+    u = flat[clean_at - np.cumsum(hit, axis=1)]
+    clean = (cdfs[np.arange(m), labels[:, None]] <= u[:, :, None]).sum(axis=2)
+    return np.where(hit, targets[:, None], clean)
 
 
 def sample_outputs(
@@ -195,8 +303,11 @@ def sample_outputs(
     A model is compromised iff it trains on any attacker; a compromised
     model emits the target with probability ``success_rate`` and otherwise
     (like every clean model) draws from its confusion row for the true
-    label.  Models are independent; deterministic given the seed.  The
-    draws are those of one ``Generator.choice`` per clean model, and a
+    label.  Models are independent; the draws come from
+    ``np.random.default_rng(seed)`` and are those of one
+    ``Generator.choice`` per clean model.  This is the block sampler of
+    ``run_trials`` on one row; ``run_trials`` seeds each trial's stream,
+    ``default_rng([seed, t])``, in one pass that gives the same states.  A
     confusion row that ``choice`` would refuse raises ``ValueError``, and so
     does a target or true label outside the stack's classes.
     """
@@ -211,16 +322,17 @@ def sample_outputs(
     classes = cdfs.shape[1]
     if scenario.target >= classes or scenario.true_label >= classes:
         raise ValueError(f"target and true label must be classes in [0, {classes})")
-    support = scenario.support
-    mask = column_or_mask(code, support) if support else 0
-    return _sample(
-        mask,
-        scenario.target,
-        scenario.true_label,
+    mask = column_or_mask(code, scenario.support) if scenario.support else 0
+    compromised = np.array([mask >> i & 1 for i in range(code.m)], dtype=bool)
+    draws = np.random.default_rng(seed).random(2 * code.m)
+    return _sample_block(
+        compromised[None],
+        np.array([scenario.target]),
+        np.array([scenario.true_label]),
         cdfs,
         success_rate,
-        np.random.default_rng(seed),
-    )
+        draws[None],
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -252,6 +364,15 @@ def _checked_count(cfg: DecoderConfig, count: int) -> int:
     return int(count)
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if trials > MAX_TRIALS:
+        raise ResourceLimitError(
+            f"{trials} trials exceed the {MAX_TRIALS} trial streams a run seeds"
+        )
+
+
 def run_trials(
     cfg: DecoderConfig,
     attacker_count: int,
@@ -265,23 +386,29 @@ def run_trials(
     is drawn uniformly among subsets of that size, the true label
     uniformly, and the target uniformly among the other classes; outputs
     are sampled from the generative model and decoded.  Each trial uses the
-    stream derived from (seed, trial index).  Outputs are decoded in blocks
-    of ``cfg.block_rows`` trials, which changes no reported number: every
-    row decodes exactly as it would alone.
+    stream ``np.random.default_rng([seed, trial index])`` gives, drawing
+    the support with ``choice`` (skipped for zero attackers, where it draws
+    nothing), the label and the target with ``integers`` and then all its
+    output doubles with one ``random`` call.  The streams are seeded in one
+    pass, and outputs are sampled and decoded in blocks of
+    ``cfg.block_rows`` trials, which changes no reported number: every
+    trial draws and every row decodes exactly as it would alone.  More than
+    ``MAX_TRIALS`` trials raise ``ResourceLimitError``.
     """
     attacker_count = _checked_count(cfg, attacker_count)
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check_trials(trials)
     c = cfg.num_classes
     if c < 2:
         raise ValueError("attack simulation needs at least two classes")
 
     code = cfg.code
     n, m = code.n, code.m
-    masks = code.column_masks
+    models_of_user = code.to_array().T.astype(bool)  # (n, m)
     cdfs = _choice_cdfs(cfg.confusions)
+    words = _seed_words(seed, np.arange(trials, dtype=np.uint32))
+    bitgen = np.random.PCG64()
+    rng = np.random.Generator(bitgen)
     rows = cfg.block_rows
-    label_arr = np.empty(trials, dtype=int)
     decode_ok = np.zeros(trials, dtype=bool)
     majority_ok = np.zeros(trials, dtype=bool)
     tp = np.zeros(trials)
@@ -289,30 +416,30 @@ def run_trials(
     degenerate = np.zeros(trials, dtype=bool)
 
     for start in range(0, trials, rows):
-        block = range(start, min(start + rows, trials))
-        y = np.empty((len(block), m), dtype=int)
-        supports = []
-        for b, t in enumerate(block):
-            rng = np.random.default_rng([seed, t])
-            support = sorted(int(j) for j in rng.choice(n, size=attacker_count, replace=False))
-            label = int(rng.integers(c))
-            target = int(rng.integers(c - 1))
-            if target >= label:
-                target += 1
-            mask = 0
-            for j in support:
-                mask |= masks[j]
-            y[b] = _sample(mask, target, label, cdfs, cfg.success_rate, rng)
-            label_arr[t] = label
-            supports.append(set(support))
+        sel = slice(start, min(start + rows, trials))
+        size = sel.stop - start
+        supports = np.empty((size, attacker_count), dtype=np.intp)
+        labels = np.empty(size, dtype=np.intp)
+        targets = np.empty(size, dtype=np.intp)
+        draws = np.empty((size, 2 * m))
+        for b, state in enumerate(_pcg64_states(words[sel])):
+            bitgen.state = state
+            if attacker_count:
+                supports[b] = rng.choice(n, size=attacker_count, replace=False)
+            labels[b] = rng.integers(c)
+            targets[b] = rng.integers(c - 1)
+            rng.random(out=draws[b])
+        targets += targets >= labels
+        compromised = models_of_user[supports].any(axis=1)
+        y = _sample_block(compromised, targets, labels, cdfs, cfg.success_rate, draws)
 
-        sel = slice(block.start, block.stop)
         result = decode_block(y, cfg)
-        majority_ok[sel] = majority_votes(y, c) == label_arr[sel]
+        majority_ok[sel] = majority_votes(y, c) == labels
         degenerate[sel] = result.degenerate
-        decode_ok[sel] = ~result.degenerate & (result.decoded_label == label_arr[sel])
-        for t, support, found in zip(block, supports, result.decoded_attackers):
-            tp[t] = len(support.intersection(found))
+        decode_ok[sel] = ~result.degenerate & (result.decoded_label == labels)
+        for t, support, found in zip(range(start, sel.stop), supports.tolist(),
+                                     result.decoded_attackers):
+            tp[t] = len(set(support).intersection(found))
             fp[t] = len(found) - tp[t]
 
     return CountStats(
@@ -367,11 +494,12 @@ def sweep(
     Run seeds derive deterministically from ``seed``; tasks are independent
     and may execute in a process pool of up to ``workers`` processes, at most
     one per task, without changing any reported number.  An empty count
-    list, fewer than one run or fewer than one worker is refused before any
-    task runs.
+    list, fewer than one run, fewer than one worker and a trial count
+    ``run_trials`` refuses are refused before any task runs.
     """
     if runs < 1:
         raise ValueError("need at least one run")
+    _check_trials(trials)
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     if len(attacker_counts) == 0:

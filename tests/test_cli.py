@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -309,13 +310,16 @@ def test_construct_refuses_an_empty_search_budget(capsys, flag, value):
 def test_simulate_out_of_memory_is_status_three(tmp_path, capsys, flag):
     code = tmp_path / "c.bcode"
     formats.save(code, general_bcc(1, 1, 2), "BCC", 1, 1)
-    # 10**17 counts cannot be allocated on any host, so numpy fails at once.
+    # 10**17 runs cannot be allocated on any host, so numpy fails at once;
+    # 10**17 trials are past the trial streams a run seeds, refused first.
     sizes = {"--trials": "1", "--runs": "1", flag: str(10**17)}
     assert run_cli("simulate", "--code", str(code), "--classes", "2", "--q", "uniform:0:1",
                    "--attackers", "0", "--threads", "1",
                    *(arg for item in sizes.items() for arg in item)) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+    expected = {"--runs": "error: Unable to allocate",
+                "--trials": f"error: {10**17} trials exceed the {2**32} trial streams"}
+    assert err.startswith(expected[flag]) and "Traceback" not in err
 
 
 def test_constructed_files_feed_every_other_subcommand(tmp_path):
@@ -425,6 +429,23 @@ def test_simulate_refuses_an_empty_sweep(tmp_path, capsys, flag, value, message)
     assert message in printed.err
     assert printed.out == ""
     assert not (tmp_path / "e.json").exists() and not (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize("trials,status,message", [
+    ("0", 2, "need at least one trial"),
+    ("-1", 2, "need at least one trial"),
+    (str(2**32 + 1), 3, f"{2**32 + 1} trials exceed the {2**32} trial streams a run seeds"),
+])
+def test_simulate_refuses_a_bad_trial_count_before_any_pool(tmp_path, capsys, monkeypatch,
+                                                             trials, status, message):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda *args, **kwargs: pytest.fail("a process pool was built"))
+    code = tmp_path / "c.bcode"
+    formats.save(code, minimal_bcc(2, 2))
+    assert run_cli("simulate", "--code", str(code), "--trials", trials, "--runs", "2",
+                   "--attackers", "0,1", "--threads", "2") == status
+    printed = capsys.readouterr()
+    assert printed.err == f"error: {message}\n" and printed.out == ""
 
 
 def test_simulate_threads_default_to_the_usable_cpus(tmp_path, monkeypatch):

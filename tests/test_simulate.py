@@ -17,7 +17,7 @@ from bcode.decoder import (
     majority_vote,
     uniform_count_prior,
 )
-from bcode.errors import DegenerateEvidenceError
+from bcode.errors import DegenerateEvidenceError, ResourceLimitError
 from bcode.simulate import (
     CountStats,
     Scenario,
@@ -383,6 +383,64 @@ def test_run_trials_equals_a_loop_of_one_vector_decodes(code, make_cfg, counts):
             assert got.degenerate == got.trials > 0
 
 
+@st.composite
+def simulation_configs(draw):
+    """A small code, a confusion stack and a count prior, both with hard
+    zeros, and a success rate that is often exactly 0 or 1."""
+    m, n, c = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    bits = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    entry = st.just(0.0) | st.floats(0.0, 1.0) | st.just(1.0)
+    weights = np.array(draw(st.lists(entry, min_size=m * c * c, max_size=m * c * c)))
+    weights = weights.reshape(m, c, c)
+    weights[weights.sum(axis=2) == 0.0, draw(st.integers(0, c - 1))] = 1.0
+    confusions = weights / weights.sum(axis=2, keepdims=True)
+    counts = draw(st.lists(entry, min_size=1, max_size=n + 1))
+    counts[draw(st.integers(0, len(counts) - 1))] = 1.0
+    prior = {k: w / sum(counts) for k, w in enumerate(counts)}
+    attack_prior = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    success_rate = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return DecoderConfig(BitMatrix.from_rows(bits), confusions, attack_prior, success_rate,
+                         prior, c)
+
+
+# Blocks of 1, 3 and the default number of rows put trials at different rows
+# of a block, where each follows its own read pointer through its doubles.
+@pytest.mark.parametrize("rows", [1, 3, None])
+@settings(max_examples=100, deadline=None)
+@given(cfg=simulation_configs(), trials=st.integers(1, 7), seed=st.integers(0, 2**70))
+def test_sampler_and_decoder_together_equal_the_reference(rows, cfg, trials, seed):
+    with pytest.MonkeyPatch.context() as patch:
+        if rows is not None:
+            patch.setattr(DecoderConfig, "block_rows", rows)
+        for count in cfg.count_prior:
+            assert run_trials(cfg, count, trials, seed) == reference_report(
+                cfg.code, cfg, count, trials, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**100, 2**200 + 3])
+def test_trial_streams_are_seeded_as_default_rng_seeds_them(seed):
+    # From 2**96 on a seed takes four entropy words or more, so with the
+    # trial's word the pool of four is mixed with one word more, or four.
+    trials = np.array([*range(1000), 2**32 - 1], dtype=np.uint32)
+    states = simulate._pcg64_states(simulate._seed_words(seed, trials))
+    for t, state in zip(trials.tolist(), states, strict=True):
+        assert state == np.random.default_rng([seed, t]).bit_generator.state
+    bitgen = np.random.PCG64()
+    bitgen.state = state
+    assert np.array_equal(np.random.Generator(bitgen).random(8),
+                          np.random.default_rng([seed, 2**32 - 1]).random(8))
+
+
+def test_a_negative_seed_is_refused_as_default_rng_refuses_it():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        np.random.default_rng([-1, 0])
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        simulate._seed_words(-1, np.arange(3, dtype=np.uint32))
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        run_trials(perfect_cfg(general_bcc(2, 2, 4), 2), 1, trials=3, seed=-1)
+
+
 @pytest.mark.parametrize("rows", [1, 7, 1000])
 def test_block_boundaries_do_not_change_the_report(monkeypatch, rows):
     code = general_bcc(2, 4, 8)
@@ -411,6 +469,18 @@ def test_run_trials_validation():
         run_trials(cfg, 3, trials=10, seed=0)  # outside the count prior
     with pytest.raises(ValueError):
         run_trials(cfg, 1, trials=0, seed=0)
+
+
+@pytest.mark.parametrize("trials,error", [(0, ValueError), (-2, ValueError),
+                                          (2**32 + 1, ResourceLimitError)])
+def test_trial_counts_are_refused_before_any_task_runs(monkeypatch, trials, error):
+    cfg = perfect_cfg(general_bcc(2, 2, 4), 2)
+    # run_trials refuses more trials than a run seeds before allocating any
+    with pytest.raises(error, match="trial"):
+        run_trials(cfg, 1, trials=trials, seed=0)
+    monkeypatch.setattr(simulate, "run_trials", lambda *args: pytest.fail("a task ran"))
+    with pytest.raises(error, match="trial"):
+        sweep(cfg, [0, 1], trials=trials, runs=2, seed=0, workers=2)
 
 
 @pytest.mark.parametrize("count", [1.7, 1.0, -1, 3, "1", None])
