@@ -7,8 +7,12 @@ no log-space tricks.  Slower but obviously faithful to the definitions.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from itertools import combinations, permutations, product
+
+import numpy as np
 
 
 def or_of_columns(bits, cols):
@@ -253,3 +257,68 @@ def naive_search(kind, k, r, n, max_m, canonical):
         if codes:
             return m, sorted(codes)
     return None, []
+
+
+# --- seeded random constructions, one numpy call per draw ------------------------
+#
+# ``construct`` reads the seed's bit stream in bulk; these are the loops it
+# reproduces, with the same ``rng`` calls in the same order.
+
+def numpy_random_matrix(rng, n, weights):
+    """One row per weight, with that many ones in columns drawn by
+    ``rng.choice``, or None when some column is all zero."""
+    rows = []
+    covered = 0
+    for weight in weights:
+        row = sum(1 << j for j in rng.choice(n, size=weight, replace=False).tolist())
+        rows.append(row)
+        covered |= row
+    return rows if covered == (1 << n) - 1 else None
+
+
+def numpy_random_code(m, n, row_weight, seed, retries):
+    """The rows of the first of ``retries`` draws without a zero column,
+    or None."""
+    rng = np.random.default_rng(seed)
+    for _ in range(retries):
+        rows = numpy_random_matrix(rng, n, [row_weight] * m)
+        if rows is not None:
+            return rows
+    return None
+
+
+def numpy_separable_candidates(k, n, min_weight, seed, max_rows, attempts_per_m):
+    """(m, rows or None) for every draw of the separable search in turn,
+    None for a draw with a zero column."""
+    num_sums = sum(math.comb(n, j) for j in range(1, min(k, n) + 1))
+    start_m = max(1, math.ceil(math.log2(num_sums + 1)))
+    lo = max(min_weight, int(n / 2 - math.sqrt(n)), 1)
+    hi = n - 1
+    rng = np.random.default_rng(seed)
+    for m in range(start_m, max_rows + 1):
+        for _ in range(attempts_per_m):
+            weights = (int(rng.integers(lo, hi + 1)) for _ in range(m))
+            yield m, numpy_random_matrix(rng, n, weights)
+
+
+def sums_distinct(rows, n, k):
+    """Whether the ORs of every 1..k of the n columns of int ``rows`` are
+    pairwise distinct."""
+    cols = [sum(((row >> j) & 1) << i for i, row in enumerate(rows)) for j in range(n)]
+    sums = [
+        functools.reduce(operator.or_, (cols[j] for j in s))
+        for size in range(1, min(k, n) + 1)
+        for s in combinations(range(n), size)
+    ]
+    return len(set(sums)) == len(sums)
+
+
+def numpy_separable_search(k, n, min_weight, seed, max_rows, attempts_per_m):
+    """(rows of the first separable draw without a zero column, None), or
+    (None, the last height tried) when there is none."""
+    last = None
+    for m, rows in numpy_separable_candidates(k, n, min_weight, seed, max_rows, attempts_per_m):
+        last = m
+        if rows is not None and sums_distinct(rows, n, k):
+            return rows, None
+    return None, last

@@ -1,5 +1,8 @@
+import functools
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from bcode import bitmatrix, construct
@@ -337,6 +340,220 @@ def test_btc_wide_tracking_code():
     mat = btc(1, 11, 16, seed=0, max_rows=32)
     assert verify(mat, CodeKind.BTC, 1, 11)
     assert min_row_weight(mat) >= 11
+
+
+# --- seeded draws: the matrices one numpy call per draw gives -------------------
+
+@functools.cache
+def numpy_separable(args):
+    return oracles.numpy_separable_search(*args)
+
+
+def search_outcome(args):
+    """(rows, None) of the matrix ``separable_search(*args)`` returns, or
+    (None, last_tried) of the error it raises."""
+    k, n, min_weight, seed, max_rows, attempts = args
+    try:
+        return list(separable_search(k, n, min_weight, seed, max_rows, attempts).rows), None
+    except ConstructionError as err:
+        assert str(err) == f"no separable matrix with {n} columns found up to {max_rows} rows"
+        return None, err.last_tried
+
+
+# (k, n, min_weight, seed, max_rows, attempts_per_m)
+SEPARABLE_GRID = [
+    (1, 8, 1, 0, 16, 200),
+    (2, 8, 2, 9, 24, 200),
+    (2, 16, 4, 0, 64, 200),  # the `design` benchmark's btc block
+    (2, 16, 4, 1000, 64, 200),
+    (3, 12, 2, 5, 64, 20),
+    (2, 10, 3, 1, 40, 30),
+    (1, 4, 3, 2, 8, 50),  # lo == hi: no weight draw
+    (3, 16, 4, 0, 120, 1),  # 79 rows: sums of two 64-bit words
+    (2, 8, 7, 0, 70, 2),  # rows of weight n - 1 never separate pairs
+    (2, 8, 2, 0, 7, 2),
+    (2, 8, 2, 0, 2, 5),  # budget below the lower bound
+]
+
+
+@pytest.mark.parametrize("args", SEPARABLE_GRID, ids=str)
+def test_separable_search_equals_one_numpy_call_per_draw(args):
+    assert search_outcome(args) == numpy_separable(args)
+
+
+@pytest.mark.parametrize("entries", [1, 700])
+@pytest.mark.parametrize("args", [(2, 8, 2, 9, 24, 200), (2, 10, 3, 1, 40, 30), (3, 16, 4, 0, 120, 1),
+                                  (2, 8, 7, 0, 70, 2)], ids=str)
+def test_separable_search_is_the_same_across_batch_boundaries(monkeypatch, args, entries):
+    # One row per parse and one draw per batch, or batches that end inside
+    # a height and parses that end inside a draw.
+    monkeypatch.setattr(construct, "BATCH_ENTRIES", entries)
+    assert search_outcome(args) == numpy_separable(args)
+
+
+def test_btc_equals_one_numpy_call_per_draw():
+    for seed in (0, 1, 1000):
+        rows, _ = numpy_separable((2, 16, 4, seed, 64, 200))
+        assert list(btc(2, 4, 16, seed).rows) == list(general_bcc(2, 4, 16).rows) + rows
+
+
+def test_separable_search_tail_shuffle_branch():
+    # Weights above 10001 // 50 make numpy's choice shuffle the tail of
+    # arange(n) instead of running Floyd's sampler.
+    args = (1, 10001, 1, 0, 15, 3)
+    assert search_outcome(args) == numpy_separable(args) == (None, 15)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_btc_verifies_only_the_draw_it_returns(monkeypatch, seed):
+    seen = []
+    real = construct.is_separable
+    monkeypatch.setattr(construct, "is_separable", lambda mat, k: seen.append(mat) or real(mat, k))
+    mat = btc(2, 4, 16, seed)
+    assert [cand.rows for cand in seen] == [mat.rows[general_bcc(2, 4, 16).m:]]
+
+
+def test_separable_search_over_the_set_budget_refuses_the_first_distinct_draw(monkeypatch):
+    # 200 + C(200, 2) + C(200, 3) sums: only the columns are tested in
+    # batches, and the first covered draw with distinct columns is refused.
+    seen = []
+    real = construct.is_separable
+    monkeypatch.setattr(construct, "is_separable", lambda mat, k: seen.append(mat) or real(mat, k))
+    with pytest.raises(ResourceLimitError, match="^enumerating 1333500 column sets of 200 columns "
+                                                 "exceeds the budget of 1000000$"):
+        separable_search(3, 200, 3, seed=0, max_rows=64)
+    first = next(
+        rows for _, rows in oracles.numpy_separable_candidates(3, 200, 3, 0, 64, 200)
+        if rows is not None and len(set(BitMatrix(len(rows), 200, tuple(rows)).column_masks)) == 200
+    )
+    assert [list(cand.rows) for cand in seen] == [first]
+
+
+# (m, n, row_weight, seed)
+RANDOM_GRID = [
+    (6, 12, 4, 42),
+    (4, 6, 2, 1),
+    (1, 3, 3, 0),  # w == n: Floyd's step j = 0 makes no draw
+    (4, 5, 5, 7),
+    (1, 1, 1, 3),
+    (70, 12, 5, 1),  # more than 64 rows
+    (30, 10001, 3000, 0),  # the tail shuffle
+    (1, 10001, 10001, 2),  # the tail shuffle with w == n
+]
+
+
+@pytest.mark.parametrize("args", RANDOM_GRID, ids=str)
+def test_random_code_equals_one_numpy_call_per_draw(args):
+    assert list(random_code(*args).rows) == oracles.numpy_random_code(*args, construct.RANDOM_CODE_RETRIES)
+
+
+@pytest.mark.parametrize("args", [(1, 3, 1, 0), (2, 10001, 150, 4)], ids=str)
+def test_random_code_failure_equals_one_numpy_call_per_draw(monkeypatch, args):
+    monkeypatch.setattr(construct, "RANDOM_CODE_RETRIES", 50)
+    m, n, w, _ = args
+    assert oracles.numpy_random_code(*args, 50) is None
+    with pytest.raises(ConstructionError, match=f"^no zero-column-free {m}x{n} draw with row weight {w} "
+                                                f"in 50 attempts$"):
+        random_code(*args)
+
+
+def test_random_code_is_the_same_across_batch_boundaries(monkeypatch):
+    monkeypatch.setattr(construct, "BATCH_ENTRIES", 40)
+    for args in [(6, 12, 4, 42), (70, 12, 5, 1), (3, 4, 2, 9)]:
+        assert list(random_code(*args).rows) == oracles.numpy_random_code(*args, construct.RANDOM_CODE_RETRIES)
+
+
+# Byte pins of `construct --kind btc --k 2 --r 4 --n 16 --seed S -o c.bcode
+# --out c.json`: rows, then the sha256 of stdout, c.bcode and c.json.
+BTC_PINS = {
+    0: (25, "85859a05f006f8c4c994f3fa765c5920802d50ccd04257151b0972681145c21e",
+        "bae3eefc8ede0819ba934d66326a0ccc5c38ae73aaec47313cb21fb5b44cfc48",
+        "334ab6e73f1849ccac29ae1886a09d6b584f61de1f4be31a489faedfd196fae6"),
+    1: (23, "1a04f6a680868d94ec84368949c5468d169f55e8daf13ef8c50eeda8547e1cae",
+        "bdd336a506a8833accccdf9ed78cf9f1df731e01b6cd47829cac39d8b5e10070",
+        "4421d202ead42782609ab75813b757757a74a7ec8c621f8546e09a42931ba069"),
+    1000: (27, "e5edf268961eda0ea905f5125bd16f74d47cc1e1c3807f8e9aafacbbee477dde",
+           "6073e66de1ec2f474f1c6a871faf4a784a0d25f9e51b8f5d9c103032919f6952",
+           "60287a988d4c4adbb71e8c003be940d6cf463759be132ef16fc6e5b8dbf44d21"),
+}
+
+
+@pytest.mark.parametrize("seed", list(BTC_PINS))
+def test_btc_construct_bytes_are_pinned(tmp_path, monkeypatch, capsys, seed):
+    monkeypatch.chdir(tmp_path)
+    assert main(["construct", "--kind", "btc", "--k", "2", "--r", "4", "--n", "16", "--seed", str(seed),
+                 "-o", "c.bcode", "--out", "c.json"]) == 0
+    out = capsys.readouterr().out
+    rows, *digests = BTC_PINS[seed]
+    assert f"rows: {rows}  columns: 16" in out
+    blobs = [out.encode(), (tmp_path / "c.bcode").read_bytes(), (tmp_path / "c.json").read_bytes()]
+    assert [hashlib.sha256(blob).hexdigest() for blob in blobs] == digests
+
+
+# --- rejected draws ----------------------------------------------------------------
+
+# PCG64's LCG multiplier; its output xors the two halves of the stepped
+# state and rotates the result.
+PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def zero_output_at(k):
+    """A PCG64 whose raw output k (from 0) is 0: k + 1 inverse LCG steps
+    before a state whose halves are equal and whose rotation is 0."""
+    bits = np.random.PCG64(7)
+    state = bits.state
+    inc = state["state"]["inc"]
+    half = 0x0123456789ABCDEF
+    lcg = (half << 64) | half
+    inverse = pow(PCG64_MULTIPLIER, -1, 1 << 128)
+    for _ in range(k + 1):
+        lcg = (lcg - inc) * inverse % (1 << 128)
+    state["state"]["state"] = lcg
+    bits.state = state
+    return bits
+
+
+def test_zero_tokens_make_numpy_redraw():
+    assert zero_output_at(3).random_raw(5).tolist()[3] == 0
+    # integers(4, 16) rejects a zero token, so its 3 draws take 5 tokens:
+    # 3 outputs and a half, where 3 tokens would take 2 and a half.
+    bits = zero_output_at(0)
+    gen = np.random.Generator(bits)
+    [gen.integers(4, 16) for _ in range(3)]
+    stepped = zero_output_at(0)
+    stepped.advance(3)
+    assert bits.state["state"] == stepped.state["state"] and bits.state["has_uint32"] == 1
+
+
+def first_row_draws(n, lo, hi, w):
+    """(kind, range) of each draw of a first row of weight w, in token
+    order, when no draw is rejected."""
+    draws = [("weight", hi - lo)] if lo < hi else []
+    if n > 10_000 and w > n // 50:
+        return draws + [("tail", i) for i in range(n - 1, max(n - w, 1) - 1, -1)]
+    return draws + [("floyd", j) for j in range(max(n - w, 1), n)] + [("shuffle", i) for i in range(w - 1, 0, -1)]
+
+
+@pytest.mark.parametrize("kind, n, lo, hi", [
+    ("weight", 16, 4, 15), ("floyd", 16, 4, 15), ("shuffle", 16, 4, 15), ("tail", 10001, 300, 300),
+])
+def test_rejected_draws_equal_numpy(kind, n, lo, hi):
+    # The first zero output whose first token is a draw of this kind that
+    # rejects it: then the row and the one after it equal numpy's.
+    for k in range(64):
+        w = int(np.random.Generator(zero_output_at(k)).integers(lo, hi + 1))
+        draws = first_row_draws(n, lo, hi, w)
+        if 2 * k < len(draws) and draws[2 * k][0] == kind:
+            assert construct._bounded(np.zeros(1, np.uint32), draws[2 * k][1])[1].all()
+            break
+    else:
+        pytest.fail(f"no zero output lands on a {kind} draw")
+    stream = construct._DrawStream(0, n, lo, hi)
+    stream._bits = zero_output_at(k)
+    rows = np.unpackbits(stream.rows(2), axis=1, count=n, bitorder="little")
+    gen = np.random.Generator(zero_output_at(k))
+    expected = [sorted(gen.choice(n, int(gen.integers(lo, hi + 1)), replace=False).tolist()) for _ in range(2)]
+    assert [np.flatnonzero(row).tolist() for row in rows] == expected
 
 
 # --- the construction table ------------------------------------------------------
