@@ -446,8 +446,11 @@ def decode(
     ties).  Attackers are reported only when the attack posterior exceeds
     ``attack_threshold``; the reported set is the support of the most
     probable attacker hypothesis (the first one on ties, which is the first
-    support of the first maximal group).
+    support of the first maximal group).  A threshold outside [0, 1], NaN
+    included, raises ``ValueError``.
     """
+    if not 0 <= attack_threshold <= 1:
+        raise ValueError(f"attack threshold must lie in [0, 1], got {attack_threshold}")
     block = _decode_one(outputs, cfg, attack_threshold)
     return DecodeResult(
         float(block.attack_posterior[0]),

@@ -8,37 +8,40 @@ column orders are tried (t distinct rows of least weight w); that is still
 n! at worst, hence the hard n <= 10 limit.
 
 ``exhaustive_min`` enumerates candidate matrices as size-m subsets of the
-distinct n-bit rows with at least r ones, for m = 1 upward, and returns the
-first height at which the requested verifier passes, with one canonical
-representative per equivalence class.  Restricting to distinct rows of
-weight >= r loses no minimal codes: duplicate rows and rows violating the
-weight bound can always be removed from a valid code without breaking any
-Boolean-sum condition.  Column symmetry is broken at the first row: a
-column permutation turns any code whose least row weight is w into one
-whose least row is 2^w - 1, so the walk takes only 2^w - 1 (w = r..n) as
-first row, and only rows of weight >= w after it.  Every orbit keeps a
-member the walk reaches.  For the detection/correction/tracking kinds the
-subset walk prunes branches that provably cannot kill every size-k column
-set (a necessary condition for those kinds, but not for plain
-separability).  For separability and tracking it prunes by the split bound
-(the counting bound of nonadaptive group testing, Du & Hwang,
+distinct n-bit rows with at least r ones (at least one for separability,
+which ignores r), for m = 1 upward, and returns the first height at which
+the requested verifier passes, with one canonical representative per
+equivalence class.  Restricting to distinct rows of weight >= r loses no
+minimal codes: duplicate rows and rows violating the weight bound can
+always be removed from a valid code without breaking any Boolean-sum
+condition.  Column symmetry is broken at the first row: a column
+permutation turns any code whose least row weight is w into one whose
+least row is 2^w - 1, so the walk takes only 2^w - 1 (w = r..n, or w = 1..n
+for separability) as first row, and only rows of weight >= w after it.
+Every orbit keeps a member the walk reaches.  For the detection/correction/
+tracking kinds the subset walk prunes branches that provably cannot kill
+every size-k column set (a necessary condition for those kinds, but not for
+plain separability).  For separability and tracking it prunes by the split
+bound (the counting bound of nonadaptive group testing, Du & Hwang,
 *Combinatorial Group Testing*): the sums of 1..k columns must end pairwise
 distinct, so a group of sums equal on the rows so far must be split by the
 ``left`` rows to come, which tell at most 2^left apart.  Pruning skips only
 candidates the verifier would reject.  Properties and prunes are invariant
 under column permutation, so results match the plain enumeration exactly.
 
-The walk works on ints.  It keeps the column masks of the current row stack
-as it pushes and pops rows, and loops over the last row without recursing.
-Most complete candidates are decided there in O(1) and rejected: for the
-detection/correction/tracking kinds, when the kill accumulator (the size-k
-column sets some row kills) or the column accumulator (the columns some row
-covers) falls short with the last row, since some size-k sum then covers
-every model or some column is all zero (every pool ends with 2^n - 1, so
-only the last row can settle that); for separability and tracking, when
-two columns are equal, since they are two equal sums of size 1.  Only the
-rest reach the verifier core ``properties._violation`` on the row and
-column ints, and a ``BitMatrix`` is built only for a passing candidate.
+The walk works on ints.  One sums accumulator holds the partial Boolean
+sum of each tracked column set, one 16-bit field per set: the n columns,
+then for separability and tracking the sets of sizes 2..k.  The walk loops
+over the last row without recursing, and rejects most complete candidates
+there: for the detection/correction/tracking kinds in O(1), when the kill
+accumulator (the size-k column sets some row kills) or the column
+accumulator (the columns some row covers) falls short with the last row,
+since some size-k sum then covers every model or some column is all zero
+(every pool ends with 2^n - 1, so only the last row can settle that); for
+separability and tracking, when two fields are equal, since the sums of
+1..k columns must be pairwise distinct.  Only the rest reach the verifier
+core ``properties._violation`` on the rows and the column fields, and a
+``BitMatrix`` is built only for a passing candidate.
 Dedup is by orbit, and builds only the members the walk can reach
 (McKay's canonical augmentation, "Isomorph-free exhaustive generation",
 *J. Algorithms* 26, 1998): every candidate's least row is 2^w - 1, so the
@@ -58,6 +61,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
+from struct import Struct
 from typing import Sequence
 
 from .bitmatrix import BitMatrix, column_sums
@@ -167,10 +171,11 @@ def exhaustive_min(
 ) -> SearchResult:
     """Smallest row count admitting a ``kind`` code, by exhaustive search.
 
-    The first row is 2^w - 1 for w = r..n in turn, and the later rows are
-    the distinct n-bit words above it with at least w ones, ordered as
-    integers ascending; subsets are visited in combinatorial order, so the
-    first witness found is deterministic.
+    The first row is 2^w - 1 for w = r..n in turn (w = 1..n for SEPARABLE,
+    which ignores r as its verifier does), and the later rows are the
+    distinct n-bit words above it with at least w ones, ordered as integers
+    ascending; subsets are visited in combinatorial order, so the first
+    witness found is deterministic.
     """
     if n > SEARCH_MAX_COLUMNS:
         raise ValueError(f"search supports n <= {SEARCH_MAX_COLUMNS}, got {n}")
@@ -207,27 +212,28 @@ def exhaustive_min(
                 break
             sub = (sub - 1) & rest
 
-    # The split bound, for separability and tracking: the sums of 1..k
-    # columns must end pairwise distinct, so sums equal on the rows pushed
-    # so far must be told apart by the rows still to come, and ``left`` rows
-    # tell at most 2^left apart.  The walk keeps every set's partial sum in
-    # one int, set s in the 16 bits from 16 * s (a height is at most
-    # SEARCH_MAX_ROWS = 12), and pushing row v at depth d ORs in
-    # hit[v] << d: hit[v] has bit 0 of set s's field set iff row v meets s.
+    # The sums accumulator: set s's partial Boolean sum over the rows pushed
+    # so far in the 16 bits from 16 * s (a height is at most SEARCH_MAX_ROWS
+    # = 12); pushing row v at depth d ORs in hit[v] << d, and hit[v] has bit
+    # 0 of set s's field set iff row v meets s.  The first n sets are the
+    # columns.  Separability and tracking add the sets of sizes 2..k for the
+    # split bound: the sums of 1..k columns must end pairwise distinct, so
+    # sums equal on the rows so far must be told apart by the ``left`` rows
+    # to come, which tell at most 2^left apart.
     distinct_kinds = kind in (CodeKind.SEPARABLE, CodeKind.BTC)
-    sum_masks = (
-        [sm for _, sm in column_sums(unit_masks, range(1, min(k, n) + 1))] if distinct_kinds else []
-    )
+    sizes = range(1, (min(k, n) if distinct_kinds else 1) + 1)
+    sum_masks = [sm for _, sm in column_sums(unit_masks, sizes)]
     num_sums = len(sum_masks)
+    unpack = Struct(f"<{num_sums}H").unpack  # an accumulator's bytes to its fields
     hit = [sum(1 << 16 * s for s, sm in enumerate(sum_masks) if sm & v) for v in range(1 << n)]
 
     # The first-row symmetry break (module docstring) as one pool of rows
     # per least row weight w: 2^w - 1 at index 0, the only first row the
     # walk's root tries, then the rows above it of weight >= w, ending with
-    # 2^n - 1.  Each pool keeps its own kill, suffix, column-index and hit
-    # arrays, so the walk needs no weight test.
+    # 2^n - 1.  Each pool keeps its own kill, suffix and hit arrays, so the
+    # walk needs no weight test.  SEPARABLE ignores r, as its verifier does.
     pools = []
-    for w in range(r, n + 1):
+    for w in range(1 if kind is CodeKind.SEPARABLE else r, n + 1):
         first = (1 << w) - 1
         values = [first] + [v for v in range(first + 1, 1 << n) if v.bit_count() >= w]
         kills = [kill[v] for v in values]
@@ -238,8 +244,7 @@ def exhaustive_min(
         if suffix_kill[0] != full_kill:
             continue  # the root would prune this pool at every height
         max_kill = max(km.bit_count() for km in kills)
-        ones = [[j for j in range(n) if v >> j & 1] for v in values]
-        pools.append((values, kills, suffix_kill, max_kill, ones, [hit[v] for v in values]))
+        pools.append((values, kills, suffix_kill, max_kill, [hit[v] for v in values]))
 
     # The split bound at the root: the num_sums distinct sums do not fit
     # below ceil(log2(num_sums)) rows.
@@ -247,7 +252,6 @@ def exhaustive_min(
 
     budget = SEARCH_MAX_NODES
     rows: list[int] = []
-    cols = [0] * n
     # Rows are pushed in ascending order, so a candidate's rows form the
     # sorted tuple that ``_orbit`` gives for each orbit member it reaches.
     seen: set[tuple[int, ...]] = set()
@@ -266,7 +270,7 @@ def exhaustive_min(
         # The row at depth len(rows) is a pool index in [start, stop), where
         # stop leaves room for the rows after it.
         nonlocal nodes, explored
-        values, kills, suffix_kill, max_kill, ones, hits = pool
+        values, kills, suffix_kill, max_kill, hits = pool
         nodes += 1
         if nodes > budget:
             raise over_budget()
@@ -277,23 +281,16 @@ def exhaustive_min(
         missing = (full_kill & ~kill_acc).bit_count()
         if missing > left * max_kill:
             return
-        if 1 << left < num_sums:
-            # Each set's field as one 16-bit word: equal sums, equal words.
-            fields = memoryview(sum_acc.to_bytes(2 * num_sums, "little")).cast("H")
-            if max(Counter(fields).values()) > 1 << left:
+        if distinct_kinds and 1 << left < num_sums:
+            if max(Counter(unpack(sum_acc.to_bytes(2 * num_sums, "little"))).values()) > 1 << left:
                 return
-        bit = 1 << depth
         if left > 1:
             next_stop = len(values) - left + 2
             for i in range(start, stop):
                 row = values[i]
                 rows.append(row)
-                for j in ones[i]:
-                    cols[j] |= bit
                 walk(pool, m, i + 1, next_stop, kill_acc | kills[i], col_acc | row,
                      sum_acc | hits[i] << depth)
-                for j in ones[i]:
-                    cols[j] ^= bit
                 rows.pop()
             return
         # One row left: every index in [start, stop) completes a candidate,
@@ -308,19 +305,15 @@ def exhaustive_min(
                 kill_acc | kills[i] != full_kill or col_acc | row != full_cols
             ):
                 continue
-            rows.append(row)
-            for j in ones[i]:
-                cols[j] |= bit
-            # A repeated column is two equal sums of size 1.
-            if not distinct_kinds or len(set(cols)) == n:
-                key = tuple(rows)
-                if key not in seen and _violation(kind, k, r, key, cols) is None:
-                    orbit = _orbit(key, n)
-                    seen.update(orbit)
-                    codes.append(_least(orbit, n))
-            for j in ones[i]:
-                cols[j] ^= bit
-            rows.pop()
+            fields = unpack((sum_acc | hits[i] << depth).to_bytes(2 * num_sums, "little"))
+            # Two equal sums of 1..k columns, a repeated column among them.
+            if distinct_kinds and len(set(fields)) < num_sums:
+                continue
+            key = (*rows, row)
+            if key not in seen and _violation(kind, k, r, key, fields[:n]) is None:
+                orbit = _orbit(key, n)
+                seen.update(orbit)
+                codes.append(_least(orbit, n))
 
     for m in range(min_m, max_m + 1):
         for pool in pools:

@@ -188,6 +188,21 @@ def test_decode_worked_example(tmp_path, capsys):
     assert doc["attackerPosterior"]["10"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("threshold", ["nan", "-0.1", "1.5", "inf"])
+def test_decode_refuses_a_threshold_outside_the_unit_interval(tmp_path, capsys, threshold):
+    # Attack posterior 1: an unchecked NaN threshold would report no attackers.
+    code = tmp_path / "three.bcode"
+    formats.save(code, BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]]), "BCC", 1, 1)
+    assert run_cli(
+        "decode", "--code", str(code), "--outputs", "1,0,1", "--confusion", "id",
+        "--classes", "2", "--success-rate", "1.0", "--q", "uniform:0:1",
+        "--threshold", threshold,
+    ) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: attack threshold must lie in [0, 1], got {float(threshold)}" in captured.err
+
+
 def test_decode_degenerate_evidence_is_status_one(tmp_path, capsys):
     code = tmp_path / "three.bcode"
     formats.save(code, BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]]), "BCC", 1, 1)

@@ -172,6 +172,20 @@ def test_separable_search_allows_always_covered_columns():
     assert len(sums) == 3
 
 
+def test_separable_search_ignores_r_as_its_verifier_does():
+    # The rows 0101 and 0011 give four distinct columns, and the separable
+    # verifier passes them at any r, so the search must find 2 rows at r = 3.
+    result = exhaustive_min(CodeKind.SEPARABLE, 1, 3, 4, 6)
+    assert result.min_rows == 2
+    assert verify(BitMatrix(2, 4, (0b1010, 0b1100)), CodeKind.SEPARABLE, 1, 3)
+    assert result == exhaustive_min(CodeKind.SEPARABLE, 1, 1, 4, 6)
+
+
+def test_search_rows_fit_the_sum_fields():
+    # The walk keeps each Boolean sum over the rows in one 16-bit field.
+    assert search.SEARCH_MAX_ROWS < 16
+
+
 def test_separable_search_respects_information_bound():
     # 7 distinct nonzero sums require at least 3 rows.
     result = exhaustive_min(CodeKind.SEPARABLE, 1, 1, 7, 6)
@@ -312,12 +326,12 @@ def test_search_results_are_pinned(kind, k, r, n, max_m, min_rows, codes, explor
         assert NAIVE[kind](_bits(rows, n), k, r)
 
 
-# Every kind on n <= 5 columns, k <= 3, r <= 2 (r = 1 for SEPARABLE, which
-# ignores r).  Heights stop at 6, or earlier where the plain enumeration
-# would pass 5,000 subsets; a case whose minimum lies above compares "not
-# found".
+# Every kind on n <= 5 columns, k <= 3, r <= 2 (SEPARABLE ignores r, so its
+# r = 2 cases must give the r = 1 results).  Heights stop at 6, or earlier
+# where the plain enumeration would pass 5,000 subsets; a case whose minimum
+# lies above compares "not found".
 GRID = [(kind, k, r, n) for kind in CodeKind for n in range(1, 6) for k in range(1, 4)
-        for r in range(1, 3) if kind is not CodeKind.SEPARABLE or r == 1]
+        for r in range(1, 3)]
 
 
 def _affordable_height(r, n, limit=5000):
@@ -328,7 +342,7 @@ def _affordable_height(r, n, limit=5000):
 
 @pytest.mark.parametrize("kind,k,r,n", GRID)
 def test_search_matches_plain_enumeration(kind, k, r, n):
-    max_m = _affordable_height(r, n)
+    max_m = _affordable_height(1 if kind is CodeKind.SEPARABLE else r, n)
     result = exhaustive_min(kind, k, r, n, max_m)
     want = oracles.naive_search(
         kind.value, k, r, n, max_m,
@@ -372,11 +386,14 @@ def test_search_walk_budget_boundary(monkeypatch):
 @pytest.mark.parametrize("kind,k,r,n,max_m,calls", [
     (CodeKind.BCC, 2, 2, 6, 12, 227),
     (CodeKind.SEPARABLE, 1, 1, 5, 8, 16),
+    (CodeKind.SEPARABLE, 2, 1, 6, 12, 8),
+    (CodeKind.BTC, 2, 1, 6, 12, 338),
 ])
 def test_walk_accumulators_decide_most_leaves(monkeypatch, kind, k, r, n, max_m, calls):
-    # Of 10,062 and 567 complete candidates, only these reach the verifier
-    # core; the rest are rejected by the walk's kill and column accumulators
-    # or by a repeated column, or are members of an orbit already seen.
+    # Of 10,062, 567, 81,876 and 65,985 complete candidates, only these
+    # reach the verifier core; the rest are rejected by the walk's kill and
+    # column accumulators or by two equal sums of 1..k columns, or are
+    # members of an orbit already seen.
     # Each of them is the walk's corner of its orbit: its first row is
     # 2^w - 1, and no row weighs less than w.
     reached = []
