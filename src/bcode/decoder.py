@@ -24,6 +24,12 @@ One kernel decodes a (T, m) block of output vectors at once
 (``decode_block``); ``decode`` and the three posterior functions run it on
 one row.  Every row goes through the same float operations in the same
 order whatever the block, so a row decodes bit for bit as it would alone.
+The block's log-likelihoods form one (c_t, T, c_l, B) array, target axis
+first: a single matrix product of the per-model factors with the mask
+matrix fills it, the clean models' part is added in place, and the
+logsumexp over targets (max, shift, exp, sum) runs in place over that
+leading axis, the layout numpy reduces fastest.  The per-mask total is the
+logsumexp over labels of that (T, c_l, B) result.
 """
 
 from __future__ import annotations
@@ -49,11 +55,15 @@ _FLOOR_CUTOFF = -1.0e29
 _PROB_TOL = 1e-9
 
 # Floats in each of the decoder's largest per-block arrays, rows x
-# max(masks, models) x classes^2.  At 2^14 (128 KiB, glibc's default mmap
-# threshold) blocks of 10-13 rows on the README code decoded 25-45% faster
-# per row than blocks of 16-48, whose temporaries are mapped afresh; either
-# way numpy's per-call cost is amortized and peak memory stays flat.
-BLOCK_ENTRIES = 1 << 14
+# max(masks, models) x classes^2.  The evidence kernel allocates two such
+# arrays per block and updates the larger in place.  On the README code (a
+# 2-vCPU Xeon, numpy 2.4) a row decoded in 10.5 us in blocks of 13 rows,
+# 7.9 us in blocks of 27 (2^15 floats) and 6.4-6.6 us in blocks of 54-72.
+# From 76 rows (about 91,000 floats) glibc hands the arrays' pages back to
+# the system after every block and faults them in again, and a row cost
+# 9.0 us.  2^15 keeps well below that edge, and memory stays flat in the
+# number of trials.
+BLOCK_ENTRIES = 1 << 15
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -65,7 +75,7 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _floored(log_p: np.ndarray) -> np.ndarray:
-    return np.where(np.isneginf(log_p), _LOG_FLOOR, log_p)
+    return np.maximum(log_p, _LOG_FLOOR)  # a log is -inf or at least -745
 
 
 def _unfloored(log_p: np.ndarray) -> np.ndarray:
@@ -254,7 +264,7 @@ class BlockDecode:
 class _Evidence:
     clean_ll: np.ndarray  # (T, c)    log prod_i C[i, l, y_i]
     mask_total: np.ndarray  # (T, B)    logsumexp over (t, l) per compromised mask
-    mask_by_label: np.ndarray  # (T, B, c) logsumexp over t per compromised mask
+    mask_by_label: np.ndarray  # (T, c, B) logsumexp over t per label and compromised mask
 
 
 def _class_indices(outputs, num_classes: int) -> np.ndarray:
@@ -286,7 +296,9 @@ def _evidence(y: np.ndarray, cfg: DecoderConfig) -> _Evidence:
     """Evidence of every row of a (T, m) block of outputs.
 
     A row costs the same float operations in the same order whatever the
-    block size, so its evidence does not depend on the rest of the block.
+    block size, so its evidence does not depend on the rest of the block
+    (the one matrix product sums each entry over the models in turn, which
+    ``tests/test_decoder.py`` pins for blocks of every size it decodes).
     Sums run over floored logs; any sum holding a floored term lies below
     _FLOOR_CUTOFF, contributes exactly 0 to a logsumexp with a finite
     term, and is restored to -inf.
@@ -294,23 +306,28 @@ def _evidence(y: np.ndarray, cfg: DecoderConfig) -> _Evidence:
     (rows, m), c = y.shape, cfg.num_classes
     models = np.arange(m)
     clean_y = cfg._log_conf[models, :, y]  # (T, m, c_l): [b, i, l] = log C[i, l, y_bi]
-    # (T, m, c_t, c_l): a compromised model's log-probability of emitting
+    # (c_t, T, c_l, m): a compromised model's log-probability of emitting
     # y_bi, "hit" when the target t is y_bi and "miss" otherwise.
     s = cfg.success_rate
-    base = (1.0 - s) * cfg.confusions[models, :, y]
-    factors = np.repeat(_floored(np.log(base))[:, :, None, :], c, axis=2)
-    factors[np.arange(rows)[:, None], models, y] = _floored(np.log(s + base))
+    base = (1.0 - s) * cfg.confusions[models, :, y]  # (T, m, c_l)
+    factors = np.empty((c, rows, c, m))
+    factors[...] = _floored(np.log(base)).transpose(0, 2, 1)
+    factors[y, np.arange(rows)[:, None], :, models] = _floored(np.log(s + base))
 
     mb = cfg._mask_matrix  # (B, m)
-    masks = len(mb)
-    compromised = (mb @ factors.reshape(rows, m, c * c)).reshape(rows, masks, c, c)
-    clean_part = ((1.0 - mb) @ clean_y)[:, :, None, :]  # (T, B, 1, c_l)
-    ll = compromised + clean_part  # (T, B, c_t, c_l)
+    ll = (factors.reshape(-1, m) @ mb.T).reshape(c, rows, c, len(mb))  # (c_t, T, c_l, B)
+    ll += clean_y.transpose(0, 2, 1) @ (1.0 - mb.T)  # the clean models' part, (T, c_l, B)
+    # Logsumexp over the targets, in place.  Floored logs keep every entry
+    # finite, so the shift needs no guard against -inf.
+    shift = ll.max(axis=0)
+    ll -= shift
+    np.exp(ll, out=ll)
+    mask_by_label = _unfloored(np.log(ll.sum(axis=0)) + shift)
 
     return _Evidence(
         clean_ll=_unfloored(clean_y.sum(axis=1)),
-        mask_total=_unfloored(_logsumexp(ll.reshape(rows, masks, c * c), axis=2)),
-        mask_by_label=_unfloored(_logsumexp(ll, axis=2)),
+        mask_total=_logsumexp(mask_by_label, axis=1),
+        mask_by_label=mask_by_label,
     )
 
 
@@ -331,9 +348,7 @@ def _attack_posteriors(ev: _Evidence, cfg: DecoderConfig) -> tuple[np.ndarray, n
 
 def _label_posteriors(ev: _Evidence, cfg: DecoderConfig) -> np.ndarray:
     """(T, c) label posteriors; NaN rows where every label scores zero."""
-    attack_by_label = _logsumexp(
-        cfg._mask_logw[:, None] + ev.mask_by_label, axis=1
-    )  # (T, c)
+    attack_by_label = _logsumexp(cfg._mask_logw + ev.mask_by_label, axis=2)  # (T, c)
     log_scores = np.logaddexp(
         _safe_log(cfg.attack_prior) + attack_by_label,
         _safe_log(1.0 - cfg.attack_prior) + math.log(cfg.num_classes) + ev.clean_ll,

@@ -181,7 +181,7 @@ def exhaustive_min(
         raise ValueError(f"search supports n <= {SEARCH_MAX_COLUMNS}, got {n}")
     if max_m > SEARCH_MAX_ROWS:
         raise ValueError(f"search supports max_m <= {SEARCH_MAX_ROWS}, got {max_m}")
-    if k < 1 or r < 1 or n < 1 or max_m < 1:
+    if k < 1 or n < 1 or max_m < 1 or (r < 1 and kind is not CodeKind.SEPARABLE):
         raise ValueError("k, r, n and max_m must be positive")
     try:
         _check_params(kind, k, r, n)

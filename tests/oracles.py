@@ -167,6 +167,36 @@ def naive_joint_weight(bits, confusions, success_rate, count_prior, x, y, t, l):
     return prod
 
 
+def naive_evidence(masks, confusions, success_rate, classes, y):
+    """The decoder's per-mask evidence of one output vector, by a plain loop
+    over (mask, target, label).
+
+    A mask is an int (bit i set iff model i is compromised).  Returns
+    ``(by_label, total)``: ``by_label[b][l]`` is the log of the summed
+    likelihoods over the targets t of the outputs under mask b and true
+    label l, and ``total[b]`` the log of the sum over (t, l); log 0 is -inf.
+    """
+    by_label, total = [], []
+    for mask in masks:
+        per_label = []
+        for l in range(classes):
+            summed = 0.0
+            for t in range(classes):
+                prod = 1.0
+                for i, out in enumerate(y):
+                    clean = confusions[i][l][out]
+                    if mask >> i & 1:
+                        prod *= success_rate * (1.0 if t == out else 0.0) + (1 - success_rate) * clean
+                    else:
+                        prod *= clean
+                summed += prod
+            per_label.append(summed)
+        by_label.append([math.log(v) if v > 0 else -math.inf for v in per_label])
+        summed = sum(per_label)
+        total.append(math.log(summed) if summed > 0 else -math.inf)
+    return by_label, total
+
+
 def naive_posteriors(bits, confusions, attack_prior, success_rate, count_prior, classes, y):
     """Literal evaluation of the three posteriors in plain floats.
 

@@ -155,6 +155,20 @@ def test_search_reports_minimum(capsys, tmp_path):
     assert parsed.matrix.m == 6
 
 
+def test_search_takes_any_row_weight_for_separability_only(capsys):
+    # SEPARABLE ignores r, as `verify --kind separable --r 0` does; the
+    # covering kinds still refuse r < 1.
+    args = ("search", "--kind", "separable", "--k", "1", "--n", "4", "--max-m", "6")
+    assert run_cli(*args, "--r", "1") == 0
+    want = capsys.readouterr()
+    assert want.out.startswith("minRows=2, classes=1, ")
+    assert run_cli(*args, "--r", "0") == 0
+    assert capsys.readouterr() == want
+    assert run_cli("search", "--kind", "bdc", "--k", "1", "--r", "0", "--n", "4",
+                   "--max-m", "6") == 2
+    assert capsys.readouterr() == ("", "error: k, r, n and max_m must be positive\n")
+
+
 def test_search_over_the_walk_budget_is_status_three(capsys):
     # Even under the split bound, separability on 8 columns passes the walk budget.
     assert run_cli("search", "--kind", "separable", "--k", "2", "--r", "1", "--n", "8",

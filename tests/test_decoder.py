@@ -496,6 +496,45 @@ def test_posteriors_match_naive_oracle_on_random_configs():
     assert checked >= 45 and grouped >= 15
 
 
+# (classes, models, success rate): m > c at c = 2, and m < c.
+@pytest.mark.parametrize("classes,models,success_rate", [
+    (2, 5, 0.99), (2, 7, 0.0), (2, 4, 1.0), (5, 3, 0.99), (6, 2, 0.0), (4, 3, 1.0),
+])
+def test_evidence_matches_the_naive_loop(classes, models, success_rate):
+    rng = np.random.default_rng(100 * classes + models)
+    degenerate = 0
+    for trial in range(12):
+        n = int(rng.integers(1, 5))
+        bits = rng.integers(0, 2, size=(models, n))
+        bits[0, 0] = 1
+        if trial % 3 == 0:
+            conf = identity_confusions(models, classes)
+        else:
+            conf = rng.dirichlet(np.ones(classes), size=(models, classes))
+            if trial % 3 == 2:
+                # Hard zeros: a row with one entry, and a zero entry elsewhere.
+                conf[0, 0] = np.eye(classes)[1]
+                conf[-1, -1, 0] = 0.0
+                conf[-1, -1] /= conf[-1, -1].sum()
+        cfg = DecoderConfig(BitMatrix.from_array(bits), conf, 0.5, success_rate,
+                            uniform_count_prior(0, min(n, 2)), classes)
+        y = rng.integers(0, classes, size=(6, models))
+        y[0] = np.arange(models) % 2  # unexplained by exact models that never err
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ev = decoder._evidence(y, cfg)
+        masks = [sum(int(bit) << i for i, bit in enumerate(row)) for row in cfg._mask_matrix]
+        for b, row in enumerate(y.tolist()):
+            by_label, total = oracles.naive_evidence(
+                masks, cfg.confusions.tolist(), success_rate, classes, row)
+            for got, want in ((ev.mask_by_label[b], np.array(by_label).T),
+                              (ev.mask_total[b], np.array(total))):
+                assert np.array_equal(got == -np.inf, want == -np.inf)
+                finite = want > -np.inf
+                assert np.allclose(got[finite], want[finite], rtol=0, atol=1e-12)
+            degenerate += all(v == -math.inf for v in total)
+    assert degenerate > 0
+
+
 @st.composite
 def table_configs(draw):
     """A config on a random code, on ``general_bcc`` or on a random code with

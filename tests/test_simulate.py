@@ -441,6 +441,28 @@ def test_a_negative_seed_is_refused_as_default_rng_refuses_it():
         run_trials(perfect_cfg(general_bcc(2, 2, 4), 2), 1, trials=3, seed=-1)
 
 
+# At the default block size: the README code with 10 classes (27 rows at
+# 2^15 entries) and a two-class config (546 rows).
+@pytest.mark.parametrize("cfg", [
+    pytest.param(synth_cfg(general_bcc(2, 4, 8), 10, 2), id="bcc-2-4-8-c10"),
+    pytest.param(synth_cfg(general_bcc(3, 4, 24), 2, 1), id="bcc-3-4-24-c2"),
+])
+def test_trials_at_the_block_edges_equal_the_reference(cfg):
+    rows = cfg.block_rows
+    for trials in (rows - 1, rows, rows + 1):
+        for count in (0, 2):
+            assert run_trials(cfg, count, trials, seed=11) == reference_report(
+                cfg.code, cfg, count, trials, seed=11)
+    y = np.random.default_rng(3).integers(0, cfg.num_classes, size=(rows + 1, cfg.code.m))
+    block = decode_block(y, cfg)
+    for b, row in enumerate(y):
+        want = decode(row, cfg)
+        assert block.attack_posterior[b] == want.attack_posterior
+        assert block.label_posterior[b].tobytes() == want.label_posterior.tobytes()
+        assert block.scores[b].tobytes() == want._scores.tobytes()
+        assert block.decoded_attackers[b] == want.decoded_attackers
+
+
 @pytest.mark.parametrize("rows", [1, 7, 1000])
 def test_block_boundaries_do_not_change_the_report(monkeypatch, rows):
     code = general_bcc(2, 4, 8)
