@@ -173,7 +173,14 @@ def partition_code(m: int, n: int) -> BitMatrix:
 
 def _bounded(tokens: np.ndarray, ranges) -> tuple[np.ndarray, np.ndarray]:
     """numpy's bounded draw on [0, range] from each 32-bit token (Lemire
-    2019): the values, and which tokens the draw rejects and redraws."""
+    2019): the values, and which tokens the draw rejects and redraws.
+
+    ``tokens`` and ``ranges`` broadcast, so one call reads every draw of
+    a parse: the rows of one seed's stream here (``_DrawStream``), or a
+    (trials, draws) array of tokens, one trial's stream per row, against
+    the draw ranges every trial shares in ``simulate.run_trials``.  Ranges
+    lie below 2^32 - 1, where numpy draws on 32-bit tokens; a draw on
+    [0, 0] takes no token, so callers leave it out."""
     excl = np.asarray(ranges, np.uint64) + 1
     prod = tokens.astype(np.uint64)
     prod *= excl
@@ -189,18 +196,18 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _floyd(sets: np.ndarray, rows: np.ndarray, steps: np.ndarray, values: np.ndarray,
-           first: np.ndarray) -> None:
-    """Mark in ``sets`` the samples Floyd's sampler takes: draw x is row
-    rows[x]'s step steps[x], first[x]..n - 1 in order, and drew values[x].
+def _floyd(n: int, rows: np.ndarray, steps: np.ndarray, values: np.ndarray,
+           first: np.ndarray | int) -> np.ndarray:
+    """The column each draw of Floyd's sampler adds to its sample: draw x
+    is row rows[x]'s step steps[x], first[x]..n - 1 in order, and drew
+    values[x].  A row's draws add its w distinct columns.
 
     Step j adds j itself when it drew j, a value an earlier step drew, or
     an earlier step t >= first that added itself; otherwise it adds the
-    value.  So a sample is its drawn values and the steps that add
-    themselves, and step j's answer, when it is step t's, is found for all
+    value.  So step j's answer, when it is step t's, is found for all
     steps at once by pointer jumping.
     """
-    key = rows * sets.shape[1] + values
+    key = rows * n + values
     order = np.argsort(key, kind="stable")
     redrawn = np.zeros(len(key), bool)
     redrawn[order[1:]] = key[order[1:]] == key[order[:-1]]
@@ -211,9 +218,25 @@ def _floyd(sets: np.ndarray, rows: np.ndarray, steps: np.ndarray, values: np.nda
     while (adds_self < 0).any():
         adds_self = adds_self[target]
         target = target[target]
-    sets[rows, values] = True
-    own = adds_self == 1
-    sets[rows[own], steps[own]] = True
+    return np.where(adds_self == 1, steps, values)
+
+
+def _tail_shuffles(n: int, w):
+    """Whether ``choice(n, w, replace=False)`` shuffles the tail of
+    ``arange(n)`` rather than run Floyd's sampler (elementwise for an
+    array of weights)."""
+    return (n > 10_000) & (w > n // 50)
+
+
+def _tail_sample(n: int, w: int, values: list[int]) -> list[int]:
+    """The w columns ``choice(n, w, replace=False)`` takes by shuffling the
+    tail of ``arange(n)``: the swap at i = n - 1 down to max(n - w, 1)
+    exchanges entries i and the i-th of ``values``, and the last w entries
+    are the sample."""
+    perm = list(range(n))
+    for i, t in zip(range(n - 1, 0, -1), values):
+        perm[i], perm[t] = perm[t], perm[i]
+    return perm[n - w :]
 
 
 class _DrawStream:
@@ -247,7 +270,7 @@ class _DrawStream:
         self._parsed, self._next = np.empty((0, -(-n // 8)), np.uint8), 0
         self.n, self.lo = n, lo
         weights = np.arange(lo, hi + 1)
-        self._tail = (n > 10_000) & (weights > n // 50)
+        self._tail = _tail_shuffles(n, weights)
         # Tokens a row of each weight takes when no draw is rejected.
         self._span = (int(lo < hi) + weights - (weights == n) + np.where(self._tail, 0, weights - 1)).tolist()
         # Entries a parse holds per row: its tokens and its set.
@@ -315,13 +338,10 @@ class _DrawStream:
         sets = np.zeros((count, n), bool)
         sets[w == n] = True  # a sample of every column
         step = floyd[row] & (w[row] < n)
-        _floyd(sets, row[step], ranges[step], values[step], n - w[row[step]])
+        sets[row[step], _floyd(n, row[step], ranges[step], values[step], n - w[row[step]])] = True
         for r in np.flatnonzero(~floyd & (w < n)):
-            perm = list(range(n))
             begin = int(np.searchsorted(row, r))
-            for i, t in zip(range(n - 1, 0, -1), values[begin : begin + drawn[r]].tolist()):
-                perm[i], perm[t] = perm[t], perm[i]
-            sets[r, perm[n - w[r] :]] = True
+            sets[r, _tail_sample(n, w[r], values[begin : begin + drawn[r]].tolist())] = True
         return np.packbits(sets, axis=1, bitorder="little")
 
 

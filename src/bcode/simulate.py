@@ -17,8 +17,12 @@ given seeds; each trial draws from its own stream, the one
 ``np.random.default_rng([seed, trial index])`` gives, so results do not
 depend on execution order and parallel sweeps reproduce serial ones bit for
 bit.  ``run_trials`` seeds all of a call's streams in one vectorized pass
-that computes exactly what ``default_rng`` computes, and samples the outputs
-of a block of trials at once.
+that computes exactly what ``default_rng`` computes.  It then reads each
+stream's raw PCG64 output with one ``random_raw`` call and reproduces on it,
+for a chunk of trials at once, the draws ``choice``, ``integers`` and
+``random`` make: numpy's bounded draws (Lemire 2019) on 32-bit tokens,
+Floyd's sampler or ``choice``'s tail shuffle, and 53-bit doubles.  The
+outputs of the chunk are then sampled together.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .bitmatrix import BitMatrix, column_or_mask
-from .decoder import DecoderConfig, decode_block, majority_votes
+from .construct import _bounded, _floyd, _tail_sample, _tail_shuffles
+from .decoder import BLOCK_ENTRIES, DecoderConfig, decode_block, majority_votes
 from .errors import ResourceLimitError
 # The one-vector forms stay importable here: bench/tracing.py wraps them by
 # these names.
@@ -251,6 +256,92 @@ def _pcg64_states(words: np.ndarray) -> Iterator[dict]:
         }
 
 
+def _trial_ranges(n: int, k: int, c: int) -> tuple[np.ndarray, bool]:
+    """The ranges of a trial's bounded draws, in the order they read its
+    tokens, and whether its support comes from ``choice``'s tail shuffle.
+
+    A trial draws ``choice(n, k, replace=False)`` (nothing when k = 0),
+    ``integers(c)`` and ``integers(c - 1)``.  When n > 10,000 and
+    k > n // 50, ``choice`` shuffles the tail of ``arange(n)``, one draw
+    on [0, i] for i = n - 1 down to max(n - k, 1); otherwise it runs
+    Floyd's sampler, one draw on [0, j] for j = n - k..n - 1, then shuffles
+    the sample with one draw on [0, i] for i = k - 1..1.  A draw on [0, 0]
+    (Floyd's j = 0 when k = n, ``integers(1)`` when c = 2) takes no token
+    and is left out.
+    """
+    tail = _tail_shuffles(n, k)
+    if k == 0:
+        support = []
+    elif tail:
+        support = range(n - 1, max(n - k, 1) - 1, -1)
+    else:
+        support = [*range(max(n - k, 1), n), *range(k - 1, 0, -1)]
+    return np.array([*support, c - 1, *([c - 2] if c > 2 else [])], dtype=np.uint64), tail
+
+
+def _redrawn(bitgen: np.random.PCG64, state: dict, ranges: np.ndarray, length: int,
+             m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draws and the 2m raw outputs of its doubles, as
+    ``_trial_draws`` gives them, of one trial whose draws reject a token.
+
+    A rejected token is used up and the draw takes the next one, so it is
+    dropped from the tokens and the draws are read again.  When the
+    tokens or the doubles run past ``length`` outputs, the stream is read
+    again from ``state``, twice as long.
+    """
+    while True:
+        bitgen.state = state
+        raw = bitgen.random_raw(length)
+        tokens = raw.astype("<u8").view("<u4")
+        while len(tokens) >= len(ranges):
+            values, rejected = _bounded(tokens[: len(ranges)], ranges)
+            if not rejected.any():
+                # next_double skips a buffered token: the doubles start at
+                # output ceil(tokens used / 2).
+                start = (2 * length - len(tokens) + len(ranges) + 1) // 2
+                if start + 2 * m <= length:
+                    return values, raw[start : start + 2 * m]
+                break
+            tokens = np.delete(tokens, rejected.argmax())
+        length *= 2
+
+
+def _trial_draws(bitgen: np.random.PCG64, states: list[dict], ranges: np.ndarray,
+                 length: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bounded draws on ``ranges`` and the 2m output doubles of the
+    trials whose streams start at ``states``, one row each.
+
+    Each stream is read once, ``length`` raw outputs, as 32-bit tokens,
+    the low half of each output first.  Without a rejected token, draw d
+    reads token d and the doubles start at output ceil(draws / 2), since
+    ``next_double`` skips the buffered half; the rare row that rejects a
+    token is parsed on its own (``_redrawn``).  A double is the top 53
+    bits of an output times 2^-53, as ``Generator.random`` makes it.
+    """
+    raw = np.empty((len(states), length), np.uint64)
+    for b, state in enumerate(states):
+        bitgen.state = state
+        raw[b] = bitgen.random_raw(length)
+    values, rejected = _bounded(raw.astype("<u8", copy=False).view("<u4")[:, : len(ranges)], ranges)
+    start = -(-len(ranges) // 2)
+    doubles = raw[:, start : start + 2 * m]
+    for b in np.flatnonzero(rejected.any(axis=1)):
+        values[b], doubles[b] = _redrawn(bitgen, states[b], ranges, length, m)
+    return values, (doubles >> 11) * 2.0**-53
+
+
+def _supports(values: np.ndarray, n: int, k: int, tail: bool) -> np.ndarray:
+    """The (trials, k) supports ``choice(n, k, replace=False)`` draws, as
+    sets, from each row of ``values``, which begins with its draws."""
+    if k == n:
+        return np.broadcast_to(np.arange(n), (len(values), n))
+    if tail:
+        return np.array([_tail_sample(n, k, row[:k]) for row in values.tolist()], dtype=np.intp)
+    rows = np.repeat(np.arange(len(values)), k)
+    steps = np.tile(np.arange(n - k, n), len(values))
+    return _floyd(n, rows, steps, values[:, :k].ravel(), n - k).reshape(len(values), k)
+
+
 def _sample_block(
     compromised: np.ndarray,
     targets: np.ndarray,
@@ -365,6 +456,8 @@ def _checked_count(cfg: DecoderConfig, count: int) -> int:
 
 
 def _check_trials(trials: int) -> None:
+    if not isinstance(trials, (int, np.integer)):
+        raise ValueError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
     if trials > MAX_TRIALS:
@@ -386,14 +479,19 @@ def run_trials(
     is drawn uniformly among subsets of that size, the true label
     uniformly, and the target uniformly among the other classes; outputs
     are sampled from the generative model and decoded.  Each trial uses the
-    stream ``np.random.default_rng([seed, trial index])`` gives, drawing
-    the support with ``choice`` (skipped for zero attackers, where it draws
-    nothing), the label and the target with ``integers`` and then all its
-    output doubles with one ``random`` call.  The streams are seeded in one
-    pass, and outputs are sampled and decoded in blocks of
-    ``cfg.block_rows`` trials, which changes no reported number: every
-    trial draws and every row decodes exactly as it would alone.  More than
-    ``MAX_TRIALS`` trials raise ``ResourceLimitError``.
+    stream ``np.random.default_rng([seed, trial index])`` gives and draws
+    what ``choice(n, k, replace=False)`` (skipped for zero attackers),
+    ``integers(c)`` (the label), ``integers(c - 1)`` (the target) and
+    ``random(2m)`` (the output doubles) draw from it, in that order.  The
+    streams are seeded in one pass and each is read with one ``random_raw``
+    call; a chunk of trials, as many as keep its tokens, its supports'
+    models and its CDF comparisons within ``decoder.BLOCK_ENTRIES``
+    entries, is parsed and sampled at once (``_trial_draws``,
+    ``_supports``, ``_sample_block``), and outputs are decoded in blocks of
+    ``cfg.block_rows`` trials.  None of this changes a reported number:
+    every trial draws and every row decodes exactly as it would alone.
+    A trial count that is not an int is refused with ``ValueError``, and
+    more than ``MAX_TRIALS`` trials raise ``ResourceLimitError``.
     """
     attacker_count = _checked_count(cfg, attacker_count)
     _check_trials(trials)
@@ -402,45 +500,54 @@ def run_trials(
         raise ValueError("attack simulation needs at least two classes")
 
     code = cfg.code
-    n, m = code.n, code.m
+    n, m, k = code.n, code.m, attacker_count
     models_of_user = code.to_array().T.astype(bool)  # (n, m)
     cdfs = _choice_cdfs(cfg.confusions)
     words = _seed_words(seed, np.arange(trials, dtype=np.uint32))
     bitgen = np.random.PCG64()
-    rng = np.random.Generator(bitgen)
+    ranges, tail = _trial_ranges(n, k, c)
+    label_at = len(ranges) - 1 - (c > 2)
+    # Raw outputs read per trial: its tokens, two spare ones for rejected
+    # tokens, and 2m doubles.
+    length = (len(ranges) + 3) // 2 + 2 * m
+    # Trials parsed and sampled at once: their tokens, supports' models and
+    # CDF comparisons each fit in BLOCK_ENTRIES entries.
+    chunk = max(1, BLOCK_ENTRIES // max(2 * length, k * m, m * c))
     rows = cfg.block_rows
+    # Trials sampled before they are decoded: as many whole decode blocks
+    # as a chunk holds, or one block sampled in several chunks.
+    span = rows * max(1, chunk // rows)
     decode_ok = np.zeros(trials, dtype=bool)
     majority_ok = np.zeros(trials, dtype=bool)
     tp = np.zeros(trials)
     fp = np.zeros(trials)
     degenerate = np.zeros(trials, dtype=bool)
 
-    for start in range(0, trials, rows):
-        sel = slice(start, min(start + rows, trials))
-        size = sel.stop - start
-        supports = np.empty((size, attacker_count), dtype=np.intp)
-        labels = np.empty(size, dtype=np.intp)
-        targets = np.empty(size, dtype=np.intp)
-        draws = np.empty((size, 2 * m))
-        for b, state in enumerate(_pcg64_states(words[sel])):
-            bitgen.state = state
-            if attacker_count:
-                supports[b] = rng.choice(n, size=attacker_count, replace=False)
-            labels[b] = rng.integers(c)
-            targets[b] = rng.integers(c - 1)
-            rng.random(out=draws[b])
-        targets += targets >= labels
+    def sample(sel: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        values, draws = _trial_draws(bitgen, list(_pcg64_states(words[sel])), ranges, length, m)
+        supports = _supports(values, n, k, tail)
+        labels = values[:, label_at]
+        targets = values[:, -1] if c > 2 else np.zeros_like(labels)
+        targets = targets + (targets >= labels)
         compromised = models_of_user[supports].any(axis=1)
         y = _sample_block(compromised, targets, labels, cdfs, cfg.success_rate, draws)
+        return supports, labels, y
 
-        result = decode_block(y, cfg)
-        majority_ok[sel] = majority_votes(y, c) == labels
-        degenerate[sel] = result.degenerate
-        decode_ok[sel] = ~result.degenerate & (result.decoded_label == labels)
-        for t, support, found in zip(range(start, sel.stop), supports.tolist(),
-                                     result.decoded_attackers):
-            tp[t] = len(set(support).intersection(found))
-            fp[t] = len(found) - tp[t]
+    for first in range(0, trials, span):
+        last = min(first + span, trials)
+        parts = [sample(slice(s, min(s + chunk, last))) for s in range(first, last, chunk)]
+        supports, labels, y = (np.concatenate(part) for part in zip(*parts))
+        for start in range(first, last, rows):
+            sel = slice(start, min(start + rows, last))
+            at = slice(start - first, sel.stop - first)
+            result = decode_block(y[at], cfg)
+            majority_ok[sel] = majority_votes(y[at], c) == labels[at]
+            degenerate[sel] = result.degenerate
+            decode_ok[sel] = ~result.degenerate & (result.decoded_label == labels[at])
+            for t, support, found in zip(range(start, sel.stop), supports[at].tolist(),
+                                         result.decoded_attackers):
+                tp[t] = len(set(support).intersection(found))
+                fp[t] = len(found) - tp[t]
 
     return CountStats(
         trials=trials,
@@ -494,9 +601,12 @@ def sweep(
     Run seeds derive deterministically from ``seed``; tasks are independent
     and may execute in a process pool of up to ``workers`` processes, at most
     one per task, without changing any reported number.  An empty count
-    list, fewer than one run, fewer than one worker and a trial count
-    ``run_trials`` refuses are refused before any task runs.
+    list, a run count that is not an int or is below one, fewer than one
+    worker and a trial count ``run_trials`` refuses are refused before any
+    task runs.
     """
+    if not isinstance(runs, (int, np.integer)):
+        raise ValueError(f"runs must be an int, got {runs!r}")
     if runs < 1:
         raise ValueError("need at least one run")
     _check_trials(trials)

@@ -262,6 +262,37 @@ def choice_sampled_outputs(bits, support, target, true_label, confusions, succes
     return y
 
 
+# PCG64's LCG multiplier; its output xors the two halves of the stepped
+# state and rotates the result.
+PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def zero_output_at(k):
+    """A PCG64 whose raw output k (from 0) is 0: k + 1 inverse LCG steps
+    before a state whose halves are equal and whose rotation is 0."""
+    bits = np.random.PCG64(7)
+    state = bits.state
+    inc = state["state"]["inc"]
+    half = 0x0123456789ABCDEF
+    lcg = (half << 64) | half
+    inverse = pow(PCG64_MULTIPLIER, -1, 1 << 128)
+    for _ in range(k + 1):
+        lcg = (lcg - inc) * inverse % (1 << 128)
+    state["state"]["state"] = lcg
+    bits.state = state
+    return bits
+
+
+def choice_draws(n, w):
+    """(kind, range) of each bounded draw ``Generator.choice(n, w,
+    replace=False)`` makes, in token order, when no draw is rejected: the
+    tail shuffle of ``arange(n)`` for n > 10,000 and w > n // 50, else
+    Floyd's steps (none on [0, 0]) and the sample's shuffle."""
+    if n > 10_000 and w > n // 50:
+        return [("tail", i) for i in range(n - 1, max(n - w, 1) - 1, -1)]
+    return [("floyd", j) for j in range(max(n - w, 1), n)] + [("shuffle", i) for i in range(w - 1, 0, -1)]
+
+
 def naive_search(kind, k, r, n, max_m, canonical):
     """Minimum height and its sorted canonical codes, by plain enumeration.
 

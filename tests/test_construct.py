@@ -492,35 +492,14 @@ def test_btc_construct_bytes_are_pinned(tmp_path, monkeypatch, capsys, seed):
 
 # --- rejected draws ----------------------------------------------------------------
 
-# PCG64's LCG multiplier; its output xors the two halves of the stepped
-# state and rotates the result.
-PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
-
-
-def zero_output_at(k):
-    """A PCG64 whose raw output k (from 0) is 0: k + 1 inverse LCG steps
-    before a state whose halves are equal and whose rotation is 0."""
-    bits = np.random.PCG64(7)
-    state = bits.state
-    inc = state["state"]["inc"]
-    half = 0x0123456789ABCDEF
-    lcg = (half << 64) | half
-    inverse = pow(PCG64_MULTIPLIER, -1, 1 << 128)
-    for _ in range(k + 1):
-        lcg = (lcg - inc) * inverse % (1 << 128)
-    state["state"]["state"] = lcg
-    bits.state = state
-    return bits
-
-
 def test_zero_tokens_make_numpy_redraw():
-    assert zero_output_at(3).random_raw(5).tolist()[3] == 0
+    assert oracles.zero_output_at(3).random_raw(5).tolist()[3] == 0
     # integers(4, 16) rejects a zero token, so its 3 draws take 5 tokens:
     # 3 outputs and a half, where 3 tokens would take 2 and a half.
-    bits = zero_output_at(0)
+    bits = oracles.zero_output_at(0)
     gen = np.random.Generator(bits)
     [gen.integers(4, 16) for _ in range(3)]
-    stepped = zero_output_at(0)
+    stepped = oracles.zero_output_at(0)
     stepped.advance(3)
     assert bits.state["state"] == stepped.state["state"] and bits.state["has_uint32"] == 1
 
@@ -528,10 +507,7 @@ def test_zero_tokens_make_numpy_redraw():
 def first_row_draws(n, lo, hi, w):
     """(kind, range) of each draw of a first row of weight w, in token
     order, when no draw is rejected."""
-    draws = [("weight", hi - lo)] if lo < hi else []
-    if n > 10_000 and w > n // 50:
-        return draws + [("tail", i) for i in range(n - 1, max(n - w, 1) - 1, -1)]
-    return draws + [("floyd", j) for j in range(max(n - w, 1), n)] + [("shuffle", i) for i in range(w - 1, 0, -1)]
+    return ([("weight", hi - lo)] if lo < hi else []) + oracles.choice_draws(n, w)
 
 
 @pytest.mark.parametrize("kind, n, lo, hi", [
@@ -541,7 +517,7 @@ def test_rejected_draws_equal_numpy(kind, n, lo, hi):
     # The first zero output whose first token is a draw of this kind that
     # rejects it: then the row and the one after it equal numpy's.
     for k in range(64):
-        w = int(np.random.Generator(zero_output_at(k)).integers(lo, hi + 1))
+        w = int(np.random.Generator(oracles.zero_output_at(k)).integers(lo, hi + 1))
         draws = first_row_draws(n, lo, hi, w)
         if 2 * k < len(draws) and draws[2 * k][0] == kind:
             assert construct._bounded(np.zeros(1, np.uint32), draws[2 * k][1])[1].all()
@@ -549,9 +525,9 @@ def test_rejected_draws_equal_numpy(kind, n, lo, hi):
     else:
         pytest.fail(f"no zero output lands on a {kind} draw")
     stream = construct._DrawStream(0, n, lo, hi)
-    stream._bits = zero_output_at(k)
+    stream._bits = oracles.zero_output_at(k)
     rows = np.unpackbits(stream.rows(2), axis=1, count=n, bitorder="little")
-    gen = np.random.Generator(zero_output_at(k))
+    gen = np.random.Generator(oracles.zero_output_at(k))
     expected = [sorted(gen.choice(n, int(gen.integers(lo, hi + 1)), replace=False).tolist()) for _ in range(2)]
     assert [np.flatnonzero(row).tolist() for row in rows] == expected
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcode import simulate
+from bcode import construct, simulate
 from bcode.bitmatrix import BitMatrix
 from bcode.construct import btc, general_bcc, partition_code
 from bcode.decoder import (
@@ -484,6 +484,103 @@ def test_block_boundaries_do_not_change_the_report(monkeypatch, rows):
         assert blocks == [min(rows, trials - start) for start in range(0, trials, rows)]
 
 
+# --- trial draws parsed from raw output --------------------------------------------
+
+class CountingReads:
+    """A PCG64 that records the length of every ``random_raw`` read."""
+
+    def __init__(self):
+        self.bits, self.reads = np.random.PCG64(), []
+
+    state = property(None, lambda self, state: setattr(self.bits, "state", state))
+
+    def random_raw(self, size):
+        self.reads.append(size)
+        return self.bits.random_raw(size)
+
+
+def trial_draws(n, k, c):
+    """(kind, range) of each bounded draw of a trial, in token order, when
+    no draw is rejected: ``choice`` (none for k = 0), then the label and the
+    target (none on [0, 0])."""
+    support = oracles.choice_draws(n, k) if k else []
+    return support + [("label", c - 1)] + ([("target", c - 2)] if c > 2 else [])
+
+
+# Reads with run_trials' two spare tokens, with none (the zero output's two
+# rejected tokens push the doubles past the read), and with no doubles
+# either (they run the tokens out): the last two read the trial again.
+@pytest.mark.parametrize("spare, m", [(2, 3), (0, 3), (0, 0)],
+                         ids=["read-ahead", "doubles-overrun", "tokens-overrun"])
+@pytest.mark.parametrize("kind, n, k, c", [
+    ("floyd", 16, 6, 10), ("shuffle", 16, 6, 10), ("tail", 10_001, 201, 3),
+    ("label", 16, 0, 10), ("target", 16, 6, 10),
+])
+def test_rejected_tokens_are_redrawn_as_numpy_redraws_them(kind, n, k, c, spare, m):
+    # The first zero output whose first token goes to a draw of this kind
+    # that rejects it; its second token is rejected too.
+    draws = trial_draws(n, k, c)
+    zero_tokens = np.zeros(1, np.uint32)
+    z = next((z for z in range(64) if 2 * z < len(draws) and draws[2 * z][0] == kind
+              and construct._bounded(zero_tokens, draws[2 * z][1])[1].all()), None)
+    assert z is not None, f"no zero output lands on a {kind} draw"
+    ranges, tail = simulate._trial_ranges(n, k, c)
+    assert ranges.tolist() == [r for _, r in draws]
+    bits = CountingReads()
+    length = -(-(len(ranges) + spare) // 2) + 2 * m
+    values, doubles = simulate._trial_draws(bits, [oracles.zero_output_at(z).state], ranges,
+                                            length, m)
+    # The chunk's read, the trial's own and, past the read-ahead, a longer one.
+    assert bits.reads == [length, length] + [2 * length] * (spare == 0)
+    gen = np.random.Generator(oracles.zero_output_at(z))
+    support = gen.choice(n, k, replace=False).tolist() if k else []
+    assert set(simulate._supports(values, n, k, tail)[0].tolist()) == set(support)
+    assert values[0, len(ranges) - 1 - (c > 2)] == gen.integers(c)
+    assert (values[0, -1] if c > 2 else 0) == gen.integers(c - 1)
+    assert doubles[0].tobytes() == gen.random(2 * m).tobytes()
+
+
+# A code whose first two models each train on 50 of its 10,001 users, so
+# which users attack decides which models are compromised.
+TAIL_CODE = BitMatrix.from_rows([[int(lo <= j < hi) for j in range(10_001)]
+                                 for lo, hi in [(0, 50), (50, 100), (100, 10_001)]])
+
+EDGE_RUNS = [
+    pytest.param(general_bcc(2, 2, 4), lambda code: synth_cfg(code, 2, 1, q=2), [0, 1, 2],
+                 id="two-classes"),
+    pytest.param(general_bcc(2, 2, 4), lambda code: synth_cfg(code, 3, 1, q=4), [0, 4],
+                 id="every-user-attacks"),
+    pytest.param(general_bcc(2, 2, 4), lambda code: synth_cfg(code, 2, 4, q=4), [4],
+                 id="every-user-attacks-two-classes"),
+    # 201 > 10,001 // 50, so choice tail-shuffles arange(n); the count has
+    # no prior mass, so the decoder tables never enumerate its supports.
+    pytest.param(TAIL_CODE, lambda code: DecoderConfig(code, identity_confusions(3, 3), 0.5, 0.5,
+                                                       {0: 1.0, 201: 0.0}, 3),
+                 [201], id="tail-shuffle"),
+]
+
+
+@pytest.mark.parametrize("code,make_cfg,counts", EDGE_RUNS)
+def test_draw_edge_cases_equal_the_reference(code, make_cfg, counts):
+    cfg = make_cfg(code)
+    for count in counts:
+        assert run_trials(cfg, count, 40, seed=5) == reference_report(code, cfg, count, 40, seed=5)
+
+
+# Chunks of 1, 5 and 16 trials on the README code (60 entries a trial),
+# inside decode blocks of 27 rows and across blocks of 7.
+@pytest.mark.parametrize("entries", [1, 300, 1000])
+@pytest.mark.parametrize("rows", [None, 7])
+def test_chunk_boundaries_do_not_change_the_report(monkeypatch, entries, rows):
+    code = general_bcc(2, 4, 8)
+    cfg = synth_cfg(code, 10, 2)
+    monkeypatch.setattr(simulate, "BLOCK_ENTRIES", entries)
+    if rows is not None:
+        monkeypatch.setattr(DecoderConfig, "block_rows", rows)
+    for count in (0, 2, 3):
+        assert run_trials(cfg, count, 60, seed=4) == reference_report(code, cfg, count, 60, seed=4)
+
+
 def test_run_trials_validation():
     code = general_bcc(2, 2, 4)
     cfg = perfect_cfg(code, 2)
@@ -503,6 +600,25 @@ def test_trial_counts_are_refused_before_any_task_runs(monkeypatch, trials, erro
     monkeypatch.setattr(simulate, "run_trials", lambda *args: pytest.fail("a task ran"))
     with pytest.raises(error, match="trial"):
         sweep(cfg, [0, 1], trials=trials, runs=2, seed=0, workers=2)
+
+
+@pytest.mark.parametrize("trials", [2.0, 2.5, "2", None])
+def test_trial_counts_must_be_ints(monkeypatch, trials):
+    cfg = perfect_cfg(general_bcc(2, 2, 4), 2)
+    with pytest.raises(ValueError, match="trials must be an int"):
+        run_trials(cfg, 1, trials, seed=0)
+    assert run_trials(cfg, 1, np.int64(2), seed=0) == run_trials(cfg, 1, 2, seed=0)
+    monkeypatch.setattr(simulate, "run_trials", lambda *args: pytest.fail("a task ran"))
+    with pytest.raises(ValueError, match="trials must be an int"):
+        sweep(cfg, [1], trials=trials, runs=1, seed=0)
+
+
+@pytest.mark.parametrize("runs", [1.5, 2.0, "2", None])
+def test_run_counts_must_be_ints(monkeypatch, runs):
+    cfg = perfect_cfg(general_bcc(2, 2, 4), 2)
+    monkeypatch.setattr(simulate, "run_trials", lambda *args: pytest.fail("a task ran"))
+    with pytest.raises(ValueError, match="runs must be an int"):
+        sweep(cfg, [1], trials=2, runs=runs, seed=0)
 
 
 @pytest.mark.parametrize("count", [1.7, 1.0, -1, 3, "1", None])
