@@ -24,10 +24,15 @@ One kernel decodes a (T, m) block of output vectors at once
 (``decode_block``); ``decode`` and the three posterior functions run it on
 one row.  Every row goes through the same float operations in the same
 order whatever the block, so a row decodes bit for bit as it would alone.
-The block's log-likelihoods form one (c_t, T, c_l, B) array, target axis
-first: a single matrix product of the per-model factors with the mask
-matrix fills it, the clean models' part is added in place, and the
-logsumexp over targets (max, shift, exp, sum) runs in place over that
+The config builds the kernel's per-model inputs once: the floored logs of
+a clean model's, a missing compromised model's and a hitting compromised
+model's probability of every output, each an (m, c_out, c_l) table that a
+block gathers by [model, output], plus the clean-model matrix and the
+log-prior constants.  These tables are read-only, so a config cannot drift
+from them.  The block's log-likelihoods form one (c_t, T, c_l, B) array,
+target axis first: a single matrix product of the per-model factors with
+the mask matrix fills it, the clean models' part is added in place, and
+the logsumexp over targets (max, shift, exp, sum) runs in place over that
 leading axis, the layout numpy reduces fastest.  The per-mask total is the
 logsumexp over labels of that (T, c_l, B) result.
 """
@@ -53,24 +58,29 @@ _LOG_FLOOR = -1.0e30
 _FLOOR_CUTOFF = -1.0e29
 
 _PROB_TOL = 1e-9
+# Generator.choice's tolerance on a probability row's sum.
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+_NEG_DBL_MAX = -np.finfo(np.float64).max
 
-# Floats in each of the decoder's largest per-block arrays, rows x
-# max(masks, models) x classes^2.  The evidence kernel allocates two such
-# arrays per block and updates the larger in place.  On the README code (a
-# 2-vCPU Xeon, numpy 2.4) a row decoded in 10.5 us in blocks of 13 rows,
-# 7.9 us in blocks of 27 (2^15 floats) and 6.4-6.6 us in blocks of 54-72.
-# From 76 rows (about 91,000 floats) glibc hands the arrays' pages back to
-# the system after every block and faults them in again, and a row cost
-# 9.0 us.  2^15 keeps well below that edge, and memory stays flat in the
-# number of trials.
-BLOCK_ENTRIES = 1 << 15
+# Floats in each of the decoder's two largest per-block arrays, rows x
+# max(masks, models) x classes^2: the per-model factors and the
+# log-likelihoods, and the factors are freed once the log-likelihoods are
+# filled.  On the README code (a 2-vCPU Xeon, numpy 2.4) a row decoded in
+# 7.7 us in blocks of 27 rows (2^15 floats), 6.3 us in blocks of 54 (2^16)
+# and 6.1-6.2 us in blocks of 64-72.  From 80 rows (96,000 floats) glibc
+# hands the arrays' pages back to the system after every block and
+# faults them in again, and a row cost 8.4-8.5 us.  The README example
+# (``--threads 1``) took 0.50 s at 2^15, 0.42 s at 2^16 and 0.50 s at
+# 2^17 (109 rows, past that edge).  2^16 keeps below the edge, and memory
+# stays flat in the number of trials.
+BLOCK_ENTRIES = 1 << 16
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     """Log of summed exponentials along ``axis``; tolerates -inf entries and
     all--inf slices (call it under ``np.errstate(divide="ignore")``)."""
-    amax = a.max(axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(amax), amax, 0.0)
+    # An all--inf slice shifts by -DBL_MAX and still sums to log(0) = -inf.
+    shift = np.maximum(a.max(axis=axis, keepdims=True), _NEG_DBL_MAX)
     return np.log(np.exp(a - shift).sum(axis=axis)) + shift.squeeze(axis)
 
 
@@ -86,6 +96,24 @@ def _safe_log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
+def _choice_cdfs(confusions: np.ndarray) -> np.ndarray:
+    """CDF of every row of an (m, c, c) confusion stack, as
+    ``Generator.choice(c, p=row)`` computes it: cumulative sums divided by
+    the last one.  Refuses, with ``ValueError``, every row choice refuses."""
+    if confusions.ndim != 3 or confusions.shape[1] != confusions.shape[2]:
+        raise ValueError(f"confusions must be an (m, c, c) stack, got shape {confusions.shape}")
+    sums = confusions.sum(axis=2)
+    if np.isnan(sums).any():
+        raise ValueError("confusion probabilities contain NaN")
+    if (confusions < 0).any():
+        raise ValueError("confusion probabilities must be nonnegative")
+    if (np.abs(sums - 1.0) > _CHOICE_ATOL).any():
+        raise ValueError("every confusion row must sum to 1")
+    cdfs = confusions.cumsum(axis=2)
+    cdfs /= cdfs[:, :, -1:]
+    return cdfs
+
+
 @dataclass(frozen=True, eq=False)
 class DecoderConfig:
     """Everything the decoder needs to know about code, noise and priors.
@@ -99,7 +127,8 @@ class DecoderConfig:
     from it cannot go stale.
     ``count_prior`` maps attacker counts to probabilities (its keys define
     which counts are enumerated; they must sum to 1 and stay within [0, n]).
-    The config keeps a read-only copy of it, for the same reason.
+    The config keeps a read-only copy of it, for the same reason, and every
+    table derived from these inputs is read-only too.
     A config pickles as its constructor arguments: a pool worker rebuilds it.
     Configs compare and hash by identity, since an array has no one truth
     value to compare by.
@@ -112,11 +141,18 @@ class DecoderConfig:
     count_prior: Mapping[int, float]
     num_classes: int
 
-    # Derived enumeration tables, built once and reused across decodes.
-    _log_conf: np.ndarray = field(init=False, repr=False)
+    # Derived tables, built once and reused across decodes.  The three log
+    # tables are (m, c_out, c_l): a clean model's, a compromised model's on
+    # a missed target and on a hit target, floored.
+    _log_clean: np.ndarray = field(init=False, repr=False)
+    _log_miss: np.ndarray = field(init=False, repr=False)
+    _log_hit: np.ndarray = field(init=False, repr=False)
     _mask_matrix: np.ndarray = field(init=False, repr=False)
+    _clean_matrix: np.ndarray = field(init=False, repr=False)  # 1 - _mask_matrix.T
     _mask_logw: np.ndarray = field(init=False, repr=False)
-    _groups: dict[tuple[int, int], int] = field(init=False, repr=False)
+    _log_attack_prior: float = field(init=False, repr=False)
+    _log_clean_prior: float = field(init=False, repr=False)  # log(1 - attack_prior) + log(c)
+    _groups: Mapping[tuple[int, int], int] = field(init=False, repr=False)
     _group_first: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     _group_logw: np.ndarray = field(init=False, repr=False)
     _group_mask_idx: np.ndarray = field(init=False, repr=False)
@@ -183,24 +219,48 @@ class DecoderConfig:
         )
         size_logw = {s: _safe_log(prior[s] / per_size[s]) for s in sizes}
 
+        # A clean model's, a missing and a hitting compromised model's
+        # probability of each output, (m, c_out, c_l) each, logged at once.
+        s = self.success_rate
+        probs = np.empty((3, m, c, c))
+        probs[0] = self.confusions.transpose(0, 2, 1)
+        np.multiply(1.0 - s, probs[0], out=probs[1])
+        np.add(s, probs[1], out=probs[2])
         with np.errstate(divide="ignore"):
-            log_conf = _floored(np.log(self.confusions))
-        masks = BitMatrix(len(mask_order), m, tuple(mask_order))
+            log_clean, log_miss, log_hit = _floored(np.log(probs))
+        mask_matrix = BitMatrix(len(mask_order), m, tuple(mask_order)).to_array().astype(float)
         tables = {
-            "_log_conf": log_conf,
-            "_mask_matrix": masks.to_array().astype(float),
+            "_log_clean": log_clean,
+            "_log_miss": log_miss,
+            "_log_hit": log_hit,
+            "_mask_matrix": mask_matrix,
+            "_clean_matrix": 1.0 - mask_matrix.T,
             "_mask_logw": np.array([_safe_log(mask_weight[mask]) for mask in mask_order]),
-            "_groups": {(count, mask): g for g, ((count, _), mask) in enumerate(groups)},
+            "_log_attack_prior": _safe_log(self.attack_prior),
+            "_log_clean_prior": _safe_log(1.0 - self.attack_prior) + math.log(c),
+            "_groups": MappingProxyType(
+                {(count, mask): g for g, ((count, _), mask) in enumerate(groups)}
+            ),
             "_group_first": tuple(first for (_, first), _ in groups),
             "_group_logw": np.array([size_logw[count] for (count, _), _ in groups]),
             "_group_mask_idx": np.array([mask_order[mask] for _, mask in groups], dtype=int),
         }
         for name, value in tables.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
             object.__setattr__(self, name, value)
 
     def __reduce__(self):
         return DecoderConfig, (self.code, self.confusions, self.attack_prior,
                                self.success_rate, dict(self.count_prior), self.num_classes)
+
+    @functools.cached_property
+    def _cdfs(self) -> np.ndarray:
+        """The CDF table ``simulate`` samples outputs from, built on first
+        use; ``_choice_cdfs`` accepts every stack the config accepts."""
+        cdfs = _choice_cdfs(self.confusions)
+        cdfs.setflags(write=False)
+        return cdfs
 
     @property
     def kmax(self) -> int:
@@ -248,14 +308,16 @@ class BlockDecode:
     same floats, bit for bit), except that a row whose outputs have zero
     probability under every hypothesis is flagged in ``degenerate`` instead
     of raising; its posteriors are NaN.  ``scores`` holds the log-score of
-    every (size, mask) attacker group, and ``decoded_attackers`` the
-    reported support per row.
+    every (size, mask) attacker group, ``group`` the reported group per
+    row (-1 for none), and ``decoded_attackers`` its first support, the
+    reported support.
     """
 
     attack_posterior: np.ndarray  # (T,)
     label_posterior: np.ndarray  # (T, c)
     decoded_label: np.ndarray  # (T,)
     decoded_attackers: tuple[tuple[int, ...], ...]
+    group: np.ndarray  # (T,) int
     degenerate: np.ndarray  # (T,) bool
     scores: np.ndarray  # (T, G)
 
@@ -277,7 +339,7 @@ def _class_indices(outputs, num_classes: int) -> np.ndarray:
         if ints is None or not np.array_equal(ints, y):
             raise ValueError("outputs must be integer class indices")
         y = ints
-    if np.any(y < 0) or np.any(y >= num_classes):
+    if y.size and (y.min() < 0 or y.max() >= num_classes):
         raise ValueError(f"outputs must be class indices in [0, {num_classes})")
     return y.astype(int, copy=False)
 
@@ -305,18 +367,17 @@ def _evidence(y: np.ndarray, cfg: DecoderConfig) -> _Evidence:
     """
     (rows, m), c = y.shape, cfg.num_classes
     models = np.arange(m)
-    clean_y = cfg._log_conf[models, :, y]  # (T, m, c_l): [b, i, l] = log C[i, l, y_bi]
+    clean_y = cfg._log_clean[models, y]  # (T, m, c_l): [b, i, l] = log C[i, l, y_bi]
     # (c_t, T, c_l, m): a compromised model's log-probability of emitting
     # y_bi, "hit" when the target t is y_bi and "miss" otherwise.
-    s = cfg.success_rate
-    base = (1.0 - s) * cfg.confusions[models, :, y]  # (T, m, c_l)
     factors = np.empty((c, rows, c, m))
-    factors[...] = _floored(np.log(base)).transpose(0, 2, 1)
-    factors[y, np.arange(rows)[:, None], :, models] = _floored(np.log(s + base))
+    factors[...] = cfg._log_miss[models, y].transpose(0, 2, 1)
+    factors[y, np.arange(rows)[:, None], :, models] = cfg._log_hit[models, y]
 
     mb = cfg._mask_matrix  # (B, m)
     ll = (factors.reshape(-1, m) @ mb.T).reshape(c, rows, c, len(mb))  # (c_t, T, c_l, B)
-    ll += clean_y.transpose(0, 2, 1) @ (1.0 - mb.T)  # the clean models' part, (T, c_l, B)
+    del factors  # the block's two largest arrays are never alive with much else
+    ll += clean_y.transpose(0, 2, 1) @ cfg._clean_matrix  # the clean models' part, (T, c_l, B)
     # Logsumexp over the targets, in place.  Floored logs keep every entry
     # finite, so the shift needs no guard against -inf.
     shift = ll.max(axis=0)
@@ -334,12 +395,8 @@ def _evidence(y: np.ndarray, cfg: DecoderConfig) -> _Evidence:
 def _attack_posteriors(ev: _Evidence, cfg: DecoderConfig) -> tuple[np.ndarray, np.ndarray]:
     """(T,) attack posteriors, and (T,) flags of the degenerate rows, which
     no hypothesis explains and whose posteriors are NaN."""
-    log_attack = _safe_log(cfg.attack_prior) + _logsumexp(cfg._mask_logw + ev.mask_total, axis=1)
-    log_clean = (
-        _safe_log(1.0 - cfg.attack_prior)
-        + math.log(cfg.num_classes)
-        + _logsumexp(ev.clean_ll, axis=1)
-    )
+    log_attack = cfg._log_attack_prior + _logsumexp(cfg._mask_logw + ev.mask_total, axis=1)
+    log_clean = cfg._log_clean_prior + _logsumexp(ev.clean_ll, axis=1)
     denom = np.logaddexp(log_attack, log_clean)
     # math.exp, not np.exp: the two can differ in the last bit.
     attack = [math.exp(a - d) for a, d in zip(log_attack.tolist(), denom.tolist())]
@@ -349,10 +406,8 @@ def _attack_posteriors(ev: _Evidence, cfg: DecoderConfig) -> tuple[np.ndarray, n
 def _label_posteriors(ev: _Evidence, cfg: DecoderConfig) -> np.ndarray:
     """(T, c) label posteriors; NaN rows where every label scores zero."""
     attack_by_label = _logsumexp(cfg._mask_logw + ev.mask_by_label, axis=2)  # (T, c)
-    log_scores = np.logaddexp(
-        _safe_log(cfg.attack_prior) + attack_by_label,
-        _safe_log(1.0 - cfg.attack_prior) + math.log(cfg.num_classes) + ev.clean_ll,
-    )
+    log_scores = np.logaddexp(cfg._log_attack_prior + attack_by_label,
+                              cfg._log_clean_prior + ev.clean_ll)
     return np.exp(log_scores - _logsumexp(log_scores, axis=1)[:, None])
 
 
@@ -372,15 +427,13 @@ def _decode_rows(
         attack, degenerate = _attack_posteriors(ev, cfg)
         labels = _label_posteriors(ev, cfg)
     scores = _attacker_scores(ev, cfg)
-    attackers: list[tuple[int, ...]] = [()] * len(y)
+    group = np.full(len(y), -1)
     if scores.shape[1]:
-        best = scores.argmax(axis=1)
         report = (attack > attack_threshold) & (scores.max(axis=1) > -math.inf)
-        attackers = [
-            cfg._group_first[g] if r else () for g, r in zip(best.tolist(), report.tolist())
-        ]
+        group = np.where(report, scores.argmax(axis=1), -1)
+    attackers = tuple(cfg._group_first[g] if g >= 0 else () for g in group.tolist())
     return BlockDecode(
-        attack, labels, labels.argmax(axis=1), tuple(attackers), degenerate, scores
+        attack, labels, labels.argmax(axis=1), attackers, group, degenerate, scores
     )
 
 

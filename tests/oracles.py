@@ -161,7 +161,7 @@ def naive_joint_weight(bits, confusions, success_rate, count_prior, x, y, t, l):
         clean = confusions[i][l][y[i]]
         compromised = any(bits[i][j] and x[j] for j in range(n))
         if compromised:
-            prod *= success_rate * (1.0 if t == y[i] else 0.0) + (1 - success_rate) * clean
+            prod *= success_rate * (t == y[i]) + (1 - success_rate) * clean
         else:
             prod *= clean
     return prod
@@ -198,7 +198,9 @@ def naive_evidence(masks, confusions, success_rate, classes, y):
 
 
 def naive_posteriors(bits, confusions, attack_prior, success_rate, count_prior, classes, y):
-    """Literal evaluation of the three posteriors in plain floats.
+    """Literal evaluation of the three posteriors in plain arithmetic on
+    the inputs' own number type: floats, or ``Decimal`` for values that
+    must not underflow.
 
     Returns (attack, labels, attackers) where attackers maps indicator
     tuples to probabilities, or None entries where the normalizer is zero.

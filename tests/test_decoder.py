@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import math
 import pickle
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -26,6 +27,7 @@ from bcode.decoder import (
     uniform_count_prior,
 )
 from bcode.errors import DegenerateEvidenceError, ResourceLimitError
+from bcode.simulate import dirichlet_profiles, synth_confusion
 
 import oracles
 
@@ -207,6 +209,30 @@ def test_config_count_prior_is_read_only_and_pickles():
     for name in ("_mask_matrix", "_mask_logw", "_group_logw", "_group_mask_idx"):
         assert np.array_equal(getattr(restored, name), getattr(cfg, name))
     assert (restored._groups, restored._group_first) == (cfg._groups, cfg._group_first)
+
+
+def test_config_tables_are_read_only_and_pickle_to_equal_tables():
+    code = general_bcc(2, 2, 4)
+    conf = np.random.default_rng(1).dirichlet(np.ones(3), size=(code.m, 3))
+    cfg = DecoderConfig(code, conf, 0.5, 0.9, uniform_count_prior(0, 2), 3)
+    derived = [f.name for f in dataclasses.fields(cfg) if not f.init] + ["_cdfs"]
+    arrays = [name for name in derived if isinstance(getattr(cfg, name), np.ndarray)]
+    assert len(arrays) == 9
+    for name in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cfg, name).flat[0] = 0
+    with pytest.raises(TypeError):
+        cfg._groups[1, 1] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg._cdfs = np.zeros(3)
+    restored = pickle.loads(pickle.dumps(cfg))
+    for name in derived:
+        got, want = getattr(restored, name), getattr(cfg, name)
+        if name in arrays:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+        else:
+            assert got == want
 
 
 def test_configs_and_results_compare_and_hash_by_identity():
@@ -715,6 +741,61 @@ def test_block_decoding_equals_one_row_decoding(make):
             assert got.scores[b].tobytes() == want._scores.tobytes()
     if make is exact_models_config:
         assert degenerate > 0
+
+
+def test_block_group_is_the_reported_group_of_every_row():
+    # Exact models and certain success: rows no hypothesis explains are
+    # degenerate, clean-looking rows stay below the threshold, and planted
+    # attacks are reported.  A count prior without positive mass has no
+    # group at all.
+    code = general_bcc(2, 2, 6)
+    conf = identity_confusions(code.m, 3)
+    seen = {"degenerate": 0, "below": 0, "reported": 0, "no group": 0}
+    for prior, attack_prior in ((uniform_count_prior(0, 2), 0.5), ({0: 1.0, 2: 0.0}, 0.9)):
+        cfg = DecoderConfig(code, conf, attack_prior, 1.0, prior, 3)
+        rng = np.random.default_rng(5)
+        planted = [idealized_outputs(code, support, 1, 0)
+                   for support in combinations(range(code.n), 2)]
+        block = np.vstack([planted, rng.integers(0, 3, size=(40, code.m)), np.zeros((3, code.m), int)])
+        got = decode_block(block, cfg)
+        assert got.group.shape == (len(block),)
+        for b, g in enumerate(got.group.tolist()):
+            if g >= 0:
+                assert got.decoded_attackers[b] == cfg._group_first[g]
+                seen["reported"] += 1
+                continue
+            assert got.decoded_attackers[b] == ()
+            if not cfg._groups:
+                seen["no group"] += 1
+            elif got.degenerate[b]:
+                seen["degenerate"] += 1
+            else:
+                assert got.attack_posterior[b] <= 0.5
+                seen["below"] += 1
+    assert min(seen.values()) > 0
+
+
+# The benchmark's three simulate configs and its 40-user cold-decode config.
+@pytest.mark.parametrize("k,r,n,q", [(2, 4, 8, 3), (3, 4, 24, 3), (4, 4, 24, 2), (4, 4, 40, 4)])
+def test_block_rows_keep_the_kernel_arrays_within_block_entries(k, r, n, q):
+    code, c = general_bcc(k, r, n), 10
+    confusions = synth_confusion(code, dirichlet_profiles(0.1, n, c, seed=0))
+    cfg = DecoderConfig(code, confusions, 0.5, 0.99, uniform_count_prior(0, q), c)
+    rows, widths = cfg.block_rows, (code.m, len(cfg._mask_matrix))
+    # The per-model factors, (c_t, T, c_l, m), and the log-likelihoods,
+    # (c_t, T, c_l, B), at the most rows that keep both within the bound.
+    assert all(c * rows * c * w <= decoder.BLOCK_ENTRIES for w in widths)
+    assert c * (rows + 1) * c * max(widths) > decoder.BLOCK_ENTRIES
+    # What the kernel holds at once: those two and the smaller arrays.
+    y = np.random.default_rng(0).integers(0, c, size=(rows, code.m))
+    decode_block(y, cfg)
+    tracemalloc.start()
+    try:
+        decode_block(y, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * decoder.BLOCK_ENTRIES * 8
 
 
 def test_decode_block_validation():

@@ -1,12 +1,13 @@
 import concurrent.futures
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcode import construct, simulate
+from bcode import construct, decoder, simulate
 from bcode.bitmatrix import BitMatrix
 from bcode.construct import btc, general_bcc, partition_code
 from bcode.decoder import (
@@ -404,6 +405,43 @@ def simulation_configs(draw):
                          prior, c)
 
 
+def as_bits(code):
+    return [[code.bit(i, j) for j in range(code.n)] for i in range(code.m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=simulation_configs(), data=st.data())
+def test_config_tables_equal_the_per_block_formulas(cfg, data):
+    # A block that emits every class from every model gathers every table
+    # entry, through the formulas the evidence kernel once ran per block.
+    m, c, s = cfg.code.m, cfg.num_classes, cfg.success_rate
+    models, every = np.arange(m), np.repeat(np.arange(c)[:, None], m, axis=1)
+    with np.errstate(divide="ignore"):
+        base = (1.0 - s) * cfg.confusions[models, :, every]
+        assert cfg._log_miss[models, every].tobytes() == decoder._floored(np.log(base)).tobytes()
+        assert (cfg._log_hit[models, every].tobytes()
+                == decoder._floored(np.log(s + base)).tobytes())
+        log_conf = decoder._floored(np.log(cfg.confusions))
+    assert cfg._log_clean[models, every].tobytes() == log_conf[models, :, every].tobytes()
+    rows = data.draw(st.lists(st.lists(st.integers(0, c - 1), min_size=m, max_size=m),
+                              min_size=1, max_size=4))
+    block = decode_block(np.array(rows), cfg)
+    # The oracle runs on the exact values of the config's floats, in
+    # decimals that cannot underflow as its plain float products can.
+    exact = np.vectorize(Decimal, otypes=[object])
+    with localcontext(prec=40):
+        for b, y in enumerate(rows):
+            attack, labels, _ = oracles.naive_posteriors(
+                as_bits(cfg.code), exact(cfg.confusions).tolist(), Decimal(cfg.attack_prior),
+                Decimal(s), {k: Decimal(p) for k, p in cfg.count_prior.items()}, c, y)
+            assert block.degenerate[b] == (attack is None)
+            if attack is not None:
+                assert block.attack_posterior[b] == pytest.approx(float(attack), rel=1e-12,
+                                                                  abs=1e-300)
+                assert block.label_posterior[b] == pytest.approx([float(p) for p in labels],
+                                                                 rel=1e-12, abs=1e-300)
+
+
 # Blocks of 1, 3 and the default number of rows put trials at different rows
 # of a block, where each follows its own read pointer through its doubles.
 @pytest.mark.parametrize("rows", [1, 3, None])
@@ -441,8 +479,8 @@ def test_a_negative_seed_is_refused_as_default_rng_refuses_it():
         run_trials(perfect_cfg(general_bcc(2, 2, 4), 2), 1, trials=3, seed=-1)
 
 
-# At the default block size: the README code with 10 classes (27 rows at
-# 2^15 entries) and a two-class config (546 rows).
+# At the default block size: the README code with 10 classes (54 rows at
+# 2^16 entries) and a two-class config (1,092 rows).
 @pytest.mark.parametrize("cfg", [
     pytest.param(synth_cfg(general_bcc(2, 4, 8), 10, 2), id="bcc-2-4-8-c10"),
     pytest.param(synth_cfg(general_bcc(3, 4, 24), 2, 1), id="bcc-3-4-24-c2"),
@@ -568,7 +606,7 @@ def test_draw_edge_cases_equal_the_reference(code, make_cfg, counts):
 
 
 # Chunks of 1, 5 and 16 trials on the README code (60 entries a trial),
-# inside decode blocks of 27 rows and across blocks of 7.
+# inside decode blocks of 54 rows and across blocks of 7.
 @pytest.mark.parametrize("entries", [1, 300, 1000])
 @pytest.mark.parametrize("rows", [None, 7])
 def test_chunk_boundaries_do_not_change_the_report(monkeypatch, entries, rows):
