@@ -58,8 +58,6 @@ _LOG_FLOOR = -1.0e30
 _FLOOR_CUTOFF = -1.0e29
 
 _PROB_TOL = 1e-9
-# Generator.choice's tolerance on a probability row's sum.
-_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
 _NEG_DBL_MAX = -np.finfo(np.float64).max
 
 # Floats in each of the decoder's two largest per-block arrays, rows x
@@ -94,24 +92,6 @@ def _unfloored(log_p: np.ndarray) -> np.ndarray:
 
 def _safe_log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
-
-
-def _choice_cdfs(confusions: np.ndarray) -> np.ndarray:
-    """CDF of every row of an (m, c, c) confusion stack, as
-    ``Generator.choice(c, p=row)`` computes it: cumulative sums divided by
-    the last one.  Refuses, with ``ValueError``, every row choice refuses."""
-    if confusions.ndim != 3 or confusions.shape[1] != confusions.shape[2]:
-        raise ValueError(f"confusions must be an (m, c, c) stack, got shape {confusions.shape}")
-    sums = confusions.sum(axis=2)
-    if np.isnan(sums).any():
-        raise ValueError("confusion probabilities contain NaN")
-    if (confusions < 0).any():
-        raise ValueError("confusion probabilities must be nonnegative")
-    if (np.abs(sums - 1.0) > _CHOICE_ATOL).any():
-        raise ValueError("every confusion row must sum to 1")
-    cdfs = confusions.cumsum(axis=2)
-    cdfs /= cdfs[:, :, -1:]
-    return cdfs
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,14 +233,6 @@ class DecoderConfig:
     def __reduce__(self):
         return DecoderConfig, (self.code, self.confusions, self.attack_prior,
                                self.success_rate, dict(self.count_prior), self.num_classes)
-
-    @functools.cached_property
-    def _cdfs(self) -> np.ndarray:
-        """The CDF table ``simulate`` samples outputs from, built on first
-        use; ``_choice_cdfs`` accepts every stack the config accepts."""
-        cdfs = _choice_cdfs(self.confusions)
-        cdfs.setflags(write=False)
-        return cdfs
 
     @property
     def kmax(self) -> int:

@@ -36,11 +36,14 @@ import numpy as np
 
 from .bitmatrix import BitMatrix, column_or_mask
 from .construct import _bounded, _floyd, _tail_sample, _tail_shuffles
-from .decoder import BLOCK_ENTRIES, DecoderConfig, _choice_cdfs, decode_block, majority_votes
+from .decoder import BLOCK_ENTRIES, DecoderConfig, decode_block, majority_votes
 from .errors import ResourceLimitError
 # The one-vector forms stay importable here: bench/tracing.py wraps them by
 # these names.
 from .decoder import decode, majority_vote  # noqa: F401
+
+# Generator.choice's tolerance on a probability row's sum.
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 # Trials per run: a trial index is one 32-bit word of its stream's entropy.
 MAX_TRIALS = 2**32
@@ -157,6 +160,24 @@ class Scenario:
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(j for j, b in enumerate(self.attackers) if b)
+
+
+def _choice_cdfs(confusions: np.ndarray) -> np.ndarray:
+    """CDF of every row of an (m, c, c) confusion stack, as
+    ``Generator.choice(c, p=row)`` computes it: cumulative sums divided by
+    the last one.  Refuses, with ``ValueError``, every row choice refuses."""
+    if confusions.ndim != 3 or confusions.shape[1] != confusions.shape[2]:
+        raise ValueError(f"confusions must be an (m, c, c) stack, got shape {confusions.shape}")
+    sums = confusions.sum(axis=2)
+    if np.isnan(sums).any():
+        raise ValueError("confusion probabilities contain NaN")
+    if (confusions < 0).any():
+        raise ValueError("confusion probabilities must be nonnegative")
+    if (np.abs(sums - 1.0) > _CHOICE_ATOL).any():
+        raise ValueError("every confusion row must sum to 1")
+    cdfs = confusions.cumsum(axis=2)
+    cdfs /= cdfs[:, :, -1:]
+    return cdfs
 
 
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
@@ -481,12 +502,15 @@ def run_trials(
     code = cfg.code
     n, m, k = code.n, code.m, attacker_count
     models_of_user = code.to_array().T.astype(bool)  # (n, m)
-    # Row g flags the users of group g's reported support; the last row,
-    # the one a row without a report reads, is empty.
+    cdfs = _choice_cdfs(cfg.confusions)
+    # Each user of group g's reported support as the key g * n + user,
+    # sorted, and a last key above every other; a row reported as group -1
+    # asks for negative keys, none of which is there, and its size is the
+    # last one, 0.
     firsts = cfg._group_first
-    reported = np.zeros((len(firsts) + 1, n), dtype=np.intp)
-    reported[np.repeat(np.arange(len(firsts)), [len(f) for f in firsts]),
-             [j for f in firsts for j in f]] = 1
+    keys = np.array(sorted(g * n + j for g, first in enumerate(firsts) for j in first)
+                    + [len(firsts) * n])
+    sizes = np.array([len(first) for first in firsts] + [0])
     words = _seed_words(seed, np.arange(trials, dtype=np.uint32))
     bitgen = np.random.PCG64()
     ranges, tail = _trial_ranges(n, k, c)
@@ -514,7 +538,7 @@ def run_trials(
         targets = values[:, -1] if c > 2 else np.zeros_like(labels)
         targets = targets + (targets >= labels)
         compromised = models_of_user[supports].any(axis=1)
-        y = _sample_block(compromised, targets, labels, cfg._cdfs, cfg.success_rate, draws)
+        y = _sample_block(compromised, targets, labels, cdfs, cfg.success_rate, draws)
         return supports, labels, y
 
     for first in range(0, trials, span):
@@ -528,9 +552,9 @@ def run_trials(
             majority_ok[sel] = majority_votes(y[at], c) == labels[at]
             degenerate[sel] = result.degenerate
             decode_ok[sel] = ~result.degenerate & (result.decoded_label == labels[at])
-            found = reported[result.group]
-            tp[sel] = np.take_along_axis(found, supports[at], axis=1).sum(axis=1)
-            fp[sel] = found.sum(axis=1) - tp[sel]
+            asked = result.group[:, None] * n + supports[at]
+            tp[sel] = (keys[np.searchsorted(keys, asked)] == asked).sum(axis=1)
+            fp[sel] = sizes[result.group] - tp[sel]
 
     return CountStats(
         trials=trials,

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -11,6 +12,7 @@ from bcode import construct, decoder, simulate
 from bcode.bitmatrix import BitMatrix
 from bcode.construct import btc, general_bcc, partition_code
 from bcode.decoder import (
+    BLOCK_ENTRIES,
     DecoderConfig,
     decode,
     decode_block,
@@ -603,6 +605,22 @@ def test_draw_edge_cases_equal_the_reference(code, make_cfg, counts):
     cfg = make_cfg(code)
     for count in counts:
         assert run_trials(cfg, count, 40, seed=5) == reference_report(code, cfg, count, 40, seed=5)
+
+
+def test_run_trials_memory_does_not_grow_with_the_users():
+    # 10,001 users and reports of one and two users: a table per group or
+    # per row of a block that is as wide as the users would take over 100 MB.
+    cfg = DecoderConfig(TAIL_CODE, identity_confusions(3, 3), 0.5, 0.9,
+                        {0: 0.5, 1: 0.25, 2: 0.25}, 3)
+    assert run_trials(cfg, 2, 200, seed=3) == reference_report(TAIL_CODE, cfg, 2, 200, seed=3)
+    tracemalloc.start()
+    try:
+        stats = run_trials(cfg, 2, 3000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.fp_mean > 0
+    assert peak <= 8 * BLOCK_ENTRIES * 8
 
 
 # Chunks of 1, 5 and 16 trials on the README code (60 entries a trial),
