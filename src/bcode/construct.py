@@ -53,7 +53,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import bitmatrix
+from . import _streams, bitmatrix
 from .bitmatrix import BitMatrix, column_sums, select_columns, vstack
 from .errors import ConstructionError, ResourceLimitError
 from .properties import CodeKind, _check_params, is_separable
@@ -171,84 +171,17 @@ def partition_code(m: int, n: int) -> BitMatrix:
     return BitMatrix(m, n, tuple(rows))
 
 
-def _bounded(tokens: np.ndarray, ranges) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's bounded draw on [0, range] from each 32-bit token (Lemire
-    2019): the values, and which tokens the draw rejects and redraws.
-
-    ``tokens`` and ``ranges`` broadcast, so one call reads every draw of
-    a parse: the rows of one seed's stream here (``_DrawStream``), or a
-    (trials, draws) array of tokens, one trial's stream per row, against
-    the draw ranges every trial shares in ``simulate.run_trials``.  Ranges
-    lie below 2^32 - 1, where numpy draws on 32-bit tokens; a draw on
-    [0, 0] takes no token, so callers leave it out."""
-    excl = np.asarray(ranges, np.uint64) + 1
-    prod = tokens.astype(np.uint64)
-    prod *= excl
-    rejected = (prod & 0xFFFFFFFF) < (0xFFFFFFFF + 1 - excl) % excl
-    prod >>= 32
-    return prod.astype(np.intp), rejected
-
-
-def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, offset) of each of ``counts.sum()`` items: item t is the
-    offset[t]-th of the ``counts[owner[t]]`` items of owner[t]."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
-def _floyd(n: int, rows: np.ndarray, steps: np.ndarray, values: np.ndarray,
-           first: np.ndarray | int) -> np.ndarray:
-    """The column each draw of Floyd's sampler adds to its sample: draw x
-    is row rows[x]'s step steps[x], first[x]..n - 1 in order, and drew
-    values[x].  A row's draws add its w distinct columns.
-
-    Step j adds j itself when it drew j, a value an earlier step drew, or
-    an earlier step t >= first that added itself; otherwise it adds the
-    value.  So step j's answer, when it is step t's, is found for all
-    steps at once by pointer jumping.
-    """
-    key = rows * n + values
-    order = np.argsort(key, kind="stable")
-    redrawn = np.zeros(len(key), bool)
-    redrawn[order[1:]] = key[order[1:]] == key[order[:-1]]
-    # 1: adds itself, 0: adds its value, -1: as step ``target`` does.
-    adds_self = np.where((values == steps) | redrawn, 1, np.where(values >= first, -1, 0))
-    index = np.arange(len(key))
-    target = np.where(adds_self < 0, index - (steps - values), index)
-    while (adds_self < 0).any():
-        adds_self = adds_self[target]
-        target = target[target]
-    return np.where(adds_self == 1, steps, values)
-
-
-def _tail_shuffles(n: int, w):
-    """Whether ``choice(n, w, replace=False)`` shuffles the tail of
-    ``arange(n)`` rather than run Floyd's sampler (elementwise for an
-    array of weights)."""
-    return (n > 10_000) & (w > n // 50)
-
-
-def _tail_sample(n: int, w: int, values: list[int]) -> list[int]:
-    """The w columns ``choice(n, w, replace=False)`` takes by shuffling the
-    tail of ``arange(n)``: the swap at i = n - 1 down to max(n - w, 1)
-    exchanges entries i and the i-th of ``values``, and the last w entries
-    are the sample."""
-    perm = list(range(n))
-    for i, t in zip(range(n - 1, 0, -1), values):
-        perm[i], perm[t] = perm[t], perm[i]
-    return perm[n - w :]
-
-
 class _DrawStream:
     """The rows ``rng = np.random.default_rng(seed)`` draws, each as
     ``w = rng.integers(lo, hi + 1)`` then ``rng.choice(n, w, replace=False)``,
     read from the seed's PCG64 output in bulk.
 
-    Every draw is numpy's bounded draw (``_bounded``) on the next 32-bit
-    token, the low half of each 64-bit output first, and draws again on a
-    rejected token (numpy draws on 32-bit tokens for ranges below 2^32 - 1,
-    which holds for n < 2^32).  A row draws its weight on [0, hi - lo] (no draw when
-    lo == hi) and then its columns in one of two ways.  When n > 10,000 and
+    Every draw is numpy's bounded draw (``_streams.bounded``) on the next
+    32-bit token, the low half of each 64-bit output first, and draws again
+    on a rejected token (numpy draws on 32-bit tokens for ranges below
+    2^32 - 1, which holds for n < 2^32).  A row draws its weight on
+    [0, hi - lo] (no draw when lo == hi) and then its columns in one of two
+    ways.  When n > 10,000 and
     w > n // 50, ``choice`` shuffles the tail of ``arange(n)``, one draw on
     [0, i] for i = n - 1 down to max(n - w, 1), and takes its last w
     entries.  Otherwise it runs Floyd's sampler (Bentley and Floyd 1987):
@@ -259,8 +192,8 @@ class _DrawStream:
     Without a rejection a row takes a number of tokens fixed by its weight,
     so a parse finds the row starts in one pass, reads every draw of every
     row at once, checks every token it used and runs Floyd's sampler on all
-    rows together (``_floyd``).  A rejected token is dropped from the
-    stream, since the draw takes the next one, and the parse runs again
+    rows together (``_streams.floyd``).  A rejected token is dropped from
+    the stream, since the draw takes the next one, and the parse runs again
     from its first row.  ``rows`` hands out the parsed rows in order.
     """
 
@@ -270,7 +203,7 @@ class _DrawStream:
         self._parsed, self._next = np.empty((0, -(-n // 8)), np.uint8), 0
         self.n, self.lo = n, lo
         weights = np.arange(lo, hi + 1)
-        self._tail = _tail_shuffles(n, weights)
+        self._tail = _streams.tail_shuffles(n, weights)
         # Tokens a row of each weight takes when no draw is rejected.
         self._span = (int(lo < hi) + weights - (weights == n) + np.where(self._tail, 0, weights - 1)).tolist()
         # Entries a parse holds per row: its tokens and its set.
@@ -319,13 +252,13 @@ class _DrawStream:
             drawn = w - (w == n)
             floyd = ~self._tail[index]
             first = starts + weighted
-            row, off = _ragged(drawn)
-            srow, soff = _ragged(np.where(floyd, w - 1, 0))
+            row, off = _streams.ragged(drawn)
+            srow, soff = _streams.ragged(np.where(floyd, w - 1, 0))
             # Floyd's j ascending or the tail shuffle's i descending, then
             # the sample shuffle's i descending.
             ranges = np.where(floyd[row], n - drawn[row] + off, n - 1 - off)
             pos = np.concatenate([starts[: weighted * count], first[row] + off, first[srow] + drawn[srow] + soff])
-            values, rejected = _bounded(
+            values, rejected = _streams.bounded(
                 tokens[pos],
                 np.concatenate([np.full(weighted * count, len(span) - 1), ranges, w[srow] - 1 - soff]),
             )
@@ -338,10 +271,10 @@ class _DrawStream:
         sets = np.zeros((count, n), bool)
         sets[w == n] = True  # a sample of every column
         step = floyd[row] & (w[row] < n)
-        sets[row[step], _floyd(n, row[step], ranges[step], values[step], n - w[row[step]])] = True
+        sets[row[step], _streams.floyd(n, row[step], ranges[step], values[step], n - w[row[step]])] = True
         for r in np.flatnonzero(~floyd & (w < n)):
             begin = int(np.searchsorted(row, r))
-            sets[r, _tail_sample(n, w[r], values[begin : begin + drawn[r]].tolist())] = True
+            sets[r, _streams.tail_sample(n, w[r], values[begin : begin + drawn[r]].tolist())] = True
         return np.packbits(sets, axis=1, bitorder="little")
 
 

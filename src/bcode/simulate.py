@@ -17,25 +17,25 @@ given seeds; each trial draws from its own stream, the one
 ``np.random.default_rng([seed, trial index])`` gives, so results do not
 depend on execution order and parallel sweeps reproduce serial ones bit for
 bit.  ``run_trials`` seeds all of a call's streams in one vectorized pass
-that computes exactly what ``default_rng`` computes.  It then reads each
-stream's raw PCG64 output with one ``random_raw`` call and reproduces on it,
-for a chunk of trials at once, the draws ``choice``, ``integers`` and
-``random`` make: numpy's bounded draws (Lemire 2019) on 32-bit tokens,
-Floyd's sampler or ``choice``'s tail shuffle, and 53-bit doubles.  The
-outputs of the chunk are then sampled together.
+that computes exactly what ``default_rng`` computes, and steps the PCG64
+streams of a chunk of trials together in numpy by LCG jump-ahead
+(``_streams``).  On their raw outputs it reproduces, for the whole chunk,
+the draws ``choice``, ``integers`` and ``random`` make: numpy's bounded
+draws (Lemire 2019) on 32-bit tokens, Floyd's sampler or ``choice``'s tail
+shuffle, and 53-bit doubles.  The outputs of the chunk are then sampled
+together.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import _streams
 from .bitmatrix import BitMatrix, column_or_mask
-from .construct import _bounded, _floyd, _tail_sample, _tail_shuffles
 from .decoder import BLOCK_ENTRIES, DecoderConfig, decode_block, majority_votes
 from .errors import ResourceLimitError
 # The one-vector forms stay importable here: bench/tracing.py wraps them by
@@ -48,16 +48,6 @@ _CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
 # Trials per run: a trial index is one 32-bit word of its stream's entropy.
 MAX_TRIALS = 2**32
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx): pool size, hash and
-# mix constants.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 2**32 - 1
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = 2**128 - 1
 
 
 def dirichlet_profiles(
@@ -178,168 +168,6 @@ def _choice_cdfs(confusions: np.ndarray) -> np.ndarray:
     cdfs = confusions.cumsum(axis=2)
     cdfs /= cdfs[:, :, -1:]
     return cdfs
-
-
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """``init`` and its first ``count`` multiples by ``mult`` mod 2^32, as
-    a (count + 1, 1) uint32 column: the successive hash constants of
-    SeedSequence."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-def _seed_words(seed: int, trials: np.ndarray) -> np.ndarray:
-    """``SeedSequence([seed, t]).generate_state(4, np.uint64)`` for every t
-    in ``trials`` (uint32 indices), one row each.
-
-    This is SeedSequence's pool mixing and state generation on uint32
-    words, with one column per trial: the entropy of (seed, t) is the
-    little-endian 32-bit words of the seed followed by the one word of t.
-    The hashes a source word makes for the pool words are independent, so
-    each source word updates all of them in one step.  A negative seed
-    raises ``ValueError``, as ``default_rng`` does.
-    """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    words = [seed & _MASK32]
-    while seed := seed >> 32:
-        words.append(seed & _MASK32)
-    # Entropy shorter than the pool is padded with zero words.
-    entropy = np.zeros((max(len(words) + 1, _POOL_SIZE), len(trials)), dtype=np.uint32)
-    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = trials
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
-    used = 0
-
-    def hashmix(values: np.ndarray, count: int) -> np.ndarray:
-        nonlocal used
-        out = values ^ consts[used : used + count]
-        out *= consts[used + 1 : used + count + 1]
-        out ^= out >> 16
-        used += count
-        return out
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = _MIX_MULT_L * x - _MIX_MULT_R * y
-        out ^= out >> 16
-        return out
-
-    pool = hashmix(entropy[:_POOL_SIZE], _POOL_SIZE)
-    for src in range(_POOL_SIZE):
-        others = [dst for dst in range(_POOL_SIZE) if dst != src]
-        pool[others] = mix(pool[others], hashmix(pool[src], _POOL_SIZE - 1))
-    for src in range(_POOL_SIZE, len(entropy)):
-        pool = mix(pool, hashmix(entropy[src], _POOL_SIZE))
-
-    consts = _hash_consts(_INIT_B, _MULT_B, 8)
-    state = pool[np.arange(8) % _POOL_SIZE] ^ consts[:-1]
-    state *= consts[1:]
-    state ^= state >> 16
-    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
-
-
-def _pcg64_states(words: np.ndarray) -> Iterator[dict]:
-    """The state of a ``PCG64`` seeded with each row of ``words``, as
-    ``PCG64.state`` reads it: the first two words are the initial state and
-    the last two the stream, and seeding steps the LCG twice."""
-    for s_hi, s_lo, i_hi, i_lo in words.tolist():
-        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        yield {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-
-def _trial_ranges(n: int, k: int, c: int) -> tuple[np.ndarray, bool]:
-    """The ranges of a trial's bounded draws, in the order they read its
-    tokens, and whether its support comes from ``choice``'s tail shuffle.
-
-    A trial draws ``choice(n, k, replace=False)`` (nothing when k = 0),
-    ``integers(c)`` and ``integers(c - 1)``.  When n > 10,000 and
-    k > n // 50, ``choice`` shuffles the tail of ``arange(n)``, one draw
-    on [0, i] for i = n - 1 down to max(n - k, 1); otherwise it runs
-    Floyd's sampler, one draw on [0, j] for j = n - k..n - 1, then shuffles
-    the sample with one draw on [0, i] for i = k - 1..1.  A draw on [0, 0]
-    (Floyd's j = 0 when k = n, ``integers(1)`` when c = 2) takes no token
-    and is left out.
-    """
-    tail = _tail_shuffles(n, k)
-    if k == 0:
-        support = []
-    elif tail:
-        support = range(n - 1, max(n - k, 1) - 1, -1)
-    else:
-        support = [*range(max(n - k, 1), n), *range(k - 1, 0, -1)]
-    return np.array([*support, c - 1, *([c - 2] if c > 2 else [])], dtype=np.uint64), tail
-
-
-def _redrawn(bitgen: np.random.PCG64, state: dict, ranges: np.ndarray, length: int,
-             m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The draws and the 2m raw outputs of its doubles, as
-    ``_trial_draws`` gives them, of one trial whose draws reject a token.
-
-    A rejected token is used up and the draw takes the next one, so it is
-    dropped from the tokens and the draws are read again.  When the
-    tokens or the doubles run past ``length`` outputs, the stream is read
-    again from ``state``, twice as long.
-    """
-    while True:
-        bitgen.state = state
-        raw = bitgen.random_raw(length)
-        tokens = raw.astype("<u8").view("<u4")
-        while len(tokens) >= len(ranges):
-            values, rejected = _bounded(tokens[: len(ranges)], ranges)
-            if not rejected.any():
-                # next_double skips a buffered token: the doubles start at
-                # output ceil(tokens used / 2).
-                start = (2 * length - len(tokens) + len(ranges) + 1) // 2
-                if start + 2 * m <= length:
-                    return values, raw[start : start + 2 * m]
-                break
-            tokens = np.delete(tokens, rejected.argmax())
-        length *= 2
-
-
-def _trial_draws(bitgen: np.random.PCG64, states: list[dict], ranges: np.ndarray,
-                 length: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The bounded draws on ``ranges`` and the 2m output doubles of the
-    trials whose streams start at ``states``, one row each.
-
-    Each stream is read once, ``length`` raw outputs, as 32-bit tokens,
-    the low half of each output first.  Without a rejected token, draw d
-    reads token d and the doubles start at output ceil(draws / 2), since
-    ``next_double`` skips the buffered half; the rare row that rejects a
-    token is parsed on its own (``_redrawn``).  A double is the top 53
-    bits of an output times 2^-53, as ``Generator.random`` makes it.
-    """
-    raw = np.empty((len(states), length), np.uint64)
-    for b, state in enumerate(states):
-        bitgen.state = state
-        raw[b] = bitgen.random_raw(length)
-    values, rejected = _bounded(raw.astype("<u8", copy=False).view("<u4")[:, : len(ranges)], ranges)
-    start = -(-len(ranges) // 2)
-    doubles = raw[:, start : start + 2 * m]
-    for b in np.flatnonzero(rejected.any(axis=1)):
-        values[b], doubles[b] = _redrawn(bitgen, states[b], ranges, length, m)
-    return values, (doubles >> 11) * 2.0**-53
-
-
-def _supports(values: np.ndarray, n: int, k: int, tail: bool) -> np.ndarray:
-    """The (trials, k) supports ``choice(n, k, replace=False)`` draws, as
-    sets, from each row of ``values``, which begins with its draws."""
-    if k == n:
-        return np.broadcast_to(np.arange(n), (len(values), n))
-    if tail:
-        return np.array([_tail_sample(n, k, row[:k]) for row in values.tolist()], dtype=np.intp)
-    rows = np.repeat(np.arange(len(values)), k)
-    steps = np.tile(np.arange(n - k, n), len(values))
-    return _floyd(n, rows, steps, values[:, :k].ravel(), n - k).reshape(len(values), k)
 
 
 def _sample_block(
@@ -483,11 +311,12 @@ def run_trials(
     what ``choice(n, k, replace=False)`` (skipped for zero attackers),
     ``integers(c)`` (the label), ``integers(c - 1)`` (the target) and
     ``random(2m)`` (the output doubles) draw from it, in that order.  The
-    streams are seeded in one pass and each is read with one ``random_raw``
-    call; a chunk of trials, as many as keep its tokens, its supports'
-    models and its CDF comparisons within ``decoder.BLOCK_ENTRIES``
-    entries, is parsed and sampled at once (``_trial_draws``,
-    ``_supports``, ``_sample_block``), and outputs are decoded in blocks of
+    streams are seeded in one pass; a chunk of trials, as many as keep its
+    raw outputs, its supports' models and its CDF comparisons within
+    ``decoder.BLOCK_ENTRIES`` entries, has its streams' first outputs
+    computed in one numpy pass and is parsed and sampled at once
+    (``_streams.trial_draws``, ``_streams.supports``,
+    ``_sample_block``), and outputs are decoded in blocks of
     ``cfg.block_rows`` trials.  None of this changes a reported number:
     every trial draws and every row decodes exactly as it would alone.
     A trial count that is not an int is refused with ``ValueError``, and
@@ -511,9 +340,8 @@ def run_trials(
     keys = np.array(sorted(g * n + j for g, first in enumerate(firsts) for j in first)
                     + [len(firsts) * n])
     sizes = np.array([len(first) for first in firsts] + [0])
-    words = _seed_words(seed, np.arange(trials, dtype=np.uint32))
-    bitgen = np.random.PCG64()
-    ranges, tail = _trial_ranges(n, k, c)
+    words = _streams.seed_words(seed, np.arange(trials, dtype=np.uint32))
+    ranges, tail = _streams.trial_ranges(n, k, c)
     label_at = len(ranges) - 1 - (c > 2)
     # Raw outputs read per trial: its tokens, two spare ones for rejected
     # tokens, and 2m doubles.
@@ -532,8 +360,8 @@ def run_trials(
     degenerate = np.zeros(trials, dtype=bool)
 
     def sample(sel: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        values, draws = _trial_draws(bitgen, list(_pcg64_states(words[sel])), ranges, length, m)
-        supports = _supports(values, n, k, tail)
+        values, draws = _streams.trial_draws(words[sel], ranges, length, m)
+        supports = _streams.supports(values, n, k, tail)
         labels = values[:, label_at]
         targets = values[:, -1] if c > 2 else np.zeros_like(labels)
         targets = targets + (targets >= labels)

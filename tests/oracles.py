@@ -269,20 +269,53 @@ def choice_sampled_outputs(bits, support, target, true_label, confusions, succes
 PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
 
 
-def zero_output_at(k):
-    """A PCG64 whose raw output k (from 0) is 0: k + 1 inverse LCG steps
-    before a state whose halves are equal and whose rotation is 0."""
+def zero_output_at(k, run=1):
+    """A PCG64 whose raw outputs k..k + run - 1 (from 0) are 0, for a run of
+    1 or 2: k + 1 inverse LCG steps before a state whose halves are equal.
+    One zero output keeps the stream of ``PCG64(7)``; for two, the stream is
+    the odd inc that steps that state to a second one with equal halves
+    (halves of opposite parity make it odd)."""
     bits = np.random.PCG64(7)
     state = bits.state
-    inc = state["state"]["inc"]
     half = 0x0123456789ABCDEF
     lcg = (half << 64) | half
+    if run == 2:
+        second = (half + 1) << 64 | half + 1
+        state["state"]["inc"] = (second - PCG64_MULTIPLIER * lcg) % (1 << 128)
+    inc = state["state"]["inc"]
     inverse = pow(PCG64_MULTIPLIER, -1, 1 << 128)
     for _ in range(k + 1):
         lcg = (lcg - inc) * inverse % (1 << 128)
     state["state"]["state"] = lcg
     bits.state = state
     return bits
+
+
+def pcg64_states(words):
+    """The state of a ``PCG64`` seeded with each row of the (T, 4) uint64
+    ``words``, as ``PCG64.state`` reads it: the first two words are the
+    initial state and the last two the stream, and seeding steps the LCG
+    twice."""
+    for s_hi, s_lo, i_hi, i_lo in words.tolist():
+        inc = ((i_hi << 65) | (i_lo << 1) | 1) % (1 << 128)
+        state = ((inc + ((s_hi << 64) | s_lo)) * PCG64_MULTIPLIER + inc) % (1 << 128)
+        yield {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+
+def seed_words(bits):
+    """The (1, 4) uint64 words that seed a ``PCG64`` into the LCG state of
+    ``bits``: seeding with state s and stream i sets inc = 2i + 1 and the
+    state to M (s + inc) + inc, so s and i are solved back from them."""
+    state = bits.state["state"]
+    inc = state["inc"]
+    s = ((state["state"] - inc) * pow(PCG64_MULTIPLIER, -1, 1 << 128) - inc) % (1 << 128)
+    i = inc >> 1
+    return np.array([[s >> 64, s % (1 << 64), i >> 64, i % (1 << 64)]], dtype=np.uint64)
 
 
 def choice_draws(n, w):

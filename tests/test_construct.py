@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bcode import bitmatrix, construct
+from bcode import _streams, bitmatrix, construct
 from bcode.bitmatrix import BitMatrix, min_row_weight
 from bcode.cli import main
 from bcode.construct import (
@@ -520,7 +520,7 @@ def test_rejected_draws_equal_numpy(kind, n, lo, hi):
         w = int(np.random.Generator(oracles.zero_output_at(k)).integers(lo, hi + 1))
         draws = first_row_draws(n, lo, hi, w)
         if 2 * k < len(draws) and draws[2 * k][0] == kind:
-            assert construct._bounded(np.zeros(1, np.uint32), draws[2 * k][1])[1].all()
+            assert _streams.bounded(np.zeros(1, np.uint32), draws[2 * k][1])[1].all()
             break
     else:
         pytest.fail(f"no zero output lands on a {kind} draw")

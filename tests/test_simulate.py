@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcode import construct, decoder, simulate
+from bcode import _streams, decoder, simulate
 from bcode.bitmatrix import BitMatrix
 from bcode.construct import btc, general_bcc, partition_code
 from bcode.decoder import (
@@ -463,7 +463,7 @@ def test_trial_streams_are_seeded_as_default_rng_seeds_them(seed):
     # From 2**96 on a seed takes four entropy words or more, so with the
     # trial's word the pool of four is mixed with one word more, or four.
     trials = np.array([*range(1000), 2**32 - 1], dtype=np.uint32)
-    states = simulate._pcg64_states(simulate._seed_words(seed, trials))
+    states = oracles.pcg64_states(_streams.seed_words(seed, trials))
     for t, state in zip(trials.tolist(), states, strict=True):
         assert state == np.random.default_rng([seed, t]).bit_generator.state
     bitgen = np.random.PCG64()
@@ -476,7 +476,7 @@ def test_a_negative_seed_is_refused_as_default_rng_refuses_it():
     with pytest.raises(ValueError, match="expected non-negative integer"):
         np.random.default_rng([-1, 0])
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        simulate._seed_words(-1, np.arange(3, dtype=np.uint32))
+        _streams.seed_words(-1, np.arange(3, dtype=np.uint32))
     with pytest.raises(ValueError, match="expected non-negative integer"):
         run_trials(perfect_cfg(general_bcc(2, 2, 4), 2), 1, trials=3, seed=-1)
 
@@ -526,19 +526,6 @@ def test_block_boundaries_do_not_change_the_report(monkeypatch, rows):
 
 # --- trial draws parsed from raw output --------------------------------------------
 
-class CountingReads:
-    """A PCG64 that records the length of every ``random_raw`` read."""
-
-    def __init__(self):
-        self.bits, self.reads = np.random.PCG64(), []
-
-    state = property(None, lambda self, state: setattr(self.bits, "state", state))
-
-    def random_raw(self, size):
-        self.reads.append(size)
-        return self.bits.random_raw(size)
-
-
 def trial_draws(n, k, c):
     """(kind, range) of each bounded draw of a trial, in token order, when
     no draw is rejected: ``choice`` (none for k = 0), then the label and the
@@ -548,33 +535,37 @@ def trial_draws(n, k, c):
 
 
 # Reads with run_trials' two spare tokens, with none (the zero output's two
-# rejected tokens push the doubles past the read), and with no doubles
-# either (they run the tokens out): the last two read the trial again.
-@pytest.mark.parametrize("spare, m", [(2, 3), (0, 3), (0, 0)],
-                         ids=["read-ahead", "doubles-overrun", "tokens-overrun"])
+# rejected tokens push the doubles past the read), with no doubles either
+# (they run the tokens out), and with two spare tokens and two zero outputs
+# in a row (four rejected tokens): the last three read the trial again.
+@pytest.mark.parametrize("spare, m, zeros", [(2, 3, 1), (0, 3, 1), (0, 0, 1), (2, 3, 2)],
+                         ids=["read-ahead", "doubles-overrun", "tokens-overrun", "four-rejected"])
 @pytest.mark.parametrize("kind, n, k, c", [
     ("floyd", 16, 6, 10), ("shuffle", 16, 6, 10), ("tail", 10_001, 201, 3),
     ("label", 16, 0, 10), ("target", 16, 6, 10),
 ])
-def test_rejected_tokens_are_redrawn_as_numpy_redraws_them(kind, n, k, c, spare, m):
+def test_rejected_tokens_are_redrawn_as_numpy_redraws_them(monkeypatch, kind, n, k, c, spare,
+                                                           m, zeros):
     # The first zero output whose first token goes to a draw of this kind
-    # that rejects it; its second token is rejected too.
+    # that rejects it; the draw rejects every token of the zero outputs.
     draws = trial_draws(n, k, c)
     zero_tokens = np.zeros(1, np.uint32)
     z = next((z for z in range(64) if 2 * z < len(draws) and draws[2 * z][0] == kind
-              and construct._bounded(zero_tokens, draws[2 * z][1])[1].all()), None)
+              and _streams.bounded(zero_tokens, draws[2 * z][1])[1].all()), None)
     assert z is not None, f"no zero output lands on a {kind} draw"
-    ranges, tail = simulate._trial_ranges(n, k, c)
+    ranges, tail = _streams.trial_ranges(n, k, c)
     assert ranges.tolist() == [r for _, r in draws]
-    bits = CountingReads()
+    reads, kernel = [], _streams.pcg64_raw
+    monkeypatch.setattr(_streams, "pcg64_raw",
+                        lambda words, length: reads.append(length) or kernel(words, length))
     length = -(-(len(ranges) + spare) // 2) + 2 * m
-    values, doubles = simulate._trial_draws(bits, [oracles.zero_output_at(z).state], ranges,
-                                            length, m)
+    values, doubles = _streams.trial_draws(oracles.seed_words(oracles.zero_output_at(z, zeros)),
+                                           ranges, length, m)
     # The chunk's read, the trial's own and, past the read-ahead, a longer one.
-    assert bits.reads == [length, length] + [2 * length] * (spare == 0)
-    gen = np.random.Generator(oracles.zero_output_at(z))
+    assert reads == [length, length] + [2 * length] * (2 * zeros > spare)
+    gen = np.random.Generator(oracles.zero_output_at(z, zeros))
     support = gen.choice(n, k, replace=False).tolist() if k else []
-    assert set(simulate._supports(values, n, k, tail)[0].tolist()) == set(support)
+    assert set(_streams.supports(values, n, k, tail)[0].tolist()) == set(support)
     assert values[0, len(ranges) - 1 - (c > 2)] == gen.integers(c)
     assert (values[0, -1] if c > 2 else 0) == gen.integers(c - 1)
     assert doubles[0].tobytes() == gen.random(2 * m).tobytes()
