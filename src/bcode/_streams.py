@@ -1,18 +1,13 @@
-"""numpy's random streams, reproduced in bulk: ``SeedSequence`` seeding,
-``PCG64`` output and the draws ``Generator`` makes from it.
-
-``pcg64_raw`` computes the outputs of many streams at once by LCG
-jump-ahead: the state after j steps is A_j s + C_j inc mod 2^128, with
-A_j = M^j and C_j = 1 + M + ... + M^(j-1) (Brown, "Random number generation
-with arbitrary strides", 1994), and an output is the XSL-RR permutation of
-a state (O'Neill, PCG, HMC-CS-2014-0905).  ``construct`` reads one seed's
-draws through this module, and ``simulate`` a chunk of trials' draws.
+"""numpy's random streams in bulk: ``SeedSequence`` seeding, ``PCG64``
+output by LCG jump-ahead and the draws ``Generator`` makes from it.
+``construct`` reads one seed's draws through this module, and ``simulate``
+a chunk of trials' draws.
 """
 
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -28,22 +23,13 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK64 = 2**64 - 1
 
 
+@cache
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """``init`` times mult^0..count mod 2^32, as a (count + 1, 1) uint32
-    column: the successive hash constants of SeedSequence."""
-    consts = [init * pow(mult, i, 2**32) & _MASK32 for i in range(count + 1)]
-    return np.array(consts, np.uint32)[:, None]
-
-
-# Hash constants for up to 16 entropy words (seeds below 2^480; a longer
-# entropy builds its own), and the ones source word src hashes itself with
-# for each pool word dst != src, 3 per source after the pool's 4 (row src's
-# are never used).
-_MIX_AT = np.array([[_POOL_SIZE + 3 * src + dst - (dst > src) for dst in range(_POOL_SIZE)]
-                    for src in range(_POOL_SIZE)])
-_HASH_A = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * 16)
-_HASH_B = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-_MIX_XOR, _MIX_MUL = _HASH_A[_MIX_AT], _HASH_A[_MIX_AT + 1]
+    """``init`` times mult^0..count mod 2^32, as a read-only (count + 1, 1)
+    uint32 column: the successive hash constants of SeedSequence."""
+    consts = np.array([init * pow(mult, i, 2**32) & _MASK32 for i in range(count + 1)], np.uint32)
+    consts.flags.writeable = False
+    return consts[:, None]
 
 
 def seed_words(seed: int, trials: np.ndarray) -> np.ndarray:
@@ -67,13 +53,15 @@ def seed_words(seed: int, trials: np.ndarray) -> np.ndarray:
     entropy = np.zeros((max(len(words) + 1, _POOL_SIZE), len(trials)), dtype=np.uint32)
     entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
     entropy[len(words)] = trials
-    count = _POOL_SIZE * len(entropy)
-    consts = _HASH_A if count < len(_HASH_A) else _hash_consts(_INIT_A, _MULT_A, count)
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
+    used = 0
 
-    def hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-        out = values ^ xor
-        out *= mult
+    def hashmix(values: np.ndarray, count: int) -> np.ndarray:
+        nonlocal used
+        out = values ^ consts[used : used + count]
+        out *= consts[used + 1 : used + count + 1]
         out ^= out >> 16
+        used += count
         return out
 
     def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -81,25 +69,30 @@ def seed_words(seed: int, trials: np.ndarray) -> np.ndarray:
         out ^= out >> 16
         return out
 
-    pool = hashmix(entropy[:_POOL_SIZE], consts[:_POOL_SIZE], consts[1 : _POOL_SIZE + 1])
+    pool = hashmix(entropy[:_POOL_SIZE], _POOL_SIZE)
     for src in range(_POOL_SIZE):
-        kept = pool[src]
-        pool = mix(pool, hashmix(kept, _MIX_XOR[src], _MIX_MUL[src]))
-        pool[src] = kept
+        others = [dst for dst in range(_POOL_SIZE) if dst != src]
+        pool[others] = mix(pool[others], hashmix(pool[src], _POOL_SIZE - 1))
     for src in range(_POOL_SIZE, len(entropy)):
-        at = _POOL_SIZE * src
-        pool = mix(pool, hashmix(entropy[src], consts[at : at + _POOL_SIZE],
-                                 consts[at + 1 : at + _POOL_SIZE + 1]))
-    state = hashmix(np.concatenate([pool, pool]), _HASH_B[:-1], _HASH_B[1:])
+        pool = mix(pool, hashmix(entropy[src], _POOL_SIZE))
+
+    consts = _hash_consts(_INIT_B, _MULT_B, 8)
+    state = pool[np.arange(8) % _POOL_SIZE] ^ consts[:-1]
+    state *= consts[1:]
+    state ^= state >> 16
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
 @lru_cache(maxsize=8)
 def _jumps(length: int) -> tuple[np.ndarray, ...]:
     """A_(j+2) and C_(j+3) of outputs j = 0..length - 1, as read-only
-    uint64 limbs: high, low, and the low one's 32-bit halves.  Seeding with
-    words s and i sets inc = 2i + 1 and the state to M (s + inc) + inc, and
-    output j steps j + 1 times more, to A_(j+2) s + C_(j+3) inc."""
+    uint64 limbs: high, low, and the low one's 32-bit halves.
+
+    j steps of the LCG take state s to A_j s + C_j inc mod 2^128, with
+    A_j = M^j and C_j = 1 + M + ... + M^(j-1) (Brown, "Random number
+    generation with arbitrary strides", 1994).  Seeding with words s and i
+    sets inc = 2i + 1 and the state to M (s + inc) + inc, and output j
+    steps j + 1 times more, to A_(j+2) s + C_(j+3) inc."""
     mult, mask = _PCG64_MULT, 2**128 - 1
     a, c, limbs = mult * mult & mask, (mult * mult + mult + 1) & mask, []
     for _ in range(length):
@@ -134,8 +127,9 @@ def pcg64_raw(words: np.ndarray, length: int) -> np.ndarray:
 
     The 128-bit products run on uint64 limbs: the low 64 bits wrap, and
     the high 64 bits are the cross terms plus one ``_mulhi``.  An output is
-    the xor of the state's halves rotated right by its top 6 bits.  The
-    (T, length) arrays are updated in place, which keeps fewer in cache.
+    the xor of the state's halves rotated right by its top 6 bits (XSL-RR;
+    O'Neill, PCG, HMC-CS-2014-0905).  The (T, length) arrays are updated
+    in place, which keeps fewer in cache.
     """
     a_hi, a_lo, a0, a1, c_hi, c_lo, c0, c1 = _jumps(length)
     s_hi, s_lo, i_hi, i_lo = words.T[:, :, None]

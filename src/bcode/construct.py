@@ -181,10 +181,9 @@ class _DrawStream:
     on a rejected token (numpy draws on 32-bit tokens for ranges below
     2^32 - 1, which holds for n < 2^32).  A row draws its weight on
     [0, hi - lo] (no draw when lo == hi) and then its columns in one of two
-    ways.  When n > 10,000 and
-    w > n // 50, ``choice`` shuffles the tail of ``arange(n)``, one draw on
-    [0, i] for i = n - 1 down to max(n - w, 1), and takes its last w
-    entries.  Otherwise it runs Floyd's sampler (Bentley and Floyd 1987):
+    ways.  When n > 10,000 and w > n // 50, ``choice`` shuffles the tail of
+    ``arange(n)``, one draw on [0, i] for i = n - 1 down to max(n - w, 1),
+    and takes its last w entries.  Otherwise it runs Floyd's sampler (Bentley and Floyd 1987):
     for j = n - w..n - 1 it draws t on [0, j] (no draw at j = 0) and adds t
     to the set, or j when t is already in it; then w - 1 draws on [0, i],
     i = w - 1..1, shuffle the sample, which leaves the set as it is.

@@ -16,14 +16,9 @@ count, as the paper judges a code against a given number of attackers;
 given seeds; each trial draws from its own stream, the one
 ``np.random.default_rng([seed, trial index])`` gives, so results do not
 depend on execution order and parallel sweeps reproduce serial ones bit for
-bit.  ``run_trials`` seeds all of a call's streams in one vectorized pass
-that computes exactly what ``default_rng`` computes, and steps the PCG64
-streams of a chunk of trials together in numpy by LCG jump-ahead
-(``_streams``).  On their raw outputs it reproduces, for the whole chunk,
-the draws ``choice``, ``integers`` and ``random`` make: numpy's bounded
-draws (Lemire 2019) on 32-bit tokens, Floyd's sampler or ``choice``'s tail
-shuffle, and 53-bit doubles.  The outputs of the chunk are then sampled
-together.
+bit.  ``run_trials`` seeds those streams, steps them and makes the draws
+``choice``, ``integers`` and ``random`` make from them for a chunk of trials
+at once in numpy (``_streams``), and samples the chunk's outputs together.
 """
 
 from __future__ import annotations
@@ -47,7 +42,6 @@ _CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 # Trials per run: a trial index is one 32-bit word of its stream's entropy.
 MAX_TRIALS = 2**32
-
 
 
 def dirichlet_profiles(
