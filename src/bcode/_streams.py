@@ -7,6 +7,7 @@ a chunk of trials' draws.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from functools import cache, lru_cache
 
 import numpy as np
@@ -32,27 +33,48 @@ def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
     return consts[:, None]
 
 
-def seed_words(seed: int, trials: np.ndarray) -> np.ndarray:
-    """``SeedSequence([seed, t]).generate_state(4, np.uint64)`` for every t
-    in ``trials`` (uint32 indices), one row each.
-
-    This is SeedSequence's pool mixing and state generation on uint32
-    words, with one column per trial: the entropy of (seed, t) is the
-    little-endian 32-bit words of the seed followed by the one word of t.
-    The hashes a source word makes for the pool words are independent, so
-    each source word updates all of them in one step.  A negative seed
-    raises ``ValueError``, as ``default_rng`` does.
-    """
+def _words32(seed: int) -> list[int]:
+    """The little-endian 32-bit words of a seed, as SeedSequence reads it;
+    a negative seed raises ``ValueError``, as ``default_rng`` does."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError("expected non-negative integer")
     words = [seed & _MASK32]
     while seed := seed >> 32:
         words.append(seed & _MASK32)
-    # Entropy shorter than the pool is padded with zero words.
-    entropy = np.zeros((max(len(words) + 1, _POOL_SIZE), len(trials)), dtype=np.uint32)
-    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = trials
+    return words
+
+
+def seed_words(seeds: Sequence[int], owner: np.ndarray, trials: np.ndarray) -> np.ndarray:
+    """``SeedSequence([seeds[owner[x]], trials[x]]).generate_state(4,
+    np.uint64)`` for every x, one row each: ``trials`` holds uint32 trial
+    indices and ``owner`` the index of each one's seed.
+
+    The entropy of (seed, t) is the seed's words followed by the one word
+    of t, padded with zero words to the pool's size.  Streams whose
+    entropy has the same length (every seed below 2^96) are seeded in one
+    pass (``_generate``).
+    """
+    words = [_words32(seed) for seed in seeds]
+    sizes = np.array([len(w) for w in words])
+    table = np.zeros((max(sizes.max() + 1, _POOL_SIZE), len(words)), np.uint32)
+    for col, w in enumerate(words):
+        table[: len(w), col] = w
+    entropy = table[:, owner]
+    entropy[sizes[owner], np.arange(len(owner))] = trials
+    lengths = np.maximum(sizes + 1, _POOL_SIZE)
+    out = np.empty((len(owner), 4), np.uint64)
+    for length in set(lengths.tolist()):
+        at = lengths[owner] == length
+        out[at] = _generate(entropy[:length, at])
+    return out
+
+
+def _generate(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's pool mixing and state generation on uint32 words,
+    with one column of the (L, T) ``entropy`` per stream.  The hashes a
+    source word makes for the pool words are independent, so each source
+    word updates all of them in one step."""
     consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
     used = 0
 
@@ -268,26 +290,27 @@ def redrawn(words: np.ndarray, ranges: np.ndarray, length: int,
         length *= 2
 
 
-def trial_draws(words: np.ndarray, ranges: np.ndarray, length: int,
+def trial_draws(words: np.ndarray, raw: np.ndarray, ranges: np.ndarray,
                 m: int) -> tuple[np.ndarray, np.ndarray]:
     """The bounded draws on ``ranges`` and the 2m output doubles of the
-    trials whose streams the rows of ``words`` seed, one row each.
+    trials whose streams the rows of ``words`` seed, one row each, from
+    the first raw outputs of those streams (``pcg64_raw``), one row of
+    ``raw`` each.
 
-    Each stream's first ``length`` raw outputs are read at once for all
-    rows (``pcg64_raw``), as 32-bit tokens, the low half of each output
+    The outputs are read as 32-bit tokens, the low half of each output
     first.  Without a rejected token, draw d reads token d and the doubles
     start at output ceil(draws / 2), since ``next_double`` skips the
     buffered half; the rare row that rejects a token is parsed on its own
     (``redrawn``).  A double is the top 53 bits of an output times 2^-53,
     as ``Generator.random`` makes it.
     """
-    raw = pcg64_raw(words, length)
     values, rejected = bounded(raw.astype("<u8", copy=False).view("<u4")[:, : len(ranges)], ranges)
     start = -(-len(ranges) // 2)
-    doubles = raw[:, start : start + 2 * m]
+    top = raw[:, start : start + 2 * m] >> 11
     for b in np.flatnonzero(rejected.any(axis=1)):
-        values[b], doubles[b] = redrawn(words[b], ranges, length, m)
-    return values, (doubles >> 11) * 2.0**-53
+        values[b], doubles = redrawn(words[b], ranges, raw.shape[1], m)
+        top[b] = doubles >> 11
+    return values, top * 2.0**-53
 
 
 def supports(values: np.ndarray, n: int, k: int, tail: bool) -> np.ndarray:

@@ -16,15 +16,18 @@ count, as the paper judges a code against a given number of attackers;
 given seeds; each trial draws from its own stream, the one
 ``np.random.default_rng([seed, trial index])`` gives, so results do not
 depend on execution order and parallel sweeps reproduce serial ones bit for
-bit.  ``run_trials`` seeds those streams, steps them and makes the draws
-``choice``, ``integers`` and ``random`` make from them for a chunk of trials
-at once in numpy (``_streams``), and samples the chunk's outputs together.
+bit.  ``sweep`` runs all of its (count, run) tasks through one batched
+pass, and ``run_trials`` is its one-task case: a chunk of trials, which may
+span tasks, has its streams seeded and stepped and the draws ``choice``,
+``integers`` and ``random`` make from them parsed at once in numpy
+(``_streams``), and its outputs sampled together and decoded in blocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -304,90 +307,129 @@ def run_trials(
     stream ``np.random.default_rng([seed, trial index])`` gives and draws
     what ``choice(n, k, replace=False)`` (skipped for zero attackers),
     ``integers(c)`` (the label), ``integers(c - 1)`` (the target) and
-    ``random(2m)`` (the output doubles) draw from it, in that order.  The
-    streams are seeded in one pass; a chunk of trials, as many as keep its
-    raw outputs, its supports' models and its CDF comparisons within
-    ``decoder.BLOCK_ENTRIES`` entries, has its streams' first outputs
-    computed in one numpy pass and is parsed and sampled at once
-    (``_streams.trial_draws``, ``_streams.supports``,
-    ``_sample_block``), and outputs are decoded in blocks of
-    ``cfg.block_rows`` trials.  None of this changes a reported number:
-    every trial draws and every row decodes exactly as it would alone.
-    A trial count that is not an int is refused with ``ValueError``, and
-    more than ``MAX_TRIALS`` trials raise ``ResourceLimitError``.
+    ``random(2m)`` (the output doubles) draw from it, in that order.  This
+    is the one-task case of the batched pass ``sweep`` runs
+    (``_run_tasks``).  A trial count that is not an int is refused with
+    ``ValueError``, and more than ``MAX_TRIALS`` trials raise
+    ``ResourceLimitError``.
     """
     attacker_count = _checked_count(cfg, attacker_count)
     _check_trials(trials)
+    (stats,) = _run_tasks(cfg, trials, [(attacker_count, seed)])
+    return stats
+
+
+def _run_tasks(cfg: DecoderConfig, trials: int,
+               tasks: Sequence[tuple[int, int]]) -> list[CountStats]:
+    """``run_trials(cfg, count, trials, seed)`` of every (count, seed) in
+    ``tasks``, in one pass over their trials laid end to end.
+
+    A chunk of trials, as many as keep the stream kernel's arrays, their
+    supports' models and their CDF comparisons within
+    ``decoder.BLOCK_ENTRIES`` entries, has its streams seeded and their
+    first outputs computed in one numpy pass each, is parsed per run of
+    trials that share an attacker count (``_streams.trial_draws``,
+    ``_streams.supports``) and is sampled at once (``_sample_block``).
+    Outputs are decoded in blocks of ``cfg.block_rows`` trials, which may
+    hold trials of several tasks, and a task's statistics are taken as soon
+    as its last trial is decoded.  None of this changes a reported number:
+    every trial draws and every row decodes exactly as it would alone, and
+    each task's statistics reduce the same values in the same order.
+    """
     c = cfg.num_classes
     if c < 2:
         raise ValueError("attack simulation needs at least two classes")
-
     code = cfg.code
-    n, m, k = code.n, code.m, attacker_count
+    n, m = code.n, code.m
     models_of_user = code.to_array().T.astype(bool)  # (n, m)
     cdfs = _choice_cdfs(cfg.confusions)
     # Each user of group g's reported support as the key g * n + user,
     # sorted, and a last key above every other; a row reported as group -1
     # asks for negative keys, none of which is there, and its size is the
-    # last one, 0.
+    # last one, 0.  Supports narrower than the widest are padded with a
+    # user whose keys are negative for every group.
     firsts = cfg._group_first
     keys = np.array(sorted(g * n + j for g, first in enumerate(firsts) for j in first)
                     + [len(firsts) * n])
     sizes = np.array([len(first) for first in firsts] + [0])
-    words = _streams.seed_words(seed, np.arange(trials, dtype=np.uint32))
-    ranges, tail = _streams.trial_ranges(n, k, c)
-    label_at = len(ranges) - 1 - (c > 2)
-    # Raw outputs read per trial: its tokens, two spare ones for rejected
-    # tokens, and 2m doubles.
-    length = (len(ranges) + 3) // 2 + 2 * m
-    # Trials parsed and sampled at once: their tokens, supports' models and
-    # CDF comparisons each fit in BLOCK_ENTRIES entries.
-    chunk = max(1, BLOCK_ENTRIES // max(2 * length, k * m, m * c))
+    pad = -(len(firsts) + 1) * n
+    counts = np.array([count for count, _ in tasks])
+    seeds = [seed for _, seed in tasks]
+    width = counts.max()
+    plans = {k: _streams.trial_ranges(n, k, c) for k in set(counts.tolist())}
+    # Raw outputs read per trial: the most tokens a count's draws take, two
+    # spare ones for rejected tokens, and 2m doubles.
+    length = (max(len(ranges) for ranges, _ in plans.values()) + 3) // 2 + 2 * m
+    # Trials parsed and sampled at once: the stream kernel's (trials,
+    # length) uint64 arrays, up to seven at a time, the supports' models
+    # and the CDF comparisons each fit in BLOCK_ENTRIES entries.
+    chunk = max(1, BLOCK_ENTRIES // max(7 * length, width * m, m * c))
     rows = cfg.block_rows
     # Trials sampled before they are decoded: as many whole decode blocks
     # as a chunk holds, or one block sampled in several chunks.
     span = rows * max(1, chunk // rows)
-    decode_ok = np.zeros(trials, dtype=bool)
-    majority_ok = np.zeros(trials, dtype=bool)
-    tp = np.zeros(trials)
-    fp = np.zeros(trials)
-    degenerate = np.zeros(trials, dtype=bool)
 
-    def sample(sel: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        values, draws = _streams.trial_draws(words[sel], ranges, length, m)
-        supports = _streams.supports(values, n, k, tail)
-        labels = values[:, label_at]
-        targets = values[:, -1] if c > 2 else np.zeros_like(labels)
-        targets = targets + (targets >= labels)
-        compromised = models_of_user[supports].any(axis=1)
+    def sample(start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        owner, t = np.divmod(np.arange(start, stop), trials)
+        words = _streams.seed_words(seeds, owner, t.astype(np.uint32))
+        raw = _streams.pcg64_raw(words, length)
+        supports = np.full((stop - start, width), pad)
+        labels = np.empty(stop - start, dtype=np.intp)
+        targets = np.zeros(stop - start, dtype=np.intp)
+        compromised = np.empty((stop - start, m), dtype=bool)
+        draws = np.empty((stop - start, 2 * m))
+        cuts = [0, *(np.flatnonzero(np.diff(counts[owner])) + 1).tolist(), stop - start]
+        for a, b in zip(cuts, cuts[1:]):
+            k = int(counts[owner[a]])
+            ranges, tail = plans[k]
+            values, draws[a:b] = _streams.trial_draws(words[a:b], raw[a:b], ranges, m)
+            supports[a:b, :k] = _streams.supports(values, n, k, tail)
+            compromised[a:b] = models_of_user[supports[a:b, :k]].any(axis=1)
+            labels[a:b] = values[:, len(ranges) - 1 - (c > 2)]
+            if c > 2:
+                targets[a:b] = values[:, -1]
+        targets += targets >= labels
         y = _sample_block(compromised, targets, labels, cdfs, cfg.success_rate, draws)
         return supports, labels, y
 
-    for first in range(0, trials, span):
-        last = min(first + span, trials)
-        parts = [sample(slice(s, min(s + chunk, last))) for s in range(first, last, chunk)]
+    total = len(tasks) * trials
+    stats, pending, held = [], [], 0
+    for first in range(0, total, span):
+        last = min(first + span, total)
+        parts = [sample(s, min(s + chunk, last)) for s in range(first, last, chunk)]
         supports, labels, y = (np.concatenate(part) for part in zip(*parts))
-        for start in range(first, last, rows):
-            sel = slice(start, min(start + rows, last))
-            at = slice(start - first, sel.stop - first)
+        # Per trial: decoded right, majority right, true and false
+        # positives, and degenerate.
+        outcomes = np.empty((5, last - first), dtype=np.int32)
+        for start in range(0, last - first, rows):
+            at = slice(start, start + rows)
             result = decode_block(y[at], cfg)
-            majority_ok[sel] = majority_votes(y[at], c) == labels[at]
-            degenerate[sel] = result.degenerate
-            decode_ok[sel] = ~result.degenerate & (result.decoded_label == labels[at])
             asked = result.group[:, None] * n + supports[at]
-            tp[sel] = (keys[np.searchsorted(keys, asked)] == asked).sum(axis=1)
-            fp[sel] = sizes[result.group] - tp[sel]
+            tp = (keys[np.searchsorted(keys, asked)] == asked).sum(axis=1)
+            outcomes[:, at] = (~result.degenerate & (result.decoded_label == labels[at]),
+                               majority_votes(y[at], c) == labels[at],
+                               tp, sizes[result.group] - tp, result.degenerate)
+        pending.append(outcomes)
+        held += last - first
+        if held >= trials:
+            outcomes = np.concatenate(pending, axis=1)
+            done = held - held % trials
+            stats += _task_stats(outcomes[:, :done].reshape(5, -1, trials))
+            pending, held = [outcomes[:, done:]], held - done
+    return stats
 
-    return CountStats(
-        trials=trials,
-        decode_accuracy=float(decode_ok.mean()),
-        majority_accuracy=float(majority_ok.mean()),
-        tp_mean=float(tp.mean()),
-        tp_sd=float(np.std(tp)),
-        fp_mean=float(fp.mean()),
-        fp_sd=float(np.std(fp)),
-        degenerate=int(degenerate.sum()),
-    )
+
+def _task_stats(outcomes: np.ndarray) -> list[CountStats]:
+    """The ``CountStats`` of each task from its (5, tasks, trials)
+    outcomes; a row reduces as the task's trials alone would."""
+    trials = outcomes.shape[2]
+    means = outcomes.mean(axis=2)
+    sds = outcomes[2:4].std(axis=2)
+    return [
+        CountStats(trials, decode, majority, tp, tp_sd, fp, fp_sd, degenerate)
+        for decode, majority, tp, fp, tp_sd, fp_sd, degenerate in zip(
+            *means[:4].tolist(), *sds.tolist(), outcomes[4].sum(axis=1).tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -412,10 +454,6 @@ class SweepPoint:
     degenerate: int
 
 
-def _sweep_task(args) -> CountStats:
-    return run_trials(*args)
-
-
 def sweep(
     cfg: DecoderConfig,
     attacker_counts: Sequence[int],
@@ -427,12 +465,14 @@ def sweep(
     """Evaluate each attacker count over ``runs`` repeated runs of
     ``run_trials`` on ``cfg.code``.
 
-    Run seeds derive deterministically from ``seed``; tasks are independent
-    and may execute in a process pool of up to ``workers`` processes, at most
-    one per task, without changing any reported number.  An empty count
-    list, a run count that is not an int or is below one, fewer than one
-    worker and a trial count ``run_trials`` refuses are refused before any
-    task runs.
+    Run seeds derive deterministically from ``seed``.  Every (count, run)
+    task goes through one batched pass (``_run_tasks``), or, with more than
+    one worker, the tasks are dealt out to a process pool of up to
+    ``workers`` processes, at most one per task, each of which runs its
+    share in one pass and builds the config once.  Neither changes any
+    reported number.  An empty count list, a run count that is not an int
+    or is below one, fewer than one worker and a trial count
+    ``run_trials`` refuses are refused before any task runs.
     """
     if not isinstance(runs, (int, np.integer)):
         raise ValueError(f"runs must be an int, got {runs!r}")
@@ -446,44 +486,30 @@ def sweep(
     counts = [_checked_count(cfg, c) for c in attacker_counts]
     rng = np.random.default_rng(seed)
     run_seeds = rng.integers(0, 2**63, size=(len(counts), runs))
-    tasks = [
-        (cfg, count, trials, int(run_seeds[ci, run]))
-        for ci, count in enumerate(counts)
-        for run in range(runs)
-    ]
-    if workers > 1 and len(tasks) > 1:
+    tasks = [(count, run_seed) for count, row in zip(counts, run_seeds.tolist()) for run_seed in row]
+    workers = min(workers, len(tasks))
+    if workers > 1:
         # Imported here, or every `import bcode` would load the pool stack
-        # (multiprocessing, subprocess, socket, logging).  The pool forks all
-        # its workers at the first submit, so start no more than there are
-        # tasks.
+        # (multiprocessing, subprocess, socket, logging).  Worker w takes
+        # every workers-th task, which spreads each count's runs evenly.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            reports = list(pool.map(_sweep_task, tasks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            shares = list(pool.map(partial(_run_tasks, cfg, trials),
+                                   [tasks[w::workers] for w in range(workers)]))
+        reports = [shares[i % workers][i // workers] for i in range(len(tasks))]
     else:
-        reports = [_sweep_task(t) for t in tasks]
+        reports = _run_tasks(cfg, trials, tasks)
 
-    points = []
-    for ci, count in enumerate(counts):
-        chunk = reports[ci * runs : (ci + 1) * runs]
-        dec = np.array([r.decode_accuracy for r in chunk])
-        maj = np.array([r.majority_accuracy for r in chunk])
-        tpm = np.array([r.tp_mean for r in chunk])
-        fpm = np.array([r.fp_mean for r in chunk])
-        points.append(
-            SweepPoint(
-                attacker_count=count,
-                runs=runs,
-                trials_per_run=trials,
-                decode_acc_mean=float(dec.mean()),
-                decode_acc_sd=float(np.std(dec)),
-                majority_acc_mean=float(maj.mean()),
-                majority_acc_sd=float(np.std(maj)),
-                tp_mean=float(tpm.mean()),
-                tp_sd=float(np.std(tpm)),
-                fp_mean=float(fpm.mean()),
-                fp_sd=float(np.std(fpm)),
-                degenerate=sum(r.degenerate for r in chunk),
-            )
-        )
-    return points
+    # A C-ordered (field, count, run) array: each row is contiguous, so it
+    # reduces as the count's runs alone would.
+    fields = np.array([[r.decode_accuracy for r in reports], [r.majority_accuracy for r in reports],
+                       [r.tp_mean for r in reports], [r.fp_mean for r in reports]])
+    fields = fields.reshape(4, len(counts), runs)
+    degenerate = np.reshape([r.degenerate for r in reports], (len(counts), runs)).sum(axis=1)
+    return [
+        SweepPoint(count, runs, trials, dec, dec_sd, maj, maj_sd, tp, tp_sd, fp, fp_sd, deg)
+        for count, (dec, maj, tp, fp), (dec_sd, maj_sd, tp_sd, fp_sd), deg in zip(
+            counts, fields.mean(axis=2).T.tolist(), fields.std(axis=2).T.tolist(),
+            degenerate.tolist())
+    ]

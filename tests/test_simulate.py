@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import pickle
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -463,7 +464,7 @@ def test_trial_streams_are_seeded_as_default_rng_seeds_them(seed):
     # From 2**96 on a seed takes four entropy words or more, so with the
     # trial's word the pool of four is mixed with one word more, or four.
     trials = np.array([*range(1000), 2**32 - 1], dtype=np.uint32)
-    states = oracles.pcg64_states(_streams.seed_words(seed, trials))
+    states = oracles.pcg64_states(_streams.seed_words([seed], np.zeros(len(trials), int), trials))
     for t, state in zip(trials.tolist(), states, strict=True):
         assert state == np.random.default_rng([seed, t]).bit_generator.state
     bitgen = np.random.PCG64()
@@ -476,7 +477,7 @@ def test_a_negative_seed_is_refused_as_default_rng_refuses_it():
     with pytest.raises(ValueError, match="expected non-negative integer"):
         np.random.default_rng([-1, 0])
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        _streams.seed_words(-1, np.arange(3, dtype=np.uint32))
+        _streams.seed_words([0, -1], np.arange(2), np.zeros(2, dtype=np.uint32))
     with pytest.raises(ValueError, match="expected non-negative integer"):
         run_trials(perfect_cfg(general_bcc(2, 2, 4), 2), 1, trials=3, seed=-1)
 
@@ -559,8 +560,8 @@ def test_rejected_tokens_are_redrawn_as_numpy_redraws_them(monkeypatch, kind, n,
     monkeypatch.setattr(_streams, "pcg64_raw",
                         lambda words, length: reads.append(length) or kernel(words, length))
     length = -(-(len(ranges) + spare) // 2) + 2 * m
-    values, doubles = _streams.trial_draws(oracles.seed_words(oracles.zero_output_at(z, zeros)),
-                                           ranges, length, m)
+    words = oracles.seed_words(oracles.zero_output_at(z, zeros))
+    values, doubles = _streams.trial_draws(words, _streams.pcg64_raw(words, length), ranges, m)
     # The chunk's read, the trial's own and, past the read-ahead, a longer one.
     assert reads == [length, length] + [2 * length] * (2 * zeros > spare)
     gen = np.random.Generator(oracles.zero_output_at(z, zeros))
@@ -644,7 +645,7 @@ def test_trial_counts_are_refused_before_any_task_runs(monkeypatch, trials, erro
     # run_trials refuses more trials than a run seeds before allocating any
     with pytest.raises(error, match="trial"):
         run_trials(cfg, 1, trials=trials, seed=0)
-    monkeypatch.setattr(simulate, "run_trials", lambda *args: pytest.fail("a task ran"))
+    monkeypatch.setattr(simulate, "_run_tasks", lambda *args: pytest.fail("a task ran"))
     with pytest.raises(error, match="trial"):
         sweep(cfg, [0, 1], trials=trials, runs=2, seed=0, workers=2)
 
@@ -655,7 +656,7 @@ def test_trial_counts_must_be_ints(monkeypatch, trials):
     with pytest.raises(ValueError, match="trials must be an int"):
         run_trials(cfg, 1, trials, seed=0)
     assert run_trials(cfg, 1, np.int64(2), seed=0) == run_trials(cfg, 1, 2, seed=0)
-    monkeypatch.setattr(simulate, "run_trials", lambda *args: pytest.fail("a task ran"))
+    monkeypatch.setattr(simulate, "_run_tasks", lambda *args: pytest.fail("a task ran"))
     with pytest.raises(ValueError, match="trials must be an int"):
         sweep(cfg, [1], trials=trials, runs=1, seed=0)
 
@@ -663,7 +664,7 @@ def test_trial_counts_must_be_ints(monkeypatch, trials):
 @pytest.mark.parametrize("runs", [1.5, 2.0, "2", None])
 def test_run_counts_must_be_ints(monkeypatch, runs):
     cfg = perfect_cfg(general_bcc(2, 2, 4), 2)
-    monkeypatch.setattr(simulate, "run_trials", lambda *args: pytest.fail("a task ran"))
+    monkeypatch.setattr(simulate, "_run_tasks", lambda *args: pytest.fail("a task ran"))
     with pytest.raises(ValueError, match="runs must be an int"):
         sweep(cfg, [1], trials=2, runs=runs, seed=0)
 
@@ -674,7 +675,7 @@ def test_attacker_counts_must_be_int_keys_of_the_prior(monkeypatch, count):
     with pytest.raises(ValueError, match="attacker count"):
         run_trials(cfg, count, trials=5, seed=0)
     # sweep refuses the whole list before it runs a single task
-    monkeypatch.setattr(simulate, "run_trials", lambda *args: pytest.fail("a task ran"))
+    monkeypatch.setattr(simulate, "_run_tasks", lambda *args: pytest.fail("a task ran"))
     with pytest.raises(ValueError, match="attacker count"):
         sweep(cfg, [0, count], trials=5, runs=1, seed=0)
 
@@ -754,6 +755,101 @@ def test_sweep_starts_at_most_one_worker_per_task(monkeypatch):
     assert sweep(cfg, [0, 1], trials=5, runs=2, seed=3, workers=64) == serial
     assert sweep(cfg, [0, 1], trials=5, runs=2, seed=3, workers=3) == serial
     assert started == [4, 3]
+
+
+def sweep_reference(cfg, counts, trials, runs, seed):
+    """``sweep`` as one ``run_trials`` call per (count, run), each count's
+    runs aggregated on their own."""
+    run_seeds = np.random.default_rng(seed).integers(0, 2**63, size=(len(counts), runs))
+    points = []
+    for count, row in zip(counts, run_seeds.tolist()):
+        reports = [run_trials(cfg, count, trials, run_seed) for run_seed in row]
+        dec, maj, tp, fp = (np.array(col) for col in zip(*[
+            (r.decode_accuracy, r.majority_accuracy, r.tp_mean, r.fp_mean) for r in reports]))
+        points.append(simulate.SweepPoint(
+            count, runs, trials, float(dec.mean()), float(np.std(dec)), float(maj.mean()),
+            float(np.std(maj)), float(tp.mean()), float(np.std(tp)), float(fp.mean()),
+            float(np.std(fp)), sum(r.degenerate for r in reports)))
+    return points
+
+
+# Zero, one and the most attackers, every user where the prior allows it,
+# two classes (no target draw) and the tail-shuffle path; nine runs, so the
+# means over runs take numpy's unrolled pairwise sum.
+SWEEP_RUNS = [
+    pytest.param(general_bcc(2, 4, 8), lambda code: synth_cfg(code, 10, 2), [0, 1, 3],
+                 id="readme"),
+    pytest.param(general_bcc(2, 2, 4), lambda code: synth_cfg(code, 3, 1, q=4), [4, 0, 1],
+                 id="every-user-attacks"),
+    pytest.param(general_bcc(2, 2, 4), lambda code: synth_cfg(code, 2, 4, q=4), [0, 1, 4],
+                 id="two-classes"),
+    pytest.param(TAIL_CODE, lambda code: DecoderConfig(code, identity_confusions(3, 3), 0.5, 0.5,
+                                                       {0: 0.5, 1: 0.5, 201: 0.0}, 3),
+                 [0, 201, 1], id="tail-shuffle"),
+]
+
+
+# Chunks of two trials and decode blocks of 7 rows, on 13 trials a task,
+# put chunk and block edges inside tasks and tasks inside blocks.
+@pytest.mark.parametrize("entries, rows", [(None, None), (300, 7)], ids=["default", "small"])
+@pytest.mark.parametrize("code,make_cfg,counts", SWEEP_RUNS)
+def test_sweep_equals_run_trials_task_by_task(monkeypatch, code, make_cfg, counts, entries, rows):
+    cfg = make_cfg(code)
+    want = sweep_reference(cfg, counts, 13, 9, seed=6)
+    # Mixed counts out of order, and seeds of one, two, three and five
+    # entropy words.
+    tasks = [(counts[1], 5), (counts[0], 2**64 + 3), (counts[0], 2**40), (counts[2], 2**140 + 1)]
+    alone = [run_trials(cfg, count, 13, seed) for count, seed in tasks]
+    if entries is not None:
+        monkeypatch.setattr(simulate, "BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(DecoderConfig, "block_rows", rows)
+    assert sweep(cfg, counts, 13, 9, seed=6) == want
+    assert simulate._run_tasks(cfg, 13, tasks) == alone
+
+
+def test_sweep_memory_does_not_grow_with_the_tasks():
+    # 16 tasks of 15,000 trials: outcomes kept for every task at once would
+    # take 4.8 MB, over the bound.
+    cfg = DecoderConfig(TAIL_CODE, identity_confusions(3, 3), 0.5, 0.9,
+                        {0: 0.5, 1: 0.25, 2: 0.25}, 3)
+    tracemalloc.start()
+    try:
+        points = sweep(cfg, [1, 2], 15_000, 8, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert points[1].fp_mean > 0
+    assert peak <= 8 * BLOCK_ENTRIES * 8
+
+
+def test_sweep_builds_the_config_once_per_worker(monkeypatch):
+    class PicklingPool:
+        """Runs every share here, pickled as a process pool sends it."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, shares):
+            return [fn(share) for fn, share in
+                    (pickle.loads(pickle.dumps((fn, share))) for share in shares)]
+
+    cfg = perfect_cfg(general_bcc(2, 2, 4), 2)
+    serial = sweep(cfg, [0, 1], trials=5, runs=2, seed=3)
+    builds = []
+    post_init = DecoderConfig.__post_init__
+    monkeypatch.setattr(DecoderConfig, "__post_init__",
+                        lambda self: builds.append(1) or post_init(self))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
+    for workers in (2, 3, 64):
+        builds.clear()
+        assert sweep(cfg, [0, 1], trials=5, runs=2, seed=3, workers=workers) == serial
+        assert len(builds) == min(workers, 4)
 
 
 # --- generative / decoder consistency (small version) --------------------------------------

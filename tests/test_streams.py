@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "bcode"
 @pytest.mark.parametrize("length", [1, 17, 130])
 def test_the_kernel_reads_the_streams_default_rng_seeds(seed, length):
     trials = np.array([0, 1, 2**31, 2**32 - 1], dtype=np.uint32)
-    raw = _streams.pcg64_raw(_streams.seed_words(seed, trials), length)
+    raw = _streams.pcg64_raw(_streams.seed_words([seed], np.zeros(len(trials), int), trials), length)
     for t, row in zip(trials.tolist(), raw, strict=True):
         assert row.tolist() == np.random.PCG64([seed, t]).random_raw(length).tolist()
 
