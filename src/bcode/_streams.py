@@ -1,7 +1,8 @@
 """numpy's random streams in bulk: ``SeedSequence`` seeding, ``PCG64``
 output by LCG jump-ahead and the draws ``Generator`` makes from it.
 ``construct`` reads one seed's draws through this module, and ``simulate``
-a chunk of trials' draws.
+a chunk of trials' draws; it alone lays out (``choice_layout``) and
+samples (``choice_samples``) the draws of ``Generator.choice``.
 """
 
 from __future__ import annotations
@@ -45,28 +46,35 @@ def _words32(seed: int) -> list[int]:
     return words
 
 
-def seed_words(seeds: Sequence[int], owner: np.ndarray, trials: np.ndarray) -> np.ndarray:
-    """``SeedSequence([seeds[owner[x]], trials[x]]).generate_state(4,
-    np.uint64)`` for every x, one row each: ``trials`` holds uint32 trial
-    indices and ``owner`` the index of each one's seed.
-
-    The entropy of (seed, t) is the seed's words followed by the one word
-    of t, padded with zero words to the pool's size.  Streams whose
-    entropy has the same length (every seed below 2^96) are seeded in one
-    pass (``_generate``).
-    """
+def seed_entropy(seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The entropy of (seed, t) for each of ``seeds``, built once for all
+    of their trials: the seed's words, then the one word of t, padded with
+    zero words to the pool's size.  Returns an (L, S) uint32 table, column
+    s for seeds[s] with t's word left 0, and the row t's word goes to."""
     words = [_words32(seed) for seed in seeds]
     sizes = np.array([len(w) for w in words])
     table = np.zeros((max(sizes.max() + 1, _POOL_SIZE), len(words)), np.uint32)
     for col, w in enumerate(words):
         table[: len(w), col] = w
-    entropy = table[:, owner]
-    entropy[sizes[owner], np.arange(len(owner))] = trials
+    return table, sizes
+
+
+def seed_words(entropy: tuple[np.ndarray, np.ndarray], owner: np.ndarray,
+               trials: np.ndarray) -> np.ndarray:
+    """``SeedSequence([seeds[owner[x]], trials[x]]).generate_state(4,
+    np.uint64)`` for every x, one row each, from ``entropy =
+    seed_entropy(seeds)``: ``trials`` holds uint32 trial indices and
+    ``owner`` the index of each one's seed.  Streams whose entropy has the
+    same length (every seed below 2^96) are seeded in one pass
+    (``_generate``)."""
+    table, sizes = entropy
+    words = table[:, owner]
+    words[sizes[owner], np.arange(len(owner))] = trials
     lengths = np.maximum(sizes + 1, _POOL_SIZE)
     out = np.empty((len(owner), 4), np.uint64)
     for length in set(lengths.tolist()):
         at = lengths[owner] == length
-        out[at] = _generate(entropy[:length, at])
+        out[at] = _generate(words[:length, at])
     return out
 
 
@@ -179,7 +187,7 @@ def bounded(tokens: np.ndarray, ranges) -> tuple[np.ndarray, np.ndarray]:
     ``tokens`` and ``ranges`` broadcast, so one call reads every draw of
     a parse: the rows of one seed's stream (``construct._DrawStream``), or
     a (trials, draws) array of tokens, one trial's stream per row, against
-    the draw ranges every trial shares (``trial_draws``).  Ranges lie below
+    the ranges the trials of one count share (``trial_draws``).  Ranges lie below
     2^32 - 1, where numpy draws on 32-bit tokens; a draw on [0, 0] takes no
     token, so callers leave it out."""
     excl = np.asarray(ranges, np.uint64) + 1
@@ -188,13 +196,6 @@ def bounded(tokens: np.ndarray, ranges) -> tuple[np.ndarray, np.ndarray]:
     rejected = (prod & 0xFFFFFFFF) < (0xFFFFFFFF + 1 - excl) % excl
     prod >>= 32
     return prod.astype(np.intp), rejected
-
-
-def ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, offset) of each of ``counts.sum()`` items: item t is the
-    offset[t]-th of the ``counts[owner[t]]`` items of owner[t]."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def floyd(n: int, rows: np.ndarray, steps: np.ndarray, values: np.ndarray,
@@ -208,7 +209,8 @@ def floyd(n: int, rows: np.ndarray, steps: np.ndarray, values: np.ndarray,
     value.  So step j's answer, when it is step t's, is found for all
     steps at once by pointer jumping.
     """
-    key = rows * n + values
+    # Keys below 2^16 are sorted by radix.
+    key = (rows * n + values).astype(np.min_scalar_type(n * (rows.max(initial=0) + 1)))
     order = np.argsort(key, kind="stable")
     redrawn = np.zeros(len(key), bool)
     redrawn[order[1:]] = key[order[1:]] == key[order[:-1]]
@@ -222,13 +224,6 @@ def floyd(n: int, rows: np.ndarray, steps: np.ndarray, values: np.ndarray,
     return np.where(adds_self == 1, steps, values)
 
 
-def tail_shuffles(n: int, w):
-    """Whether ``choice(n, w, replace=False)`` shuffles the tail of
-    ``arange(n)`` rather than run Floyd's sampler (elementwise for an
-    array of weights)."""
-    return (n > 10_000) & (w > n // 50)
-
-
 def tail_sample(n: int, w: int, values: list[int]) -> list[int]:
     """The w columns ``choice(n, w, replace=False)`` takes by shuffling the
     tail of ``arange(n)``: the swap at i = n - 1 down to max(n - w, 1)
@@ -240,34 +235,77 @@ def tail_sample(n: int, w: int, values: list[int]) -> list[int]:
     return perm[n - w :]
 
 
-def trial_ranges(n: int, k: int, c: int) -> tuple[np.ndarray, bool]:
-    """The ranges of a trial's bounded draws, in the order they read its
-    tokens, and whether its support comes from ``choice``'s tail shuffle.
+def choice_tokens(n: int, w: np.ndarray | int, head: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The tokens a row takes when no draw rejects one: a draw on
+    [0, head] when head > 0, then those of ``choice(n, w,
+    replace=False)``; and whether that ``choice`` shuffles the tail of
+    ``arange(n)`` (elementwise for an array of weights)."""
+    tail = (n > 10_000) & (w > n // 50)
+    return (head > 0) + w - (w == n) + np.where(tail, 0, np.maximum(w - 1, 0)), tail
 
-    A trial draws ``choice(n, k, replace=False)`` (nothing when k = 0),
-    ``integers(c)`` and ``integers(c - 1)``.  When n > 10,000 and
-    k > n // 50, ``choice`` shuffles the tail of ``arange(n)``, one draw
-    on [0, i] for i = n - 1 down to max(n - k, 1); otherwise it runs
-    Floyd's sampler, one draw on [0, j] for j = n - k..n - 1, then shuffles
-    the sample with one draw on [0, i] for i = k - 1..1.  A draw on [0, 0]
-    (Floyd's j = 0 when k = n, ``integers(1)`` when c = 2) takes no token
-    and is left out.
+
+def choice_layout(n: int, w: np.ndarray, head: int = 0) -> tuple[np.ndarray, ...]:
+    """(row, range) of every bounded draw of the rows of weights ``w``, in
+    the order they read their tokens, whether the draw adds to its row's
+    sample, and which rows shuffle the tail (``choice_tokens``).
+
+    A row draws on [0, head] (no draw when head = 0), then ``choice(n, w,
+    replace=False)``.  When n > 10,000 and w > n // 50, ``choice`` shuffles
+    the tail of ``arange(n)``, one draw on [0, i] for i = n - 1 down to
+    max(n - w, 1); otherwise it runs Floyd's sampler (Bentley and Floyd
+    1987), one draw on [0, j] for j = n - w..n - 1, then shuffles the
+    sample with one draw on [0, i] for i = w - 1..1.  A draw on [0, 0]
+    (Floyd's j = 0 when w = n) takes no token and is left out.  Without a
+    rejected token, the rows' draws read consecutive tokens.
     """
-    tail = tail_shuffles(n, k)
-    if k == 0:
-        support = []
-    elif tail:
-        support = range(n - 1, max(n - k, 1) - 1, -1)
-    else:
-        support = [*range(max(n - k, 1), n), *range(k - 1, 0, -1)]
-    return np.array([*support, c - 1, *([c - 2] if c > 2 else [])], dtype=np.uint64), tail
+    tokens, tail = choice_tokens(n, w, head)
+    row = np.repeat(np.arange(len(w)), tokens)
+    step = np.arange(len(row)) - np.repeat(np.cumsum(tokens) - tokens + (head > 0), tokens)
+    drawn = w - (w == n)
+    sampled = step < drawn[row]
+    # Floyd's j ascending or the tail shuffle's i descending, then the
+    # sample shuffle's i descending.
+    ranges = np.where(sampled, np.where(tail, n - 1, n - drawn)[row] + np.where(tail, -1, 1)[row] * step,
+                      (w - 1 + drawn)[row] - step)
+    if head:
+        ranges[step < 0] = head
+        sampled &= step >= 0
+    return row, ranges, sampled, tail
+
+
+def choice_samples(n: int, w: np.ndarray, values: np.ndarray,
+                   layout: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of the w columns ``choice(n, w, replace=False)``
+    samples, as a set, for each row of weights ``w``, in row order, from
+    ``values``, the rows' draws as ``layout``, their ``choice_layout``,
+    lays them out.  A row of weight n takes every column, Floyd's rows are
+    sampled together (``floyd``) and a tail shuffle row by row
+    (``tail_sample``); the sample's own shuffle leaves the set as it is."""
+    row, ranges, sampled, tail = layout
+    every, rows = w == n, np.arange(len(w)).repeat(w)
+    floyds = ~tail & ~every
+    cols = np.empty(len(rows), np.intp)
+    cols[every[rows]] = np.arange(n * every.sum()) % n
+    at = sampled & floyds[row]
+    cols[floyds[rows]] = floyd(n, row[at], ranges[at], values[at], n - w[row[at]])
+    for r in (tail > every).nonzero()[0]:
+        cols[rows == r] = tail_sample(n, w[r], values[sampled & (row == r)].tolist())
+    return rows, cols
+
+
+def trial_length(n: int, counts: np.ndarray, c: int, m: int) -> int:
+    """Raw outputs ``trial_draws`` reads per trial with attacker counts
+    among ``counts``: the most tokens a trial's draws take (its support's,
+    its label's and, when c > 2, its target's), two spare ones for
+    rejected tokens, and 2m doubles."""
+    return (choice_tokens(n, counts)[0].max() + 1 + (c > 2) + 3) // 2 + 2 * m
 
 
 def redrawn(words: np.ndarray, ranges: np.ndarray, length: int,
             m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The draws and the 2m raw outputs of its doubles, as ``trial_draws``
-    gives them, of the one trial the (4,) ``words`` seed, whose draws
-    reject a token.
+    """The bounded draws on ``ranges`` and the 2m raw outputs of the
+    doubles of the one trial the (4,) ``words`` seed, whose draws reject a
+    token (``trial_draws``).
 
     A rejected token is used up and the draw takes the next one, so it is
     dropped from the tokens and the draws are read again.  When the
@@ -290,36 +328,42 @@ def redrawn(words: np.ndarray, ranges: np.ndarray, length: int,
         length *= 2
 
 
-def trial_draws(words: np.ndarray, raw: np.ndarray, ranges: np.ndarray,
-                m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The bounded draws on ``ranges`` and the 2m output doubles of the
-    trials whose streams the rows of ``words`` seed, one row each, from
-    the first raw outputs of those streams (``pcg64_raw``), one row of
-    ``raw`` each.
+def trial_draws(words: np.ndarray, raw: np.ndarray, n: int, counts: np.ndarray, c: int,
+                m: int) -> tuple[np.ndarray, ...]:
+    """The support columns ``choice(n, k, replace=False)`` draws, in trial
+    order (``choice_samples``), the labels ``integers(c)`` draws, the
+    ``integers(c - 1)`` targets (0 when c = 2) and the 2m output doubles of
+    the trials the rows of ``words`` seed, from the first raw outputs of
+    their streams (``pcg64_raw``), one row of ``raw`` each.  Trial x has
+    counts[x] attackers, and trials of one count come in runs.
 
     The outputs are read as 32-bit tokens, the low half of each output
-    first.  Without a rejected token, draw d reads token d and the doubles
-    start at output ceil(draws / 2), since ``next_double`` skips the
-    buffered half; the rare row that rejects a token is parsed on its own
-    (``redrawn``).  A double is the top 53 bits of an output times 2^-53,
-    as ``Generator.random`` makes it.
+    first.  Without a rejected token, a trial's draw d reads token d, its
+    ``choice`` draws laid out as ``choice_layout`` lays them out, and the
+    doubles start at output ceil(draws / 2), since ``next_double`` skips
+    the buffered half; the rare row that rejects a token is parsed on its
+    own (``redrawn``).  A double is the top 53 bits of an output times
+    2^-53, as ``Generator.random`` makes it.
     """
-    values, rejected = bounded(raw.astype("<u8", copy=False).view("<u4")[:, : len(ranges)], ranges)
-    start = -(-len(ranges) // 2)
-    top = raw[:, start : start + 2 * m] >> 11
-    for b in np.flatnonzero(rejected.any(axis=1)):
-        values[b], doubles = redrawn(words[b], ranges, raw.shape[1], m)
-        top[b] = doubles >> 11
-    return values, top * 2.0**-53
-
-
-def supports(values: np.ndarray, n: int, k: int, tail: bool) -> np.ndarray:
-    """The (trials, k) supports ``choice(n, k, replace=False)`` draws, as
-    sets, from each row of ``values``, which begins with its draws."""
-    if k == n:
-        return np.broadcast_to(np.arange(n), (len(values), n))
-    if tail:
-        return np.array([tail_sample(n, k, row[:k]) for row in values.tolist()], dtype=np.intp)
-    rows = np.repeat(np.arange(len(values)), k)
-    steps = np.tile(np.arange(n - k, n), len(values))
-    return floyd(n, rows, steps, values[:, :k].ravel(), n - k).reshape(len(values), k)
+    layout = choice_layout(n, counts)
+    firsts = np.searchsorted(layout[0], np.arange(len(counts) + 1))  # trials' first draws, and the end
+    values = np.empty(len(layout[0]), np.intp)
+    labels, targets = np.empty(len(counts), np.intp), np.zeros(len(counts), np.intp)
+    top = np.empty((len(counts), 2 * m), np.uint64)
+    tokens = raw.astype("<u8", copy=False).view("<u4")
+    cuts = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(counts)]
+    for a, b in zip(cuts, cuts[1:]):
+        # The ranges every trial of the run reads: its support's, its
+        # label's and, when c > 2, its target's (else a draw on [0, 0]).
+        d = firsts[a + 1] - firsts[a]
+        ranges = np.append(layout[1][firsts[a] : firsts[a] + d], [c - 1, c - 2][: 1 + (c > 2)])
+        got, rejected = bounded(tokens[a:b, : len(ranges)], ranges)
+        start = -(-len(ranges) // 2)
+        top[a:b] = raw[a:b, start : start + 2 * m] >> 11
+        for x in np.flatnonzero(rejected.any(axis=1)):
+            got[x], doubles = redrawn(words[a + x], ranges, raw.shape[1], m)
+            top[a + x] = doubles >> 11
+        values[firsts[a] : firsts[b]] = got[:, :d].ravel()
+        labels[a:b] = got[:, d]
+        targets[a:b] = got[:, -1] if c > 2 else 0
+    return choice_samples(n, counts, values, layout)[1], labels, targets, top * 2.0**-53

@@ -23,9 +23,8 @@ Randomized constructions (deterministic given the seed):
 Both samplers draw the rows ``rng = np.random.default_rng(seed)`` gives
 with one ``rng.integers`` (the weight; none for ``random_code``) and one
 ``rng.choice(n, w, replace=False)`` per row, but read the seed's PCG64
-output in bulk and reproduce numpy's bounded draws on it (``_DrawStream``:
-Lemire's rejection method and Floyd's sampler, or a tail shuffle for
-n > 10,000).  Draws are tested in batches: every column covered and, for
+output in bulk (``_DrawStream``), where ``_streams`` reproduces numpy's
+draws on it.  Draws are tested in batches: every column covered and, for
 the search, the packed Boolean sums of 1..k columns sorted per draw and
 pairwise distinct.  The stream parses a fixed number of rows at a time,
 as many as ``BATCH_ENTRIES`` tokens and row entries hold (at least one),
@@ -176,35 +175,23 @@ class _DrawStream:
     ``w = rng.integers(lo, hi + 1)`` then ``rng.choice(n, w, replace=False)``,
     read from the seed's PCG64 output in bulk.
 
-    Every draw is numpy's bounded draw (``_streams.bounded``) on the next
-    32-bit token, the low half of each 64-bit output first, and draws again
-    on a rejected token (numpy draws on 32-bit tokens for ranges below
-    2^32 - 1, which holds for n < 2^32).  A row draws its weight on
-    [0, hi - lo] (no draw when lo == hi) and then its columns in one of two
-    ways.  When n > 10,000 and w > n // 50, ``choice`` shuffles the tail of
-    ``arange(n)``, one draw on [0, i] for i = n - 1 down to max(n - w, 1),
-    and takes its last w entries.  Otherwise it runs Floyd's sampler (Bentley and Floyd 1987):
-    for j = n - w..n - 1 it draws t on [0, j] (no draw at j = 0) and adds t
-    to the set, or j when t is already in it; then w - 1 draws on [0, i],
-    i = w - 1..1, shuffle the sample, which leaves the set as it is.
-
-    Without a rejection a row takes a number of tokens fixed by its weight,
-    so a parse finds the row starts in one pass, reads every draw of every
-    row at once, checks every token it used and runs Floyd's sampler on all
-    rows together (``_streams.floyd``).  A rejected token is dropped from
-    the stream, since the draw takes the next one, and the parse runs again
-    from its first row.  ``rows`` hands out the parsed rows in order.
+    A row is a draw on [0, hi - lo] for its weight (none when lo == hi)
+    followed by ``choice``'s draws, laid out and sampled as ``_streams``
+    lays out and samples them (``choice_layout``, ``choice_samples``).
+    Without a rejection a row takes a number of tokens fixed by its weight
+    (``choice_tokens``), so a parse finds the row starts in one pass and
+    reads every draw of its rows at once, on consecutive tokens.  A
+    rejected token is dropped from the stream, since the draw takes the
+    next one, and the parse runs again from its first row.  ``rows`` hands
+    out the parsed rows in order.
     """
 
     def __init__(self, seed: int, n: int, lo: int, hi: int) -> None:
         self._bits = np.random.PCG64(seed)
         self._tokens = np.empty(0, np.uint32)
         self._parsed, self._next = np.empty((0, -(-n // 8)), np.uint8), 0
-        self.n, self.lo = n, lo
-        weights = np.arange(lo, hi + 1)
-        self._tail = _streams.tail_shuffles(n, weights)
-        # Tokens a row of each weight takes when no draw is rejected.
-        self._span = (int(lo < hi) + weights - (weights == n) + np.where(self._tail, 0, weights - 1)).tolist()
+        self.n, self.lo, self.head = n, lo, hi - lo
+        self._span = _streams.choice_tokens(n, np.arange(lo, hi + 1), self.head)[0].tolist()
         # Entries a parse holds per row: its tokens and its set.
         self.row_entries = n + max(self._span)
 
@@ -225,55 +212,31 @@ class _DrawStream:
         """The next rows, as many as ``BATCH_ENTRIES`` entries hold (at
         least one), always the same number: numpy keeps freed arrays under
         1 KiB for reuse by size, so sizes that vary grow the process."""
-        n, lo, span = self.n, self.lo, self._span
+        n, span, head = self.n, self._span, self.head
         count = max(1, BATCH_ENTRIES // self.row_entries)
-        weighted = int(len(span) > 1)
         while True:
             need = count * max(span)
             if len(self._tokens) < need:
                 raw = self._bits.random_raw((need - len(self._tokens) + 1) // 2)
                 self._tokens = np.concatenate([self._tokens, raw.astype("<u8").view("<u4")])
             tokens = self._tokens
-            if weighted:
+            w, end = np.full(count, self.lo), count * span[0]
+            if head:
                 # A row's weight index is the bounded draw on its first token.
-                starts, index, end = [], [], 0
+                index, end = [], 0
                 for _ in range(count):
-                    i = (int(tokens[end]) * len(span)) >> 32
-                    starts.append(end)
+                    i = (tokens.item(end) * len(span)) >> 32
                     index.append(i)
                     end += span[i]
-                starts, index = np.array(starts), np.array(index)
-            else:
-                starts = np.arange(count) * span[0]
-                index = np.zeros(count, np.intp)
-                end = count * span[0]
-            w = lo + index
-            drawn = w - (w == n)
-            floyd = ~self._tail[index]
-            first = starts + weighted
-            row, off = _streams.ragged(drawn)
-            srow, soff = _streams.ragged(np.where(floyd, w - 1, 0))
-            # Floyd's j ascending or the tail shuffle's i descending, then
-            # the sample shuffle's i descending.
-            ranges = np.where(floyd[row], n - drawn[row] + off, n - 1 - off)
-            pos = np.concatenate([starts[: weighted * count], first[row] + off, first[srow] + drawn[srow] + soff])
-            values, rejected = _streams.bounded(
-                tokens[pos],
-                np.concatenate([np.full(weighted * count, len(span) - 1), ranges, w[srow] - 1 - soff]),
-            )
+                w += np.fromiter(index, np.intp, count)
+            layout = _streams.choice_layout(n, w, head)
+            values, rejected = _streams.bounded(tokens[:end], layout[1])
             if not rejected.any():
                 break
-            self._tokens = np.delete(tokens, pos[rejected].min())
+            self._tokens = np.delete(tokens, rejected.argmax())
         self._tokens = tokens[end:]
-        values = values[weighted * count :][: len(row)]
-
         sets = np.zeros((count, n), bool)
-        sets[w == n] = True  # a sample of every column
-        step = floyd[row] & (w[row] < n)
-        sets[row[step], _streams.floyd(n, row[step], ranges[step], values[step], n - w[row[step]])] = True
-        for r in np.flatnonzero(~floyd & (w < n)):
-            begin = int(np.searchsorted(row, r))
-            sets[r, _streams.tail_sample(n, w[r], values[begin : begin + drawn[r]].tolist())] = True
+        sets[_streams.choice_samples(n, w, values, layout)] = True
         return np.packbits(sets, axis=1, bitorder="little")
 
 

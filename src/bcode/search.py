@@ -42,14 +42,13 @@ separability and tracking, when two fields are equal, since the sums of
 1..k columns must be pairwise distinct.  Only the rest reach the verifier
 core ``properties._violation`` on the rows and the column fields, and a
 ``BitMatrix`` is built only for a passing candidate.
-Dedup is by orbit, and builds only the members the walk can reach
-(McKay's canonical augmentation, "Isomorph-free exhaustive generation",
-*J. Algorithms* 26, 1998): every candidate's least row is 2^w - 1, so the
-first passing member of an orbit gets one ``_orbit`` call, which gives the
-row-sorted images whose least row is 2^w - 1.  They all go into a set, and
-the least of them is the orbit's canonical form.  Every orbit member
-passes, and a later member is recognised in the set without being verified
-again.  The walk counts its nodes (a root per height and first row, then
+Dedup is by orbit, through a ``seen`` set of the orbit images the walk
+can reach: every candidate's least row is 2^w - 1, so the first passing
+member of an orbit gets one ``_orbit`` call, which gives the row-sorted
+images whose least row is 2^w - 1.  They all go into ``seen``, and the
+least of them is the orbit's canonical form.  Every orbit member passes,
+and a later member is found in ``seen`` without being verified again; the
+walk still visits it.  The walk counts its nodes (a root per height and first row, then
 every subset prefix it visits, complete candidates included, the last row's
 all at once; pruned branches, and first rows whose pool can satisfy the
 prunes at no height, are never visited) and raises ``ResourceLimitError``

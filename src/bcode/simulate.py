@@ -327,9 +327,9 @@ def _run_tasks(cfg: DecoderConfig, trials: int,
     A chunk of trials, as many as keep the stream kernel's arrays, their
     supports' models and their CDF comparisons within
     ``decoder.BLOCK_ENTRIES`` entries, has its streams seeded and their
-    first outputs computed in one numpy pass each, is parsed per run of
-    trials that share an attacker count (``_streams.trial_draws``,
-    ``_streams.supports``) and is sampled at once (``_sample_block``).
+    first outputs computed in one numpy pass each, has its draws parsed
+    at once (``_streams.trial_draws``) and is sampled at once
+    (``_sample_block``).
     Outputs are decoded in blocks of ``cfg.block_rows`` trials, which may
     hold trials of several tasks, and a task's statistics are taken as soon
     as its last trial is decoded.  None of this changes a reported number:
@@ -341,7 +341,8 @@ def _run_tasks(cfg: DecoderConfig, trials: int,
         raise ValueError("attack simulation needs at least two classes")
     code = cfg.code
     n, m = code.n, code.m
-    models_of_user = code.to_array().T.astype(bool)  # (n, m)
+    # (n + 1, m): user n, which pads supports, trains no model.
+    models_of_user = np.vstack([code.to_array().T.astype(bool), np.zeros(m, bool)])
     cdfs = _choice_cdfs(cfg.confusions)
     # Each user of group g's reported support as the key g * n + user,
     # sorted, and a last key above every other; a row reported as group -1
@@ -354,12 +355,9 @@ def _run_tasks(cfg: DecoderConfig, trials: int,
     sizes = np.array([len(first) for first in firsts] + [0])
     pad = -(len(firsts) + 1) * n
     counts = np.array([count for count, _ in tasks])
-    seeds = [seed for _, seed in tasks]
+    entropy = _streams.seed_entropy([seed for _, seed in tasks])
     width = counts.max()
-    plans = {k: _streams.trial_ranges(n, k, c) for k in set(counts.tolist())}
-    # Raw outputs read per trial: the most tokens a count's draws take, two
-    # spare ones for rejected tokens, and 2m doubles.
-    length = (max(len(ranges) for ranges, _ in plans.values()) + 3) // 2 + 2 * m
+    length = _streams.trial_length(n, counts, c, m)
     # Trials parsed and sampled at once: the stream kernel's (trials,
     # length) uint64 arrays, up to seven at a time, the supports' models
     # and the CDF comparisons each fit in BLOCK_ENTRIES entries.
@@ -371,23 +369,15 @@ def _run_tasks(cfg: DecoderConfig, trials: int,
 
     def sample(start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         owner, t = np.divmod(np.arange(start, stop), trials)
-        words = _streams.seed_words(seeds, owner, t.astype(np.uint32))
+        words = _streams.seed_words(entropy, owner, t.astype(np.uint32))
         raw = _streams.pcg64_raw(words, length)
-        supports = np.full((stop - start, width), pad)
-        labels = np.empty(stop - start, dtype=np.intp)
-        targets = np.zeros(stop - start, dtype=np.intp)
-        compromised = np.empty((stop - start, m), dtype=bool)
-        draws = np.empty((stop - start, 2 * m))
-        cuts = [0, *(np.flatnonzero(np.diff(counts[owner])) + 1).tolist(), stop - start]
-        for a, b in zip(cuts, cuts[1:]):
-            k = int(counts[owner[a]])
-            ranges, tail = plans[k]
-            values, draws[a:b] = _streams.trial_draws(words[a:b], raw[a:b], ranges, m)
-            supports[a:b, :k] = _streams.supports(values, n, k, tail)
-            compromised[a:b] = models_of_user[supports[a:b, :k]].any(axis=1)
-            labels[a:b] = values[:, len(ranges) - 1 - (c > 2)]
-            if c > 2:
-                targets[a:b] = values[:, -1]
+        cols, labels, targets, draws = _streams.trial_draws(words, raw, n, counts[owner], c, m)
+        attacks = np.arange(width) < counts[owner][:, None]
+        users = np.full((stop - start, width), n)
+        users[attacks] = cols
+        # Reduced over the leading axis, where numpy's reduction is fastest.
+        compromised = models_of_user[users.T].any(axis=0)
+        supports = np.where(attacks, users, pad)
         targets += targets >= labels
         y = _sample_block(compromised, targets, labels, cdfs, cfg.success_rate, draws)
         return supports, labels, y

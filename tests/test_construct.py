@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -402,6 +403,20 @@ def test_separable_search_tail_shuffle_branch():
     # arange(n) instead of running Floyd's sampler.
     args = (1, 10001, 1, 0, 15, 3)
     assert search_outcome(args) == numpy_separable(args) == (None, 15)
+
+
+def test_separable_search_tail_shuffle_memory_is_bounded_by_a_parse():
+    # 5,101 row weights of up to 10,001 draws each: a table of every
+    # weight's draw ranges took 1.6 GB, where parsing one row at a time
+    # peaks near 2 MB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConstructionError):
+            separable_search(1, 10001, 1, 0, 15, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2.3e6
 
 
 @pytest.mark.parametrize("seed", [0, 5])

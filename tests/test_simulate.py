@@ -464,7 +464,8 @@ def test_trial_streams_are_seeded_as_default_rng_seeds_them(seed):
     # From 2**96 on a seed takes four entropy words or more, so with the
     # trial's word the pool of four is mixed with one word more, or four.
     trials = np.array([*range(1000), 2**32 - 1], dtype=np.uint32)
-    states = oracles.pcg64_states(_streams.seed_words([seed], np.zeros(len(trials), int), trials))
+    entropy = _streams.seed_entropy([seed])
+    states = oracles.pcg64_states(_streams.seed_words(entropy, np.zeros(len(trials), int), trials))
     for t, state in zip(trials.tolist(), states, strict=True):
         assert state == np.random.default_rng([seed, t]).bit_generator.state
     bitgen = np.random.PCG64()
@@ -477,7 +478,7 @@ def test_a_negative_seed_is_refused_as_default_rng_refuses_it():
     with pytest.raises(ValueError, match="expected non-negative integer"):
         np.random.default_rng([-1, 0])
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        _streams.seed_words([0, -1], np.arange(2), np.zeros(2, dtype=np.uint32))
+        _streams.seed_entropy([0, -1])
     with pytest.raises(ValueError, match="expected non-negative integer"):
         run_trials(perfect_cfg(general_bcc(2, 2, 4), 2), 1, trials=3, seed=-1)
 
@@ -554,22 +555,44 @@ def test_rejected_tokens_are_redrawn_as_numpy_redraws_them(monkeypatch, kind, n,
     z = next((z for z in range(64) if 2 * z < len(draws) and draws[2 * z][0] == kind
               and _streams.bounded(zero_tokens, draws[2 * z][1])[1].all()), None)
     assert z is not None, f"no zero output lands on a {kind} draw"
-    ranges, tail = _streams.trial_ranges(n, k, c)
-    assert ranges.tolist() == [r for _, r in draws]
+    ranges = _streams.choice_layout(n, np.array([k]))[1].tolist() + [c - 1] + [c - 2] * (c > 2)
+    assert ranges == [r for _, r in draws]
     reads, kernel = [], _streams.pcg64_raw
     monkeypatch.setattr(_streams, "pcg64_raw",
                         lambda words, length: reads.append(length) or kernel(words, length))
     length = -(-(len(ranges) + spare) // 2) + 2 * m
     words = oracles.seed_words(oracles.zero_output_at(z, zeros))
-    values, doubles = _streams.trial_draws(words, _streams.pcg64_raw(words, length), ranges, m)
+    support, labels, targets, doubles = _streams.trial_draws(words, _streams.pcg64_raw(words, length),
+                                                             n, np.array([k]), c, m)
     # The chunk's read, the trial's own and, past the read-ahead, a longer one.
     assert reads == [length, length] + [2 * length] * (2 * zeros > spare)
     gen = np.random.Generator(oracles.zero_output_at(z, zeros))
-    support = gen.choice(n, k, replace=False).tolist() if k else []
-    assert set(_streams.supports(values, n, k, tail)[0].tolist()) == set(support)
-    assert values[0, len(ranges) - 1 - (c > 2)] == gen.integers(c)
-    assert (values[0, -1] if c > 2 else 0) == gen.integers(c - 1)
+    want = gen.choice(n, k, replace=False).tolist() if k else []
+    assert set(support.tolist()) == set(want)
+    assert labels[0] == gen.integers(c)
+    assert targets[0] == gen.integers(c - 1)
     assert doubles[0].tobytes() == gen.random(2 * m).tobytes()
+
+
+def test_a_rejecting_trial_after_a_run_of_another_count_draws_as_numpy_does():
+    # The zero output's first token makes the trial's first Floyd draw, on
+    # [0, 10], reject it, and the trial sits after two trials of another
+    # count in its chunk.
+    n, c, m = 16, 10, 3
+    assert _streams.bounded(np.zeros(1, np.uint32), n - 6)[1].all()
+    others = _streams.seed_words(_streams.seed_entropy([5]), np.zeros(2, int), np.arange(2, dtype=np.uint32))
+    words = np.vstack([others, oracles.seed_words(oracles.zero_output_at(0))])
+    counts = np.array([2, 2, 6])
+    raw = _streams.pcg64_raw(words, _streams.trial_length(n, counts, c, m))
+    support, labels, targets, doubles = _streams.trial_draws(words, raw, n, counts, c, m)
+    gens = [np.random.default_rng([5, 0]), np.random.default_rng([5, 1]),
+            np.random.Generator(oracles.zero_output_at(0))]
+    rows = np.split(support, np.cumsum(counts)[:-1])
+    for gen, k, row, label, target, double in zip(gens, counts.tolist(), rows, labels, targets, doubles,
+                                                  strict=True):
+        assert sorted(row.tolist()) == sorted(gen.choice(n, k, replace=False).tolist())
+        assert (label, target) == (gen.integers(c), gen.integers(c - 1))
+        assert double.tobytes() == gen.random(2 * m).tobytes()
 
 
 # A code whose first two models each train on 50 of its 10,001 users, so
@@ -820,6 +843,17 @@ def test_sweep_memory_does_not_grow_with_the_tasks():
         tracemalloc.stop()
     assert points[1].fp_mean > 0
     assert peak <= 8 * BLOCK_ENTRIES * 8
+
+
+def test_sweep_builds_each_seeds_words_once(monkeypatch):
+    # 1,000 tasks of 10 trials span many chunks; each seed's entropy words
+    # are built once, not once per chunk.
+    calls, real = [], _streams._words32
+    monkeypatch.setattr(_streams, "_words32", lambda seed: calls.append(seed) or real(seed))
+    cfg = synth_cfg(general_bcc(2, 4, 8), 10, 2)
+    monkeypatch.setattr(simulate, "BLOCK_ENTRIES", 3000)
+    sweep(cfg, [0, 1], 10, 500, seed=1)
+    assert len(calls) <= 1000
 
 
 def test_sweep_builds_the_config_once_per_worker(monkeypatch):

@@ -19,7 +19,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "bcode"
 @pytest.mark.parametrize("length", [1, 17, 130])
 def test_the_kernel_reads_the_streams_default_rng_seeds(seed, length):
     trials = np.array([0, 1, 2**31, 2**32 - 1], dtype=np.uint32)
-    raw = _streams.pcg64_raw(_streams.seed_words([seed], np.zeros(len(trials), int), trials), length)
+    entropy = _streams.seed_entropy([seed])
+    raw = _streams.pcg64_raw(_streams.seed_words(entropy, np.zeros(len(trials), int), trials), length)
     for t, row in zip(trials.tolist(), raw, strict=True):
         assert row.tolist() == np.random.PCG64([seed, t]).random_raw(length).tolist()
 
@@ -61,3 +62,70 @@ def test_simulate_and_construct_import_no_private_name_of_each_other():
                   and node.value.id == owner and node.attr.startswith("_")):
                 found.append(f"{user}: {owner}.{node.attr}")
     assert found == []
+
+
+def test_only_the_sample_builder_runs_floyd_and_the_tail_shuffle():
+    # construct and simulate turn draws into columns through
+    # _streams.choice_samples alone, so that the rule is written once.
+    found = []
+    for user in ("construct", "simulate"):
+        for node in ast.walk(ast.parse((SRC / f"{user}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in ("_streams", "bcode._streams"):
+                found += [f"{user}: {a.name}" for a in node.names if a.name in ("floyd", "tail_sample")]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "_streams" and node.attr in ("floyd", "tail_sample")):
+                found.append(f"{user}: _streams.{node.attr}")
+    assert found == []
+
+
+def unrejected(ranges, start=0):
+    """The first seed from ``start`` on whose tokens no draw on ``ranges``
+    rejects, and the draws' values."""
+    for seed in range(start, start + 100):
+        tokens = np.random.PCG64(seed).random_raw(-(-len(ranges) // 2)).view("<u4")
+        values, rejected = _streams.bounded(tokens[: len(ranges)], ranges)
+        if not rejected.any():
+            return seed, values
+    raise AssertionError("every seed rejects a token")
+
+
+# w = 0, 1, n - 1 and n, and either side of n // 50 at n = 10,001, where
+# choice starts to shuffle the tail.
+CHOICES = sorted({(n, w) for n in (1, 2, 16, 10_001) for w in (0, 1, n - 1, n)}
+                 | {(10_001, 200), (10_001, 201)})
+
+
+@pytest.mark.parametrize("n, w", CHOICES, ids=str)
+def test_the_layout_reads_the_tokens_choice_reads(n, w):
+    row, ranges, _, tail = _streams.choice_layout(n, np.array([w]))
+    assert ranges.tolist() == [r for _, r in oracles.choice_draws(n, w)]
+    assert tail.tolist() == [n > 10_000 and w > n // 50]
+    assert _streams.choice_tokens(n, w)[0] == len(ranges) == len(row)
+    seed, _ = unrejected(ranges)
+    bits = np.random.PCG64(seed)
+    np.random.Generator(bits).choice(n, w, replace=False)
+    stepped = np.random.PCG64(seed)
+    stepped.advance(-(-len(ranges) // 2))
+    assert bits.state["state"] == stepped.state["state"]
+    assert bits.state["has_uint32"] == len(ranges) % 2
+
+
+@pytest.mark.parametrize("head", [0, 7])
+def test_one_builder_call_samples_floyd_every_column_and_tail_rows(head):
+    # Floyd's sampler at w = 0, 5 and 200, every column at w = n, and the
+    # tail shuffle at w = 201 and 300; each row read from a seed of its own,
+    # after a draw on [0, head].
+    n, w = 10_001, np.array([5, 10_001, 300, 0, 200, 201, 5])
+    values, seeds, start = [], [], 0
+    for weight in w.tolist():
+        start, row_values = unrejected(_streams.choice_layout(n, np.array([weight]))[1], start)
+        seeds.append(start)
+        values += [start % (head + 1)] * (head > 0) + row_values.tolist()
+        start += 1
+    layout = _streams.choice_layout(n, w, head)
+    assert len(values) == len(layout[0])
+    rows, cols = _streams.choice_samples(n, w, np.array(values), layout)
+    assert rows.tolist() == np.repeat(np.arange(len(w)), w).tolist()
+    for r, (seed, weight) in enumerate(zip(seeds, w.tolist(), strict=True)):
+        want = np.random.default_rng(np.random.PCG64(seed)).choice(n, weight, replace=False)
+        assert sorted(cols[rows == r].tolist()) == sorted(want.tolist())
