@@ -207,7 +207,9 @@ def floyd(n: int, rows: np.ndarray, steps: np.ndarray, values: np.ndarray,
     Step j adds j itself when it drew j, a value an earlier step drew, or
     an earlier step t >= first that added itself; otherwise it adds the
     value.  So step j's answer, when it is step t's, is found for all
-    steps at once by pointer jumping.
+    steps at once by pointer jumping.  A value must be at most its step,
+    as a bounded draw is; pointers that do not resolve in the jumps a
+    valid chain needs raise ``ValueError``.
     """
     # Keys below 2^16 are sorted by radix.
     key = (rows * n + values).astype(np.min_scalar_type(n * (rows.max(initial=0) + 1)))
@@ -218,10 +220,14 @@ def floyd(n: int, rows: np.ndarray, steps: np.ndarray, values: np.ndarray,
     adds_self = np.where((values == steps) | redrawn, 1, np.where(values >= first, -1, 0))
     index = np.arange(len(key))
     target = np.where(adds_self < 0, index - (steps - values), index)
-    while (adds_self < 0).any():
+    # A chain of earlier steps is shorter than len(key): each jump doubles
+    # the steps a pointer passes.
+    for _ in range(len(key).bit_length() + 1):
+        if not (adds_self < 0).any():
+            return np.where(adds_self == 1, steps, values)
         adds_self = adds_self[target]
         target = target[target]
-    return np.where(adds_self == 1, steps, values)
+    raise ValueError("a Floyd draw's value is above its step")
 
 
 def tail_sample(n: int, w: int, values: list[int]) -> list[int]:

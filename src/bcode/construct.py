@@ -25,16 +25,18 @@ with one ``rng.integers`` (the weight; none for ``random_code``) and one
 ``rng.choice(n, w, replace=False)`` per row, but read the seed's PCG64
 output in bulk (``_DrawStream``), where ``_streams`` reproduces numpy's
 draws on it.  Draws are tested in batches: every column covered and, for
-the search, the packed Boolean sums of 1..k columns sorted per draw and
-pairwise distinct.  The stream parses a fixed number of rows at a time,
-as many as ``BATCH_ENTRIES`` tokens and row entries hold (at least one),
-and a batch of draws starts at one draw and doubles, within the same
-budget of row entries and column sums (at least one draw).
-``is_separable`` is then called on the first draw
-that passes, the one the search returns.  ``btc(2, 4, 16, seed)`` rejects
-2,200-3,000 draws; in ten alternating pairs of the ``design`` benchmark
-(2-vCPU host) its median ``construct_s`` fell from 0.61 to 0.13 s against
-one numpy call per draw, with the same matrices.
+the search, the Boolean sums of 1..k columns pairwise distinct, packed
+into 64-bit words and sorted per draw.  The stream parses a fixed number
+of rows at a time, as many as ``BATCH_ENTRIES`` tokens and row entries
+hold (at least one), and a batch of draws starts at one draw and doubles,
+within the same budget of row entries and column sums (at least one
+draw).  ``is_separable`` is then called on the first draw that passes,
+the one the search returns.  ``btc(2, 4, 16, seed)`` rejects 2,200-3,000
+draws of at most 64 rows, so each sum is one word and a draw's sums are
+sorted by value; in ten alternating pairs of the ``design`` benchmark
+(2-vCPU host) that took its median ``construct_s`` from 0.118 s with
+``lexsort`` to 0.094 s, with the same matrices.  Reading the stream in
+bulk had taken it from 0.61 s with one numpy call per draw.
 
 A construction too large to build is refused with ``ResourceLimitError``
 before any row exists, by the entry budget ``MAX_ENTRIES`` or by the
@@ -275,7 +277,8 @@ def _distinct_sums(draws: np.ndarray, n: int, sets: list[np.ndarray]) -> np.ndar
     """For each of the (d, m, ceil(n / 8)) packed draws, whether the
     Boolean sums of the column sets ``sets`` (one index array per size)
     are pairwise distinct.  The sums are packed into 64-bit words, bit i of
-    word t is row 64 t + i, and sorted per draw."""
+    word t is row 64 t + i, and sorted per draw: by value when a sum is one
+    word (m <= 64), else by ``lexsort`` over its words."""
     bits = np.unpackbits(draws, axis=2, count=n, bitorder="little")
     packed = np.packbits(bits, axis=1, bitorder="little").transpose(0, 2, 1)
     d, _, nbytes = packed.shape
@@ -289,8 +292,11 @@ def _distinct_sums(draws: np.ndarray, n: int, sets: list[np.ndarray]) -> np.ndar
             acc |= cols[:, idx[:, t]]
         sums.append(acc)
     keys = np.concatenate(sums, axis=1)
-    order = np.lexsort(np.moveaxis(keys, 2, 0)[::-1], axis=-1)
-    keys = np.take_along_axis(keys, order[..., None], axis=1)
+    if keys.shape[2] == 1:
+        keys = np.sort(keys, axis=1)
+    else:
+        order = np.lexsort(np.moveaxis(keys, 2, 0)[::-1], axis=-1)
+        keys = np.take_along_axis(keys, order[..., None], axis=1)
     return ~(keys[:, 1:] == keys[:, :-1]).all(axis=2).any(axis=1)
 
 

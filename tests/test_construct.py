@@ -1,7 +1,9 @@
 import functools
 import hashlib
 import math
+import random
 import tracemalloc
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -417,6 +419,54 @@ def test_separable_search_tail_shuffle_memory_is_bounded_by_a_parse():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2.3e6
+
+
+def test_btc_sorts_one_word_sums_without_lexsort(monkeypatch):
+    # Up to 64 rows a draw's sums are one word each and sorted by value; the
+    # 79-row grid case sums two words, which lexsort orders.
+    real = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda *a, **kw: pytest.fail("lexsort on one-word sums"))
+    for seed in (0, 1, 1000):
+        rows, _ = numpy_separable((2, 16, 4, seed, 64, 200))
+        assert list(btc(2, 4, 16, seed).rows) == list(general_bcc(2, 4, 16).rows) + rows
+    calls = []
+    monkeypatch.setattr(np, "lexsort", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    args = (3, 16, 4, 0, 120, 1)
+    assert search_outcome(args) == numpy_separable(args)
+    assert calls
+
+
+def planted_draws(m, n, seed):
+    """Random m-row draws on n columns, as int rows: some as drawn, and
+    some with a column made empty, equal to another, the OR of two or three
+    others, or another one with its last row flipped."""
+    rng = random.Random(seed)
+    draws = []
+    for plant in ("none", "empty", "equal", "or2", "or3", "last") * 4:
+        cols = [rng.getrandbits(m) for _ in range(n)]
+        a, b, c, e = rng.sample(range(n), 4)
+        cols[e] = {"none": cols[e], "empty": 0, "equal": cols[a], "or2": cols[a] | cols[b],
+                   "or3": cols[a] | cols[b] | cols[c], "last": cols[a] ^ (1 << (m - 1))}[plant]
+        draws.append([sum(((col >> i) & 1) << j for j, col in enumerate(cols)) for i in range(m)])
+    return draws
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 128, 129])
+def test_each_draws_verdict_equals_the_oracles(m, k):
+    # Sums of one word (m <= 64) and of two or three, on 10 columns packed
+    # into two bytes.
+    n = 10
+    draws = planted_draws(m, n, seed=4 * m + k)
+    packed = np.array([[list(row.to_bytes(2, "little")) for row in rows] for rows in draws], np.uint8)
+    sets = [np.fromiter(chain.from_iterable(combinations(range(n), j)), np.intp).reshape(-1, j)
+            for j in range(1, k + 1)]
+    covered = [functools.reduce(int.__or__, rows) == (1 << n) - 1 for rows in draws]
+    distinct = [oracles.sums_distinct(rows, n, k) for rows in draws]
+    assert construct._covered(packed, n).tolist() == covered
+    assert construct._distinct_sums(packed, n, sets).tolist() == distinct
+    if m > 1:
+        assert set(distinct) == {True, False}
 
 
 @pytest.mark.parametrize("seed", [0, 5])

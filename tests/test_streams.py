@@ -129,3 +129,11 @@ def test_one_builder_call_samples_floyd_every_column_and_tail_rows(head):
     for r, (seed, weight) in enumerate(zip(seeds, w.tolist(), strict=True)):
         want = np.random.default_rng(np.random.PCG64(seed)).choice(n, weight, replace=False)
         assert sorted(cols[rows == r].tolist()) == sorted(want.tolist())
+
+
+def test_floyd_refuses_values_above_their_step():
+    # Step 2 drew 3 and step 3 drew 2: neither value is redrawn or its own
+    # step, and both are at least first = 2, so each step adds what the
+    # other adds and pointer jumping never resolves them.
+    with pytest.raises(ValueError, match="above its step"):
+        _streams.floyd(4, np.zeros(2, int), np.array([2, 3]), np.array([3, 2]), 2)
