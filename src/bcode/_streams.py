@@ -2,7 +2,7 @@
 output by LCG jump-ahead and the draws ``Generator`` makes from it.
 ``construct`` reads one seed's draws through this module, and ``simulate``
 a chunk of trials' draws; it alone lays out (``choice_layout``) and
-samples (``choice_samples``) the draws of ``Generator.choice``.
+samples (``choice_samples``) Floyd's draws of ``Generator.choice``.
 """
 
 from __future__ import annotations
@@ -182,14 +182,13 @@ def pcg64_raw(words: np.ndarray, length: int) -> np.ndarray:
 
 def bounded(tokens: np.ndarray, ranges) -> tuple[np.ndarray, np.ndarray]:
     """numpy's bounded draw on [0, range] from each 32-bit token (Lemire
-    2019): the values, and which tokens the draw rejects and redraws.
+    2019): the values, and which tokens the draw rejects.
 
     ``tokens`` and ``ranges`` broadcast, so one call reads every draw of
-    a parse: the rows of one seed's stream (``construct._DrawStream``), or
-    a (trials, draws) array of tokens, one trial's stream per row, against
-    the ranges the trials of one count share (``trial_draws``).  Ranges lie below
-    2^32 - 1, where numpy draws on 32-bit tokens; a draw on [0, 0] takes no
-    token, so callers leave it out."""
+    a parse: a seed's rows (``construct._DrawStream``), or a (trials,
+    draws) array of tokens against the ranges of one count's trials
+    (``trial_draws``).  Ranges lie below 2^32 - 1, where numpy draws on
+    32-bit tokens; a draw on [0, 0] takes no token, so callers leave it out."""
     excl = np.asarray(ranges, np.uint64) + 1
     prod = tokens.astype(np.uint64)
     prod *= excl
@@ -230,53 +229,53 @@ def floyd(n: int, rows: np.ndarray, steps: np.ndarray, values: np.ndarray,
     raise ValueError("a Floyd draw's value is above its step")
 
 
-def tail_sample(n: int, w: int, values: list[int]) -> list[int]:
-    """The w columns ``choice(n, w, replace=False)`` takes by shuffling the
-    tail of ``arange(n)``: the swap at i = n - 1 down to max(n - w, 1)
-    exchanges entries i and the i-th of ``values``, and the last w entries
-    are the sample."""
-    perm = list(range(n))
-    for i, t in zip(range(n - 1, 0, -1), values):
-        perm[i], perm[t] = perm[t], perm[i]
-    return perm[n - w :]
+def shuffles_tail(n: int, w: np.ndarray | int) -> np.ndarray | bool:
+    """Whether ``choice(n, w, replace=False)`` shuffles the tail of
+    ``arange(n)`` in place of Floyd's sampler (elementwise for arrays)."""
+    return (n > 10_000) & (w > n // 50)
 
 
-def choice_tokens(n: int, w: np.ndarray | int, head: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def generator(words: np.ndarray) -> np.random.Generator:
+    """numpy's ``Generator`` on the ``PCG64`` the (4,) uint64 ``words``
+    seed, state s and stream i: inc = 2i + 1, state M (s + inc) + inc."""
+    s, i = (hi << 64 | lo for hi, lo in words.reshape(2, 2).tolist())
+    inc = (2 * i + 1) % 2**128
+    bits = np.random.PCG64()
+    bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                  "state": {"state": (_PCG64_MULT * (s + inc) + inc) % 2**128, "inc": inc}}
+    return np.random.Generator(bits)
+
+
+def choice_tokens(n: int, w: np.ndarray | int, head: int = 0) -> np.ndarray | int:
     """The tokens a row takes when no draw rejects one: a draw on
-    [0, head] when head > 0, then those of ``choice(n, w,
-    replace=False)``; and whether that ``choice`` shuffles the tail of
-    ``arange(n)`` (elementwise for an array of weights)."""
-    tail = (n > 10_000) & (w > n // 50)
-    return (head > 0) + w - (w == n) + np.where(tail, 0, np.maximum(w - 1, 0)), tail
+    [0, head] when head > 0, then those of ``choice(n, w, replace=False)``
+    by Floyd's sampler (elementwise for an array of weights)."""
+    return (head > 0) + w - (w == n) + np.maximum(w - 1, 0)
 
 
 def choice_layout(n: int, w: np.ndarray, head: int = 0) -> tuple[np.ndarray, ...]:
     """(row, range) of every bounded draw of the rows of weights ``w``, in
-    the order they read their tokens, whether the draw adds to its row's
-    sample, and which rows shuffle the tail (``choice_tokens``).
+    the order they read their tokens, and whether the draw adds to its
+    row's sample.
 
     A row draws on [0, head] (no draw when head = 0), then ``choice(n, w,
-    replace=False)``.  When n > 10,000 and w > n // 50, ``choice`` shuffles
-    the tail of ``arange(n)``, one draw on [0, i] for i = n - 1 down to
-    max(n - w, 1); otherwise it runs Floyd's sampler (Bentley and Floyd
-    1987), one draw on [0, j] for j = n - w..n - 1, then shuffles the
-    sample with one draw on [0, i] for i = w - 1..1.  A draw on [0, 0]
-    (Floyd's j = 0 when w = n) takes no token and is left out.  Without a
-    rejected token, the rows' draws read consecutive tokens.
+    replace=False)`` by Floyd's sampler (Bentley and Floyd 1987; no row
+    may shuffle the tail), one draw on [0, j] for j = n - w..n - 1, then
+    shuffles the sample with one draw on [0, i] for i = w - 1..1.  A draw
+    on [0, 0] (Floyd's j = 0 when w = n) takes no token and is left out.
+    Without a rejected token, the rows' draws read consecutive tokens.
     """
-    tokens, tail = choice_tokens(n, w, head)
+    tokens = choice_tokens(n, w, head)
     row = np.repeat(np.arange(len(w)), tokens)
     step = np.arange(len(row)) - np.repeat(np.cumsum(tokens) - tokens + (head > 0), tokens)
     drawn = w - (w == n)
     sampled = step < drawn[row]
-    # Floyd's j ascending or the tail shuffle's i descending, then the
-    # sample shuffle's i descending.
-    ranges = np.where(sampled, np.where(tail, n - 1, n - drawn)[row] + np.where(tail, -1, 1)[row] * step,
-                      (w - 1 + drawn)[row] - step)
+    # Floyd's j ascending, then the sample shuffle's i descending.
+    ranges = np.where(sampled, (n - drawn)[row] + step, (w - 1 + drawn)[row] - step)
     if head:
         ranges[step < 0] = head
         sampled &= step >= 0
-    return row, ranges, sampled, tail
+    return row, ranges, sampled
 
 
 def choice_samples(n: int, w: np.ndarray, values: np.ndarray,
@@ -284,78 +283,51 @@ def choice_samples(n: int, w: np.ndarray, values: np.ndarray,
     """(row, column) of the w columns ``choice(n, w, replace=False)``
     samples, as a set, for each row of weights ``w``, in row order, from
     ``values``, the rows' draws as ``layout``, their ``choice_layout``,
-    lays them out.  A row of weight n takes every column, Floyd's rows are
-    sampled together (``floyd``) and a tail shuffle row by row
-    (``tail_sample``); the sample's own shuffle leaves the set as it is."""
-    row, ranges, sampled, tail = layout
+    lays them out.  A row of weight n takes every column and the others
+    are sampled together (``floyd``); the sample's shuffle keeps the set."""
+    row, ranges, sampled = layout
     every, rows = w == n, np.arange(len(w)).repeat(w)
-    floyds = ~tail & ~every
     cols = np.empty(len(rows), np.intp)
     cols[every[rows]] = np.arange(n * every.sum()) % n
-    at = sampled & floyds[row]
-    cols[floyds[rows]] = floyd(n, row[at], ranges[at], values[at], n - w[row[at]])
-    for r in (tail > every).nonzero()[0]:
-        cols[rows == r] = tail_sample(n, w[r], values[sampled & (row == r)].tolist())
+    at = sampled & ~every[row]
+    cols[~every[rows]] = floyd(n, row[at], ranges[at], values[at], n - w[row[at]])
     return rows, cols
 
 
 def trial_length(n: int, counts: np.ndarray, c: int, m: int) -> int:
     """Raw outputs ``trial_draws`` reads per trial with attacker counts
-    among ``counts``: the most tokens a trial's draws take (its support's,
-    its label's and, when c > 2, its target's), two spare ones for
-    rejected tokens, and 2m doubles."""
-    return (choice_tokens(n, counts)[0].max() + 1 + (c > 2) + 3) // 2 + 2 * m
-
-
-def redrawn(words: np.ndarray, ranges: np.ndarray, length: int,
-            m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The bounded draws on ``ranges`` and the 2m raw outputs of the
-    doubles of the one trial the (4,) ``words`` seed, whose draws reject a
-    token (``trial_draws``).
-
-    A rejected token is used up and the draw takes the next one, so it is
-    dropped from the tokens and the draws are read again.  When the
-    tokens or the doubles run past ``length`` outputs, the stream is read
-    again, twice as long.
-    """
-    while True:
-        raw = pcg64_raw(words[None], length)[0]
-        tokens = raw.astype("<u8", copy=False).view("<u4")
-        while len(tokens) >= len(ranges):
-            values, rejected = bounded(tokens[: len(ranges)], ranges)
-            if not rejected.any():
-                # next_double skips a buffered token: the doubles start at
-                # output ceil(tokens used / 2).
-                start = (2 * length - len(tokens) + len(ranges) + 1) // 2
-                if start + 2 * m <= length:
-                    return values, raw[start : start + 2 * m]
-                break
-            tokens = np.delete(tokens, rejected.argmax())
-        length *= 2
+    among ``counts``: the most tokens a trial's draws take (its support's
+    unless it shuffles the tail, its label's and, when c > 2, its
+    target's), and 2m doubles."""
+    support = choice_tokens(n, np.where(shuffles_tail(n, counts), 0, counts)).max()
+    return (support + 2 + (c > 2)) // 2 + 2 * m
 
 
 def trial_draws(words: np.ndarray, raw: np.ndarray, n: int, counts: np.ndarray, c: int,
                 m: int) -> tuple[np.ndarray, ...]:
     """The support columns ``choice(n, k, replace=False)`` draws, in trial
-    order (``choice_samples``), the labels ``integers(c)`` draws, the
-    ``integers(c - 1)`` targets (0 when c = 2) and the 2m output doubles of
-    the trials the rows of ``words`` seed, from the first raw outputs of
-    their streams (``pcg64_raw``), one row of ``raw`` each.  Trial x has
-    counts[x] attackers, and trials of one count come in runs.
+    order, the labels ``integers(c)`` draws, the ``integers(c - 1)``
+    targets (0 when c = 2) and the 2m output doubles of the trials the rows
+    of ``words`` seed, from the first raw outputs of their streams
+    (``pcg64_raw``), one row of ``raw`` each.  Trial x has counts[x]
+    attackers, and trials of one count come in runs.
 
     The outputs are read as 32-bit tokens, the low half of each output
     first.  Without a rejected token, a trial's draw d reads token d, its
     ``choice`` draws laid out as ``choice_layout`` lays them out, and the
     doubles start at output ceil(draws / 2), since ``next_double`` skips
-    the buffered half; the rare row that rejects a token is parsed on its
-    own (``redrawn``).  A double is the top 53 bits of an output times
-    2^-53, as ``Generator.random`` makes it.
+    the buffered half.  A double is the top 53 bits of an output times
+    2^-53, as ``Generator.random`` makes it.  numpy's own ``Generator``
+    draws a tail-shuffle trial, laid out with no attackers, and a trial
+    that rejects a token (``generator``; ``choice(n, 0)`` draws nothing).
     """
-    layout = choice_layout(n, counts)
+    tail = shuffles_tail(n, counts)
+    weights = np.where(tail, 0, counts)
+    layout = choice_layout(n, weights)
     firsts = np.searchsorted(layout[0], np.arange(len(counts) + 1))  # trials' first draws, and the end
     values = np.empty(len(layout[0]), np.intp)
     labels, targets = np.empty(len(counts), np.intp), np.zeros(len(counts), np.intp)
-    top = np.empty((len(counts), 2 * m), np.uint64)
+    doubles, redraw = np.empty((len(counts), 2 * m)), np.empty(len(counts), bool)
     tokens = raw.astype("<u8", copy=False).view("<u4")
     cuts = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(counts)]
     for a, b in zip(cuts, cuts[1:]):
@@ -365,11 +337,17 @@ def trial_draws(words: np.ndarray, raw: np.ndarray, n: int, counts: np.ndarray, 
         ranges = np.append(layout[1][firsts[a] : firsts[a] + d], [c - 1, c - 2][: 1 + (c > 2)])
         got, rejected = bounded(tokens[a:b, : len(ranges)], ranges)
         start = -(-len(ranges) // 2)
-        top[a:b] = raw[a:b, start : start + 2 * m] >> 11
-        for x in np.flatnonzero(rejected.any(axis=1)):
-            got[x], doubles = redrawn(words[a + x], ranges, raw.shape[1], m)
-            top[a + x] = doubles >> 11
+        doubles[a:b] = (raw[a:b, start : start + 2 * m] >> 11) * 2.0**-53
+        redraw[a:b] = rejected.any(axis=1)
         values[firsts[a] : firsts[b]] = got[:, :d].ravel()
         labels[a:b] = got[:, d]
         targets[a:b] = got[:, -1] if c > 2 else 0
-    return choice_samples(n, counts, values, layout)[1], labels, targets, top * 2.0**-53
+    support = np.empty(counts.sum(), np.intp)
+    support[np.repeat(~tail, counts)] = choice_samples(n, weights, values, layout)[1]
+    ends = np.cumsum(counts)
+    for x in np.flatnonzero(redraw | tail).tolist():
+        gen = generator(words[x])
+        support[ends[x] - counts[x] : ends[x]] = gen.choice(n, counts[x], replace=False)
+        labels[x], targets[x] = gen.integers(c), gen.integers(c - 1)
+        doubles[x] = gen.random(2 * m)
+    return support, labels, targets, doubles

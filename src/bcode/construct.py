@@ -24,19 +24,17 @@ Both samplers draw the rows ``rng = np.random.default_rng(seed)`` gives
 with one ``rng.integers`` (the weight; none for ``random_code``) and one
 ``rng.choice(n, w, replace=False)`` per row, but read the seed's PCG64
 output in bulk (``_DrawStream``), where ``_streams`` reproduces numpy's
-draws on it.  Draws are tested in batches: every column covered and, for
-the search, the Boolean sums of 1..k columns pairwise distinct, packed
-into 64-bit words and sorted per draw.  The stream parses a fixed number
-of rows at a time, as many as ``BATCH_ENTRIES`` tokens and row entries
-hold (at least one), and a batch of draws starts at one draw and doubles,
-within the same budget of row entries and column sums (at least one
-draw).  ``is_separable`` is then called on the first draw that passes,
-the one the search returns.  ``btc(2, 4, 16, seed)`` rejects 2,200-3,000
-draws of at most 64 rows, so each sum is one word and a draw's sums are
-sorted by value; in ten alternating pairs of the ``design`` benchmark
-(2-vCPU host) that took its median ``construct_s`` from 0.118 s with
-``lexsort`` to 0.094 s, with the same matrices.  Reading the stream in
-bulk had taken it from 0.61 s with one numpy call per draw.
+draws on it (rows that may shuffle the tail of ``arange(n)``, n > 10,000,
+are numpy's to draw).  Draws are tested in batches: every column covered
+and, for the search, the Boolean sums of 1..k columns pairwise distinct,
+packed into 64-bit words and sorted per draw.  The stream parses a fixed
+number of rows at a time, as many as ``BATCH_ENTRIES`` tokens and row
+entries hold (at least one), and a batch of draws starts at one draw and
+doubles, within the same budget of row entries and column sums (at least
+one draw).  ``is_separable`` is then called on the first draw that
+passes, the one the search returns.  ``btc(2, 4, 16, seed)`` rejects
+2,200-3,000 draws of at most 64 rows, so each sum is one word and a
+draw's sums are sorted by value.
 
 A construction too large to build is refused with ``ResourceLimitError``
 before any row exists, by the entry budget ``MAX_ENTRIES`` or by the
@@ -184,16 +182,17 @@ class _DrawStream:
     (``choice_tokens``), so a parse finds the row starts in one pass and
     reads every draw of its rows at once, on consecutive tokens.  A
     rejected token is dropped from the stream, since the draw takes the
-    next one, and the parse runs again from its first row.  ``rows`` hands
-    out the parsed rows in order.
+    next one, and the parse runs again from its first row.  numpy's own
+    ``Generator`` draws every row when one of weight hi would shuffle the
+    tail (``_streams.shuffles_tail``).
     """
 
     def __init__(self, seed: int, n: int, lo: int, hi: int) -> None:
         self._bits = np.random.PCG64(seed)
         self._tokens = np.empty(0, np.uint32)
         self._parsed, self._next = np.empty((0, -(-n // 8)), np.uint8), 0
-        self.n, self.lo, self.head = n, lo, hi - lo
-        self._span = _streams.choice_tokens(n, np.arange(lo, hi + 1), self.head)[0].tolist()
+        self.n, self.lo, self.hi, self.head = n, lo, hi, hi - lo
+        self._span = _streams.choice_tokens(n, np.arange(lo, hi + 1), self.head).tolist()
         # Entries a parse holds per row: its tokens and its set.
         self.row_entries = n + max(self._span)
 
@@ -216,6 +215,12 @@ class _DrawStream:
         1 KiB for reuse by size, so sizes that vary grow the process."""
         n, span, head = self.n, self._span, self.head
         count = max(1, BATCH_ENTRIES // self.row_entries)
+        sets = np.zeros((count, n), bool)
+        if _streams.shuffles_tail(n, self.hi):
+            gen = np.random.Generator(self._bits)
+            for row in sets:
+                row[gen.choice(n, gen.integers(self.lo, self.hi + 1), replace=False)] = True
+            return np.packbits(sets, axis=1, bitorder="little")
         while True:
             need = count * max(span)
             if len(self._tokens) < need:
@@ -237,7 +242,6 @@ class _DrawStream:
                 break
             self._tokens = np.delete(tokens, rejected.argmax())
         self._tokens = tokens[end:]
-        sets = np.zeros((count, n), bool)
         sets[_streams.choice_samples(n, w, values, layout)] = True
         return np.packbits(sets, axis=1, bitorder="little")
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Sequence
@@ -92,6 +92,16 @@ def _unfloored(log_p: np.ndarray) -> np.ndarray:
 
 def _safe_log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
+
+
+def _log_weight(weight: float, terms: Callable[[], list[tuple[float, int, int]]]) -> float:
+    """log(weight), the float sum of p * num / total over ``terms()``, where
+    it is normal; else a logsumexp of log p + log num - log total from the
+    exact ints (a total from 2^1023 on makes p / total subnormal: pass 0)."""
+    if weight >= 2.0**-1022:
+        return math.log(weight)
+    return float(_logsumexp(np.array([math.log(p) + math.log(num) - math.log(total)
+                                      for p, num, total in terms()]), axis=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +207,8 @@ class DecoderConfig:
             if count
             for mask, (_, first) in layers[count].items()
         )
-        size_logw = {s: _safe_log(prior[s] / per_size[s]) for s in sizes}
+        size_logw = {s: _log_weight(prior[s] / per_size[s] if per_size[s] < 2.0**1023 else 0.0,
+                                    lambda: [(prior[s], 1, per_size[s])]) for s in sizes}
 
         # A clean model's, a missing and a hitting compromised model's
         # probability of each output, (m, c_out, c_l) each, logged at once.
@@ -207,7 +218,11 @@ class DecoderConfig:
         np.multiply(1.0 - s, probs[0], out=probs[1])
         np.add(s, probs[1], out=probs[2])
         with np.errstate(divide="ignore"):
-            log_clean, log_miss, log_hit = _floored(np.log(probs))
+            logs = np.log(probs)
+            if (lost := probs[1:] < 2.0**-1022).any():  # underflowed: log the terms
+                miss = np.log(1.0 - s) + logs[0]
+                np.copyto(logs[1:], [miss, np.logaddexp(np.log(s), miss)], where=lost)
+        log_clean, log_miss, log_hit = _floored(logs)
         mask_matrix = BitMatrix(len(mask_order), m, tuple(mask_order)).to_array().astype(float)
         tables = {
             "_log_clean": log_clean,
@@ -215,7 +230,9 @@ class DecoderConfig:
             "_log_hit": log_hit,
             "_mask_matrix": mask_matrix,
             "_clean_matrix": 1.0 - mask_matrix.T,
-            "_mask_logw": np.array([_safe_log(mask_weight[mask]) for mask in mask_order]),
+            "_mask_logw": np.array([_log_weight(mask_weight[mask], lambda: [
+                (prior[s], layers[s][mask][0], per_size[s]) for s in sizes if mask in layers[s]])
+                for mask in mask_order]),
             "_log_attack_prior": _safe_log(self.attack_prior),
             "_log_clean_prior": _safe_log(1.0 - self.attack_prior) + math.log(c),
             "_groups": MappingProxyType(

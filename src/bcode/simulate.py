@@ -19,8 +19,8 @@ depend on execution order and parallel sweeps reproduce serial ones bit for
 bit.  ``sweep`` runs all of its (count, run) tasks through one batched
 pass, and ``run_trials`` is its one-task case: a chunk of trials, which may
 span tasks, has its streams seeded and stepped and the draws ``choice``,
-``integers`` and ``random`` make from them parsed at once in numpy
-(``_streams``), and its outputs sampled together and decoded in blocks.
+``integers`` and ``random`` make from them parsed at once (``_streams``,
+or numpy's ``Generator``), and its outputs sampled and decoded in blocks.
 """
 
 from __future__ import annotations

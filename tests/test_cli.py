@@ -262,6 +262,17 @@ def test_decode_refuses_huge_q_before_building_the_prior(tmp_path, capsys):
     assert "error: attacker count 7 exceeds the 2 users" in capsys.readouterr().err
 
 
+def test_decode_takes_counts_with_more_supports_than_a_float_holds(tmp_path, capsys):
+    # C(1100, 450) is above 1e308, so that count's weight cannot be divided
+    # out in floats.
+    code = tmp_path / "p.bcode"
+    assert run_cli("construct", "--kind", "partition", "--m", "1", "--n", "1100", "-o", str(code)) == 0
+    capsys.readouterr()
+    assert run_cli("decode", "--code", str(code), "--outputs", "0", "--classes", "2",
+                   "--q", "uniform:0:450") == 0
+    assert "attack posterior: " in capsys.readouterr().out
+
+
 def test_simulate_writes_reports(tmp_path, capsys):
     code = tmp_path / "c.bcode"
     run_cli("construct", "--kind", "bcc", "--k", "2", "--r", "4", "--n", "8", "-o", str(code))

@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcode import _streams, decoder, simulate
@@ -412,18 +412,45 @@ def as_bits(code):
     return [[code.bit(i, j) for j in range(code.n)] for i in range(code.m)]
 
 
+class FixedDraws:
+    """Stands in for ``st.data()`` in an ``@example``: every draw is
+    ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def draw(self, strategy):
+        return self.value
+
+
 @settings(max_examples=200, deadline=None)
 @given(cfg=simulation_configs(), data=st.data())
+# One attacker has prior mass 5e-324, whose weight 5e-324 / C(6, 1)
+# underflows a float; only the attack explains outputs of class 1 or 2.
+@example(cfg=DecoderConfig(BitMatrix(2, 6, (0, 32)), np.tile([1.0, 0.0, 0.0], (2, 3, 1)), 0.5, 1.0,
+                           {0: 1.0, 1: 5e-324}, 3),
+         data=FixedDraws([[0, 1], [0, 2]]))
+# Model 1, compromised and missing, emits class 1 with probability
+# 0.5 * 5e-324, which underflows a float; only label 1 explains that.
+@example(cfg=DecoderConfig(BitMatrix(2, 1, (1, 1)),
+                           np.array([[[0.0, 0.0, 1.0]] * 3, [[0.0, 0.0, 1.0], [0.0, 5e-324, 1.0], [0.0, 0.0, 1.0]]]),
+                           0.5, 0.5, {0: 0.0, 1: 1.0}, 3),
+         data=FixedDraws([[0, 1]]))
 def test_config_tables_equal_the_per_block_formulas(cfg, data):
     # A block that emits every class from every model gathers every table
-    # entry, through the formulas the evidence kernel once ran per block.
+    # entry, through the formulas the evidence kernel once ran per block,
+    # except that a miss or hit below the normal floats, whose product or
+    # sum lost digits, is logged from its terms (the exact oracle below
+    # checks those).
     m, c, s = cfg.code.m, cfg.num_classes, cfg.success_rate
     models, every = np.arange(m), np.repeat(np.arange(c)[:, None], m, axis=1)
     with np.errstate(divide="ignore"):
-        base = (1.0 - s) * cfg.confusions[models, :, every]
-        assert cfg._log_miss[models, every].tobytes() == decoder._floored(np.log(base)).tobytes()
-        assert (cfg._log_hit[models, every].tobytes()
-                == decoder._floored(np.log(s + base)).tobytes())
+        conf = cfg.confusions[models, :, every]
+        base = (1.0 - s) * conf
+        miss = np.where(base < 2.0**-1022, np.log(1.0 - s) + np.log(conf), np.log(base))
+        hit = np.where(s + base < 2.0**-1022, np.logaddexp(np.log(s), miss), np.log(s + base))
+        assert cfg._log_miss[models, every].tobytes() == decoder._floored(miss).tobytes()
+        assert cfg._log_hit[models, every].tobytes() == decoder._floored(hit).tobytes()
         log_conf = decoder._floored(np.log(cfg.confusions))
     assert cfg._log_clean[models, every].tobytes() == log_conf[models, :, every].tobytes()
     rows = data.draw(st.lists(st.lists(st.integers(0, c - 1), min_size=m, max_size=m),
@@ -536,10 +563,11 @@ def trial_draws(n, k, c):
     return support + [("label", c - 1)] + ([("target", c - 2)] if c > 2 else [])
 
 
-# Reads with run_trials' two spare tokens, with none (the zero output's two
-# rejected tokens push the doubles past the read), with no doubles either
-# (they run the tokens out), and with two spare tokens and two zero outputs
-# in a row (four rejected tokens): the last three read the trial again.
+# Reads with two tokens to spare, with none (the zero output's two rejected
+# tokens push the doubles past the read), with no doubles either (they run
+# the tokens out), and with two tokens to spare and two zero outputs in a
+# row (four rejected tokens): numpy's Generator draws the trial each time,
+# past the read.
 @pytest.mark.parametrize("spare, m, zeros", [(2, 3, 1), (0, 3, 1), (0, 0, 1), (2, 3, 2)],
                          ids=["read-ahead", "doubles-overrun", "tokens-overrun", "four-rejected"])
 @pytest.mark.parametrize("kind, n, k, c", [
@@ -555,8 +583,7 @@ def test_rejected_tokens_are_redrawn_as_numpy_redraws_them(monkeypatch, kind, n,
     z = next((z for z in range(64) if 2 * z < len(draws) and draws[2 * z][0] == kind
               and _streams.bounded(zero_tokens, draws[2 * z][1])[1].all()), None)
     assert z is not None, f"no zero output lands on a {kind} draw"
-    ranges = _streams.choice_layout(n, np.array([k]))[1].tolist() + [c - 1] + [c - 2] * (c > 2)
-    assert ranges == [r for _, r in draws]
+    ranges = [r for _, r in draws]
     reads, kernel = [], _streams.pcg64_raw
     monkeypatch.setattr(_streams, "pcg64_raw",
                         lambda words, length: reads.append(length) or kernel(words, length))
@@ -564,14 +591,28 @@ def test_rejected_tokens_are_redrawn_as_numpy_redraws_them(monkeypatch, kind, n,
     words = oracles.seed_words(oracles.zero_output_at(z, zeros))
     support, labels, targets, doubles = _streams.trial_draws(words, _streams.pcg64_raw(words, length),
                                                              n, np.array([k]), c, m)
-    # The chunk's read, the trial's own and, past the read-ahead, a longer one.
-    assert reads == [length, length] + [2 * length] * (2 * zeros > spare)
+    # The chunk's read alone: the trial is not read again.
+    assert reads == [length]
     gen = np.random.Generator(oracles.zero_output_at(z, zeros))
     want = gen.choice(n, k, replace=False).tolist() if k else []
     assert set(support.tolist()) == set(want)
     assert labels[0] == gen.integers(c)
     assert targets[0] == gen.integers(c - 1)
     assert doubles[0].tobytes() == gen.random(2 * m).tobytes()
+
+
+def assert_trials_draw_as_numpy_does(words, gens, n, counts, c, m):
+    """The chunk of trials the rows of ``words`` seed, with ``counts``
+    attackers, draws what each of ``gens``, the trials' own generators,
+    draws."""
+    raw = _streams.pcg64_raw(words, _streams.trial_length(n, counts, c, m))
+    support, labels, targets, doubles = _streams.trial_draws(words, raw, n, counts, c, m)
+    rows = np.split(support, np.cumsum(counts)[:-1])
+    for gen, k, row, label, target, double in zip(gens, counts.tolist(), rows, labels, targets, doubles,
+                                                  strict=True):
+        assert sorted(row.tolist()) == sorted(gen.choice(n, k, replace=False).tolist())
+        assert (label, target) == (gen.integers(c), gen.integers(c - 1))
+        assert double.tobytes() == gen.random(2 * m).tobytes()
 
 
 def test_a_rejecting_trial_after_a_run_of_another_count_draws_as_numpy_does():
@@ -582,17 +623,22 @@ def test_a_rejecting_trial_after_a_run_of_another_count_draws_as_numpy_does():
     assert _streams.bounded(np.zeros(1, np.uint32), n - 6)[1].all()
     others = _streams.seed_words(_streams.seed_entropy([5]), np.zeros(2, int), np.arange(2, dtype=np.uint32))
     words = np.vstack([others, oracles.seed_words(oracles.zero_output_at(0))])
-    counts = np.array([2, 2, 6])
-    raw = _streams.pcg64_raw(words, _streams.trial_length(n, counts, c, m))
-    support, labels, targets, doubles = _streams.trial_draws(words, raw, n, counts, c, m)
     gens = [np.random.default_rng([5, 0]), np.random.default_rng([5, 1]),
             np.random.Generator(oracles.zero_output_at(0))]
-    rows = np.split(support, np.cumsum(counts)[:-1])
-    for gen, k, row, label, target, double in zip(gens, counts.tolist(), rows, labels, targets, doubles,
-                                                  strict=True):
-        assert sorted(row.tolist()) == sorted(gen.choice(n, k, replace=False).tolist())
-        assert (label, target) == (gen.integers(c), gen.integers(c - 1))
-        assert double.tobytes() == gen.random(2 * m).tobytes()
+    assert_trials_draw_as_numpy_does(words, gens, n, np.array([2, 2, 6]), c, m)
+
+
+def test_one_chunk_draws_floyd_tail_and_rejecting_trials_as_numpy_does():
+    # A Floyd trial, a tail-shuffle trial (201 > 10,001 // 50) and a trial
+    # whose first Floyd draw, on [0, 9,999], rejects the zero output's
+    # first token, in one chunk.
+    n, c, m = 10_001, 3, 3
+    assert _streams.bounded(np.zeros(1, np.uint32), n - 2)[1].all()
+    others = _streams.seed_words(_streams.seed_entropy([5]), np.zeros(2, int), np.arange(2, dtype=np.uint32))
+    words = np.vstack([others, oracles.seed_words(oracles.zero_output_at(0))])
+    gens = [np.random.default_rng([5, 0]), np.random.default_rng([5, 1]),
+            np.random.Generator(oracles.zero_output_at(0))]
+    assert_trials_draw_as_numpy_does(words, gens, n, np.array([2, 201, 2]), c, m)
 
 
 # A code whose first two models each train on 50 of its 10,001 users, so

@@ -64,16 +64,16 @@ def test_simulate_and_construct_import_no_private_name_of_each_other():
     assert found == []
 
 
-def test_only_the_sample_builder_runs_floyd_and_the_tail_shuffle():
+def test_only_the_sample_builder_runs_floyd():
     # construct and simulate turn draws into columns through
     # _streams.choice_samples alone, so that the rule is written once.
     found = []
     for user in ("construct", "simulate"):
         for node in ast.walk(ast.parse((SRC / f"{user}.py").read_text())):
             if isinstance(node, ast.ImportFrom) and node.module in ("_streams", "bcode._streams"):
-                found += [f"{user}: {a.name}" for a in node.names if a.name in ("floyd", "tail_sample")]
+                found += [f"{user}: {a.name}" for a in node.names if a.name == "floyd"]
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id == "_streams" and node.attr in ("floyd", "tail_sample")):
+                  and node.value.id == "_streams" and node.attr == "floyd"):
                 found.append(f"{user}: _streams.{node.attr}")
     assert found == []
 
@@ -89,18 +89,23 @@ def unrejected(ranges, start=0):
     raise AssertionError("every seed rejects a token")
 
 
-# w = 0, 1, n - 1 and n, and either side of n // 50 at n = 10,001, where
-# choice starts to shuffle the tail.
+# w = 0, 1, n - 1 and n, and either side of n // 50 at n = 10,000 and at
+# n = 10,001, where choice starts to shuffle the tail.
 CHOICES = sorted({(n, w) for n in (1, 2, 16, 10_001) for w in (0, 1, n - 1, n)}
-                 | {(10_001, 200), (10_001, 201)})
+                 | {(10_000, 200), (10_000, 201), (10_001, 200), (10_001, 201)})
 
 
 @pytest.mark.parametrize("n, w", CHOICES, ids=str)
 def test_the_layout_reads_the_tokens_choice_reads(n, w):
-    row, ranges, _, tail = _streams.choice_layout(n, np.array([w]))
-    assert ranges.tolist() == [r for _, r in oracles.choice_draws(n, w)]
-    assert tail.tolist() == [n > 10_000 and w > n // 50]
-    assert _streams.choice_tokens(n, w)[0] == len(ranges) == len(row)
+    # numpy's choice reads the oracle's draws; the layout lays them out
+    # unless choice shuffles the tail, which numpy's Generator then draws.
+    draws = oracles.choice_draws(n, w)
+    ranges = [r for _, r in draws]
+    assert _streams.shuffles_tail(n, w) == any(kind == "tail" for kind, _ in draws)
+    if not _streams.shuffles_tail(n, w):
+        row, layout_ranges, _ = _streams.choice_layout(n, np.array([w]))
+        assert layout_ranges.tolist() == ranges
+        assert _streams.choice_tokens(n, w) == len(ranges) == len(row)
     seed, _ = unrejected(ranges)
     bits = np.random.PCG64(seed)
     np.random.Generator(bits).choice(n, w, replace=False)
@@ -111,11 +116,10 @@ def test_the_layout_reads_the_tokens_choice_reads(n, w):
 
 
 @pytest.mark.parametrize("head", [0, 7])
-def test_one_builder_call_samples_floyd_every_column_and_tail_rows(head):
-    # Floyd's sampler at w = 0, 5 and 200, every column at w = n, and the
-    # tail shuffle at w = 201 and 300; each row read from a seed of its own,
-    # after a draw on [0, head].
-    n, w = 10_001, np.array([5, 10_001, 300, 0, 200, 201, 5])
+def test_one_builder_call_samples_floyd_and_every_column_rows(head):
+    # Floyd's sampler at w = 0, 5, 200, 201 and 300, and every column at
+    # w = n; each row read from a seed of its own, after a draw on [0, head].
+    n, w = 10_000, np.array([5, 10_000, 300, 0, 200, 201, 5])
     values, seeds, start = [], [], 0
     for weight in w.tolist():
         start, row_values = unrejected(_streams.choice_layout(n, np.array([weight]))[1], start)
