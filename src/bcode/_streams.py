@@ -235,15 +235,23 @@ def shuffles_tail(n: int, w: np.ndarray | int) -> np.ndarray | bool:
     return (n > 10_000) & (w > n // 50)
 
 
+@cache
+def _seed_words() -> type:
+    """An ``ISeedSequence`` of given words, made on first use (it loads numpy.random)."""
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return SeedWords
+
+
 def generator(words: np.ndarray) -> np.random.Generator:
     """numpy's ``Generator`` on the ``PCG64`` the (4,) uint64 ``words``
-    seed, state s and stream i: inc = 2i + 1, state M (s + inc) + inc."""
-    s, i = (hi << 64 | lo for hi, lo in words.reshape(2, 2).tolist())
-    inc = (2 * i + 1) % 2**128
-    bits = np.random.PCG64()
-    bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                  "state": {"state": (_PCG64_MULT * (s + inc) + inc) % 2**128, "inc": inc}}
-    return np.random.Generator(bits)
+    seed, as ``PCG64`` takes ``SeedSequence.generate_state(4, uint64)``."""
+    return np.random.Generator(np.random.PCG64(_seed_words()(words)))
 
 
 def choice_tokens(n: int, w: np.ndarray | int, head: int = 0) -> np.ndarray | int:

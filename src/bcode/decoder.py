@@ -143,7 +143,8 @@ class DecoderConfig:
     _log_attack_prior: float = field(init=False, repr=False)
     _log_clean_prior: float = field(init=False, repr=False)  # log(1 - attack_prior) + log(c)
     _groups: Mapping[tuple[int, int], int] = field(init=False, repr=False)
-    _group_first: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    # (G + 1, w): group g's first support padded with -1; row -1 is all -1.
+    _group_first: np.ndarray = field(init=False, repr=False)
     _group_logw: np.ndarray = field(init=False, repr=False)
     _group_mask_idx: np.ndarray = field(init=False, repr=False)
 
@@ -238,7 +239,9 @@ class DecoderConfig:
             "_groups": MappingProxyType(
                 {(count, mask): g for g, ((count, _), mask) in enumerate(groups)}
             ),
-            "_group_first": tuple(first for (_, first), _ in groups),
+            "_group_first": np.array(
+                [[*first, *[-1] * (sizes[-1] - count)] for (count, first), _ in groups]
+                + [[-1] * sizes[-1]], dtype=int),
             "_group_logw": np.array([size_logw[count] for (count, _), _ in groups]),
             "_group_mask_idx": np.array([mask_order[mask] for _, mask in groups], dtype=int),
         }
@@ -299,13 +302,13 @@ class BlockDecode:
     of raising; its posteriors are NaN.  ``scores`` holds the log-score of
     every (size, mask) attacker group, ``group`` the reported group per
     row (-1 for none), and ``decoded_attackers`` its first support, the
-    reported support.
+    reported one, padded with -1 to the widest count with mass (all -1 for none).
     """
 
     attack_posterior: np.ndarray  # (T,)
     label_posterior: np.ndarray  # (T, c)
     decoded_label: np.ndarray  # (T,)
-    decoded_attackers: tuple[tuple[int, ...], ...]
+    decoded_attackers: np.ndarray  # (T, w) int
     group: np.ndarray  # (T,) int
     degenerate: np.ndarray  # (T,) bool
     scores: np.ndarray  # (T, G)
@@ -420,10 +423,8 @@ def _decode_rows(
     if scores.shape[1]:
         report = (attack > attack_threshold) & (scores.max(axis=1) > -math.inf)
         group = np.where(report, scores.argmax(axis=1), -1)
-    attackers = tuple(cfg._group_first[g] if g >= 0 else () for g in group.tolist())
-    return BlockDecode(
-        attack, labels, labels.argmax(axis=1), attackers, group, degenerate, scores
-    )
+    attackers = cfg._group_first.take(group, axis=0)
+    return BlockDecode(attack, labels, labels.argmax(axis=1), attackers, group, degenerate, scores)
 
 
 def _decode_one(outputs, cfg: DecoderConfig, attack_threshold: float = 0.5) -> BlockDecode:
@@ -513,7 +514,7 @@ def decode(
         float(block.attack_posterior[0]),
         block.label_posterior[0],
         int(block.decoded_label[0]),
-        block.decoded_attackers[0],
+        tuple(j for j in block.decoded_attackers[0].tolist() if j >= 0),
         cfg,
         block.scores[0],
     )

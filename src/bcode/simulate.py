@@ -272,16 +272,21 @@ class CountStats:
     degenerate: int
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy int; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _checked_count(cfg: DecoderConfig, count: int) -> int:
     """``count`` as an int, refused unless it is an int key of
     ``cfg.count_prior`` (a float such as 1.7 is never truncated)."""
-    if not isinstance(count, (int, np.integer)) or count not in cfg.count_prior:
+    if not _is_int(count) or count not in cfg.count_prior:
         raise ValueError(f"attacker count {count!r} must be an int key of the decoder count prior")
     return int(count)
 
 
 def _check_trials(trials: int) -> None:
-    if not isinstance(trials, (int, np.integer)):
+    if not _is_int(trials):
         raise ValueError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -309,20 +314,20 @@ def run_trials(
     ``integers(c)`` (the label), ``integers(c - 1)`` (the target) and
     ``random(2m)`` (the output doubles) draw from it, in that order.  This
     is the one-task case of the batched pass ``sweep`` runs
-    (``_run_tasks``).  A trial count that is not an int is refused with
-    ``ValueError``, and more than ``MAX_TRIALS`` trials raise
-    ``ResourceLimitError``.
+    (``_run_tasks``).  A trial count that is not an int, a bool included,
+    is refused with ``ValueError``, and more than ``MAX_TRIALS`` trials
+    raise ``ResourceLimitError``.
     """
     attacker_count = _checked_count(cfg, attacker_count)
     _check_trials(trials)
-    (stats,) = _run_tasks(cfg, trials, [(attacker_count, seed)])
-    return stats
+    *stats, degenerate = _run_tasks(cfg, trials, [(attacker_count, seed)])[:, 0].tolist()
+    return CountStats(trials, *stats, int(degenerate))
 
 
-def _run_tasks(cfg: DecoderConfig, trials: int,
-               tasks: Sequence[tuple[int, int]]) -> list[CountStats]:
-    """``run_trials(cfg, count, trials, seed)`` of every (count, seed) in
-    ``tasks``, in one pass over their trials laid end to end.
+def _run_tasks(cfg: DecoderConfig, trials: int, tasks: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The statistics ``run_trials(cfg, count, trials, seed)`` reports for
+    every (count, seed) in ``tasks``, one column each (``_task_stats``), in
+    one pass over their trials laid end to end.
 
     A chunk of trials, as many as keep the stream kernel's arrays, their
     supports' models and their CDF comparisons within
@@ -344,16 +349,6 @@ def _run_tasks(cfg: DecoderConfig, trials: int,
     # (n + 1, m): user n, which pads supports, trains no model.
     models_of_user = np.vstack([code.to_array().T.astype(bool), np.zeros(m, bool)])
     cdfs = _choice_cdfs(cfg.confusions)
-    # Each user of group g's reported support as the key g * n + user,
-    # sorted, and a last key above every other; a row reported as group -1
-    # asks for negative keys, none of which is there, and its size is the
-    # last one, 0.  Supports narrower than the widest are padded with a
-    # user whose keys are negative for every group.
-    firsts = cfg._group_first
-    keys = np.array(sorted(g * n + j for g, first in enumerate(firsts) for j in first)
-                    + [len(firsts) * n])
-    sizes = np.array([len(first) for first in firsts] + [0])
-    pad = -(len(firsts) + 1) * n
     counts = np.array([count for count, _ in tasks])
     entropy = _streams.seed_entropy([seed for _, seed in tasks])
     width = counts.max()
@@ -377,49 +372,45 @@ def _run_tasks(cfg: DecoderConfig, trials: int,
         users[attacks] = cols
         # Reduced over the leading axis, where numpy's reduction is fastest.
         compromised = models_of_user[users.T].any(axis=0)
-        supports = np.where(attacks, users, pad)
         targets += targets >= labels
         y = _sample_block(compromised, targets, labels, cdfs, cfg.success_rate, draws)
-        return supports, labels, y
+        return users, labels, y
 
     total = len(tasks) * trials
     stats, pending, held = [], [], 0
     for first in range(0, total, span):
         last = min(first + span, total)
         parts = [sample(s, min(s + chunk, last)) for s in range(first, last, chunk)]
-        supports, labels, y = (np.concatenate(part) for part in zip(*parts))
+        planted, labels, y = (np.concatenate(part) for part in zip(*parts))
         # Per trial: decoded right, majority right, true and false
         # positives, and degenerate.
         outcomes = np.empty((5, last - first), dtype=np.int32)
         for start in range(0, last - first, rows):
             at = slice(start, start + rows)
             result = decode_block(y[at], cfg)
-            asked = result.group[:, None] * n + supports[at]
-            tp = (keys[np.searchsorted(keys, asked)] == asked).sum(axis=1)
+            # Pads (-1 reported, n planted) never match: TP, and FP the rest.
+            reported = result.decoded_attackers
+            tp = (reported[:, :, None] == planted[at, None]).sum(axis=(1, 2))
             outcomes[:, at] = (~result.degenerate & (result.decoded_label == labels[at]),
                                majority_votes(y[at], c) == labels[at],
-                               tp, sizes[result.group] - tp, result.degenerate)
+                               tp, (reported >= 0).sum(axis=1) - tp, result.degenerate)
         pending.append(outcomes)
         held += last - first
         if held >= trials:
             outcomes = np.concatenate(pending, axis=1)
             done = held - held % trials
-            stats += _task_stats(outcomes[:, :done].reshape(5, -1, trials))
+            stats.append(_task_stats(outcomes[:, :done].reshape(5, -1, trials)))
             pending, held = [outcomes[:, done:]], held - done
-    return stats
+    return np.concatenate(stats, axis=1)
 
 
-def _task_stats(outcomes: np.ndarray) -> list[CountStats]:
-    """The ``CountStats`` of each task from its (5, tasks, trials)
-    outcomes; a row reduces as the task's trials alone would."""
-    trials = outcomes.shape[2]
+def _task_stats(outcomes: np.ndarray) -> np.ndarray:
+    """The (7, tasks) ``CountStats`` fields but ``trials`` of each task from
+    its (5, tasks, trials) outcomes; a row reduces as its trials alone would."""
     means = outcomes.mean(axis=2)
     sds = outcomes[2:4].std(axis=2)
-    return [
-        CountStats(trials, decode, majority, tp, tp_sd, fp, fp_sd, degenerate)
-        for decode, majority, tp, fp, tp_sd, fp_sd, degenerate in zip(
-            *means[:4].tolist(), *sds.tolist(), outcomes[4].sum(axis=1).tolist())
-    ]
+    return np.stack([means[0], means[1], means[2], sds[0], means[3], sds[1],
+                     outcomes[4].sum(axis=1)])
 
 
 @dataclass(frozen=True)
@@ -464,7 +455,7 @@ def sweep(
     or is below one, fewer than one worker and a trial count
     ``run_trials`` refuses are refused before any task runs.
     """
-    if not isinstance(runs, (int, np.integer)):
+    if not _is_int(runs):
         raise ValueError(f"runs must be an int, got {runs!r}")
     if runs < 1:
         raise ValueError("need at least one run")
@@ -484,22 +475,21 @@ def sweep(
         # every workers-th task, which spreads each count's runs evenly.
         from concurrent.futures import ProcessPoolExecutor
 
+        stats = np.empty((7, len(tasks)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            shares = list(pool.map(partial(_run_tasks, cfg, trials),
-                                   [tasks[w::workers] for w in range(workers)]))
-        reports = [shares[i % workers][i // workers] for i in range(len(tasks))]
+            shares = pool.map(partial(_run_tasks, cfg, trials),
+                              [tasks[w::workers] for w in range(workers)])
+            for w, share in enumerate(shares):
+                stats[:, w::workers] = share
     else:
-        reports = _run_tasks(cfg, trials, tasks)
+        stats = _run_tasks(cfg, trials, tasks)
 
-    # A C-ordered (field, count, run) array: each row is contiguous, so it
-    # reduces as the count's runs alone would.
-    fields = np.array([[r.decode_accuracy for r in reports], [r.majority_accuracy for r in reports],
-                       [r.tp_mean for r in reports], [r.fp_mean for r in reports]])
-    fields = fields.reshape(4, len(counts), runs)
-    degenerate = np.reshape([r.degenerate for r in reports], (len(counts), runs)).sum(axis=1)
+    # A C-ordered (statistic, count, run) array: each row is contiguous, so
+    # it reduces as the count's runs alone would.
+    stats = stats.reshape(7, len(counts), runs)[[0, 1, 2, 4, 6]]
+    means, sds = stats[:4].mean(axis=2), stats[:4].std(axis=2)
     return [
         SweepPoint(count, runs, trials, dec, dec_sd, maj, maj_sd, tp, tp_sd, fp, fp_sd, deg)
         for count, (dec, maj, tp, fp), (dec_sd, maj_sd, tp_sd, fp_sd), deg in zip(
-            counts, fields.mean(axis=2).T.tolist(), fields.std(axis=2).T.tolist(),
-            degenerate.tolist())
+            counts, means.T.tolist(), sds.T.tolist(), stats[4].sum(axis=1).astype(int).tolist())
     ]

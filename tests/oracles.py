@@ -152,6 +152,11 @@ def naive_decoder_tables(bits, count_prior):
     return masks, mask_logw, groups, group_first, group_logw, group_mask_idx
 
 
+def padded(support, width):
+    """``support`` as ``decode_block`` reports it, padded with -1 to ``width``."""
+    return [*support, *[-1] * (width - len(support))]
+
+
 def naive_joint_weight(bits, confusions, success_rate, count_prior, x, y, t, l):
     n = len(bits[0])
     count = sum(x)

@@ -206,9 +206,9 @@ def test_config_count_prior_is_read_only_and_pickles():
     assert restored.count_prior == cfg.count_prior
     with pytest.raises(TypeError):
         restored.count_prior[4] = 0.0
-    for name in ("_mask_matrix", "_mask_logw", "_group_logw", "_group_mask_idx"):
+    for name in ("_mask_matrix", "_mask_logw", "_group_first", "_group_logw", "_group_mask_idx"):
         assert np.array_equal(getattr(restored, name), getattr(cfg, name))
-    assert (restored._groups, restored._group_first) == (cfg._groups, cfg._group_first)
+    assert restored._groups == cfg._groups
 
 
 def test_config_tables_are_read_only_and_pickle_to_equal_tables():
@@ -217,7 +217,7 @@ def test_config_tables_are_read_only_and_pickle_to_equal_tables():
     cfg = DecoderConfig(code, conf, 0.5, 0.9, uniform_count_prior(0, 2), 3)
     derived = [f.name for f in dataclasses.fields(cfg) if not f.init]
     arrays = [name for name in derived if isinstance(getattr(cfg, name), np.ndarray)]
-    assert len(arrays) == 8
+    assert len(arrays) == 9
     for name in arrays:
         with pytest.raises(ValueError, match="read-only"):
             getattr(cfg, name).flat[0] = 0
@@ -600,7 +600,9 @@ def test_config_tables_match_the_support_enumeration(case):
     )
     assert [int(row @ (1 << np.arange(cfg.code.m))) for row in cfg._mask_matrix] == masks
     assert list(cfg._groups.items()) == list(groups.items())
-    assert cfg._group_first == tuple(first)
+    width = max(map(len, first), default=0)
+    firsts = [oracles.padded(support, width) for support in [*first, ()]]
+    assert cfg._group_first.tolist() == firsts
     assert cfg._group_mask_idx.tolist() == mask_idx
     assert cfg._group_logw.tolist() == group_logw
     # The mask weights are summed in another order: equal to 1e-13
@@ -613,7 +615,7 @@ def test_config_tables_match_the_support_enumeration(case):
         ),
         "_mask_logw": np.array(mask_logw),
         "_groups": groups,
-        "_group_first": tuple(first),
+        "_group_first": np.array(firsts, dtype=int),
         "_group_logw": np.array(group_logw),
         "_group_mask_idx": np.array(mask_idx, dtype=int),
     }
@@ -621,7 +623,7 @@ def test_config_tables_match_the_support_enumeration(case):
         object.__setattr__(enumerated, name, value)
     got, want = decode_block(outputs, cfg), decode_block(outputs, enumerated)
     assert got.decoded_label.tolist() == want.decoded_label.tolist()
-    assert got.decoded_attackers == want.decoded_attackers
+    assert got.decoded_attackers.tolist() == want.decoded_attackers.tolist()
     assert got.degenerate.tolist() == want.degenerate.tolist()
 
 
@@ -735,7 +737,8 @@ def test_block_decoding_equals_one_row_decoding(make):
             assert got.attack_posterior[b] == want.attack_posterior
             assert got.label_posterior[b].tobytes() == want.label_posterior.tobytes()
             assert got.decoded_label[b] == want.decoded_label
-            assert got.decoded_attackers[b] == want.decoded_attackers
+            assert got.decoded_attackers[b].tolist() == oracles.padded(
+                want.decoded_attackers, got.decoded_attackers.shape[1])
             assert got.scores[b].tobytes() == want._scores.tobytes()
     if make is exact_models_config:
         assert degenerate > 0
@@ -757,12 +760,13 @@ def test_block_group_is_the_reported_group_of_every_row():
         block = np.vstack([planted, rng.integers(0, 3, size=(40, code.m)), np.zeros((3, code.m), int)])
         got = decode_block(block, cfg)
         assert got.group.shape == (len(block),)
+        assert got.decoded_attackers.shape == (len(block), max(k for k in prior if prior[k]))
         for b, g in enumerate(got.group.tolist()):
             if g >= 0:
-                assert got.decoded_attackers[b] == cfg._group_first[g]
+                assert got.decoded_attackers[b].tolist() == cfg._group_first[g].tolist()
                 seen["reported"] += 1
                 continue
-            assert got.decoded_attackers[b] == ()
+            assert got.decoded_attackers[b].tolist() == [-1] * got.decoded_attackers.shape[1]
             if not cfg._groups:
                 seen["no group"] += 1
             elif got.degenerate[b]:

@@ -1,8 +1,10 @@
+import ast
 import concurrent.futures
 import math
 import pickle
 import tracemalloc
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -529,7 +531,8 @@ def test_trials_at_the_block_edges_equal_the_reference(cfg):
         assert block.attack_posterior[b] == want.attack_posterior
         assert block.label_posterior[b].tobytes() == want.label_posterior.tobytes()
         assert block.scores[b].tobytes() == want._scores.tobytes()
-        assert block.decoded_attackers[b] == want.decoded_attackers
+        assert block.decoded_attackers[b].tolist() == oracles.padded(
+            want.decoded_attackers, block.decoded_attackers.shape[1])
 
 
 @pytest.mark.parametrize("rows", [1, 7, 1000])
@@ -719,7 +722,7 @@ def test_trial_counts_are_refused_before_any_task_runs(monkeypatch, trials, erro
         sweep(cfg, [0, 1], trials=trials, runs=2, seed=0, workers=2)
 
 
-@pytest.mark.parametrize("trials", [2.0, 2.5, "2", None])
+@pytest.mark.parametrize("trials", [2.0, 2.5, "2", None, True])
 def test_trial_counts_must_be_ints(monkeypatch, trials):
     cfg = perfect_cfg(general_bcc(2, 2, 4), 2)
     with pytest.raises(ValueError, match="trials must be an int"):
@@ -730,7 +733,7 @@ def test_trial_counts_must_be_ints(monkeypatch, trials):
         sweep(cfg, [1], trials=trials, runs=1, seed=0)
 
 
-@pytest.mark.parametrize("runs", [1.5, 2.0, "2", None])
+@pytest.mark.parametrize("runs", [1.5, 2.0, "2", None, True])
 def test_run_counts_must_be_ints(monkeypatch, runs):
     cfg = perfect_cfg(general_bcc(2, 2, 4), 2)
     monkeypatch.setattr(simulate, "_run_tasks", lambda *args: pytest.fail("a task ran"))
@@ -738,7 +741,7 @@ def test_run_counts_must_be_ints(monkeypatch, runs):
         sweep(cfg, [1], trials=2, runs=runs, seed=0)
 
 
-@pytest.mark.parametrize("count", [1.7, 1.0, -1, 3, "1", None])
+@pytest.mark.parametrize("count", [1.7, 1.0, -1, 3, "1", None, True])
 def test_attacker_counts_must_be_int_keys_of_the_prior(monkeypatch, count):
     cfg = perfect_cfg(general_bcc(2, 2, 4), 2)
     with pytest.raises(ValueError, match="attacker count"):
@@ -868,12 +871,12 @@ def test_sweep_equals_run_trials_task_by_task(monkeypatch, code, make_cfg, count
     # Mixed counts out of order, and seeds of one, two, three and five
     # entropy words.
     tasks = [(counts[1], 5), (counts[0], 2**64 + 3), (counts[0], 2**40), (counts[2], 2**140 + 1)]
-    alone = [run_trials(cfg, count, 13, seed) for count, seed in tasks]
+    alone = np.hstack([simulate._run_tasks(cfg, 13, [task]) for task in tasks])
     if entries is not None:
         monkeypatch.setattr(simulate, "BLOCK_ENTRIES", entries)
         monkeypatch.setattr(DecoderConfig, "block_rows", rows)
     assert sweep(cfg, counts, 13, 9, seed=6) == want
-    assert simulate._run_tasks(cfg, 13, tasks) == alone
+    assert simulate._run_tasks(cfg, 13, tasks).tobytes() == alone.tobytes()
 
 
 def test_sweep_memory_does_not_grow_with_the_tasks():
@@ -930,6 +933,20 @@ def test_sweep_builds_the_config_once_per_worker(monkeypatch):
         builds.clear()
         assert sweep(cfg, [0, 1], trials=5, runs=2, seed=3, workers=workers) == serial
         assert len(builds) == min(workers, 4)
+
+
+def test_simulate_reads_no_private_name_of_the_decoder():
+    # The decoder alone knows which support a row reports; simulate scores
+    # what decode_block returns and reads no private table of a config.
+    found = []
+    source = Path(simulate.__file__).read_text()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module in ("decoder", "bcode.decoder"):
+            found += [f"decoder.{a.name}" for a in node.names if a.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in ("cfg", "decoder") and node.attr.startswith("_")):
+            found.append(f"{node.value.id}.{node.attr}")
+    assert found == []
 
 
 # --- generative / decoder consistency (small version) --------------------------------------

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,27 @@ def test_the_kernel_reads_the_streams_default_rng_seeds(seed, length):
     raw = _streams.pcg64_raw(_streams.seed_words(entropy, np.zeros(len(trials), int), trials), length)
     for t, row in zip(trials.tolist(), raw, strict=True):
         assert row.tolist() == np.random.PCG64([seed, t]).random_raw(length).tolist()
+
+
+@pytest.mark.parametrize("seed", [1, 2**32 + 5, 2**200 + 3])
+def test_the_generator_draws_the_stream_default_rng_seeds(seed):
+    # Seeds of one, two and many words.
+    trials = np.array([0, 7, 2**32 - 1], dtype=np.uint32)
+    words = _streams.seed_words(_streams.seed_entropy([seed]), np.zeros(len(trials), int), trials)
+    for t, row in zip(trials.tolist(), words, strict=True):
+        got, want = _streams.generator(row), np.random.default_rng([seed, t])
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.random(5).tolist() == want.random(5).tolist()
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    # generator's seed sequence type is made on its first call, since
+    # importing numpy.random takes about 10 ms and 6 MB.
+    probe = "import sys, bcode, bcode.cli; print('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout == "False\n"
 
 
 def pcg64_at(state, inc):
