@@ -240,9 +240,11 @@ def _seed_words() -> type:
     """An ``ISeedSequence`` of given words, made on first use (it loads numpy.random)."""
     class SeedWords(np.random.bit_generator.ISeedSequence):
         def __init__(self, words: np.ndarray) -> None:
-            self.words = words
+            self.words = np.ascontiguousarray(words, dtype=np.uint64)
 
         def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
+                raise ValueError("PCG64 takes four uint64 seed words")
             return self.words
 
     return SeedWords

@@ -300,16 +300,15 @@ class BlockDecode:
     same floats, bit for bit), except that a row whose outputs have zero
     probability under every hypothesis is flagged in ``degenerate`` instead
     of raising; its posteriors are NaN.  ``scores`` holds the log-score of
-    every (size, mask) attacker group, ``group`` the reported group per
-    row (-1 for none), and ``decoded_attackers`` its first support, the
-    reported one, padded with -1 to the widest count with mass (all -1 for none).
+    every (size, mask) attacker group, and ``decoded_attackers`` the first
+    support of the row's reported group, padded with -1 to the widest count
+    with mass (all -1 when none is reported).
     """
 
     attack_posterior: np.ndarray  # (T,)
     label_posterior: np.ndarray  # (T, c)
     decoded_label: np.ndarray  # (T,)
     decoded_attackers: np.ndarray  # (T, w) int
-    group: np.ndarray  # (T,) int
     degenerate: np.ndarray  # (T,) bool
     scores: np.ndarray  # (T, G)
 
@@ -424,7 +423,7 @@ def _decode_rows(
         report = (attack > attack_threshold) & (scores.max(axis=1) > -math.inf)
         group = np.where(report, scores.argmax(axis=1), -1)
     attackers = cfg._group_first.take(group, axis=0)
-    return BlockDecode(attack, labels, labels.argmax(axis=1), attackers, group, degenerate, scores)
+    return BlockDecode(attack, labels, labels.argmax(axis=1), attackers, degenerate, scores)
 
 
 def _decode_one(outputs, cfg: DecoderConfig, attack_threshold: float = 0.5) -> BlockDecode:

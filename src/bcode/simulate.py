@@ -346,7 +346,7 @@ def _run_tasks(cfg: DecoderConfig, trials: int, tasks: Sequence[tuple[int, int]]
         raise ValueError("attack simulation needs at least two classes")
     code = cfg.code
     n, m = code.n, code.m
-    # (n + 1, m): user n, which pads supports, trains no model.
+    # (n + 1, m): the last row, user -1, which pads supports, trains no model.
     models_of_user = np.vstack([code.to_array().T.astype(bool), np.zeros(m, bool)])
     cdfs = _choice_cdfs(cfg.confusions)
     counts = np.array([count for count, _ in tasks])
@@ -368,7 +368,7 @@ def _run_tasks(cfg: DecoderConfig, trials: int, tasks: Sequence[tuple[int, int]]
         raw = _streams.pcg64_raw(words, length)
         cols, labels, targets, draws = _streams.trial_draws(words, raw, n, counts[owner], c, m)
         attacks = np.arange(width) < counts[owner][:, None]
-        users = np.full((stop - start, width), n)
+        users = np.full((stop - start, width), -1)
         users[attacks] = cols
         # Reduced over the leading axis, where numpy's reduction is fastest.
         compromised = models_of_user[users.T].any(axis=0)
@@ -388,9 +388,12 @@ def _run_tasks(cfg: DecoderConfig, trials: int, tasks: Sequence[tuple[int, int]]
         for start in range(0, last - first, rows):
             at = slice(start, start + rows)
             result = decode_block(y[at], cfg)
-            # Pads (-1 reported, n planted) never match: TP, and FP the rest.
+            # A row reports and plants distinct users, so a user on both sides is
+            # a pair of equal neighbours once sorted; so is a pair of pads, -1.
             reported = result.decoded_attackers
-            tp = (reported[:, :, None] == planted[at, None]).sum(axis=(1, 2))
+            both = np.hstack([reported, planted[at]])
+            both.sort(axis=1)
+            tp = ((both[:, 1:] == both[:, :-1]) & (both[:, 1:] >= 0)).sum(axis=1)
             outcomes[:, at] = (~result.degenerate & (result.decoded_label == labels[at]),
                                majority_votes(y[at], c) == labels[at],
                                tp, (reported >= 0).sum(axis=1) - tp, result.degenerate)

@@ -687,6 +687,22 @@ def test_run_trials_memory_does_not_grow_with_the_users():
     assert peak <= 8 * BLOCK_ENTRIES * 8
 
 
+def test_run_trials_memory_is_linear_in_the_count():
+    # Reports and plants of 200 users: comparing every reported user with
+    # every planted one would take 500 * 200 * 200 bytes, over twice the bound.
+    code = partition_code(2, 400)
+    cfg = DecoderConfig(code, identity_confusions(2, 2), 0.5, 0.9, {0: 0.5, 200: 0.5}, 2)
+    assert run_trials(cfg, 200, 20, seed=1) == reference_report(code, cfg, 200, 20, seed=1)
+    tracemalloc.start()
+    try:
+        stats = run_trials(cfg, 200, 500, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.tp_mean > 0 and stats.fp_mean > 0
+    assert peak <= 12 * 500 * 200 * 8
+
+
 # Chunks of 1, 5 and 16 trials on the README code (60 entries a trial),
 # inside decode blocks of 54 rows and across blocks of 7.
 @pytest.mark.parametrize("entries", [1, 300, 1000])

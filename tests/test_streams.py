@@ -39,6 +39,18 @@ def test_the_generator_draws_the_stream_default_rng_seeds(seed):
         assert got.random(5).tolist() == want.random(5).tolist()
 
 
+def test_the_generator_seeds_from_the_words_not_their_memory_layout():
+    words = _streams.seed_words(_streams.seed_entropy([3]), np.zeros(2, int),
+                                np.arange(2, dtype=np.uint32))
+    strided = np.asfortranarray(words)[1]
+    assert not strided.flags.c_contiguous
+    assert (_streams.generator(strided).bit_generator.state
+            == np.random.default_rng([3, 1]).bit_generator.state)
+    # A bit generator that asks for other words than four uint64 is refused.
+    with pytest.raises(ValueError):
+        np.random.MT19937(_streams._seed_words()(words[1]))
+
+
 def test_importing_the_package_leaves_numpy_random_unloaded():
     # generator's seed sequence type is made on its first call, since
     # importing numpy.random takes about 10 ms and 6 MB.
