@@ -115,8 +115,9 @@ class DecoderConfig:
     (``simulate`` checks rows the way ``Generator.choice`` does).  The
     config keeps its own read-only copy, so the enumeration tables derived
     from it cannot go stale.
-    ``count_prior`` maps attacker counts to probabilities (its keys define
-    which counts are enumerated; they must sum to 1 and stay within [0, n]).
+    ``count_prior`` maps attacker counts to probabilities (its keys, ints
+    and never bools, define which counts are enumerated; they must sum to 1
+    and stay within [0, n]).
     The config keeps a read-only copy of it, for the same reason, and every
     table derived from these inputs is read-only too.
     A config pickles as its constructor arguments: a pool worker rebuilds it.
@@ -173,7 +174,7 @@ class DecoderConfig:
         prior: dict[int, float] = {}
         total = 0.0
         for count, prob in self.count_prior.items():
-            if not isinstance(count, (int, np.integer)) or count < 0:
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
                 raise ValueError(f"attacker count {count!r} must be a nonnegative int")
             if count > n:
                 raise ValueError(f"attacker count {count} exceeds the {n} users")

@@ -20,7 +20,8 @@ bit.  ``sweep`` runs all of its (count, run) tasks through one batched
 pass, and ``run_trials`` is its one-task case: a chunk of trials, which may
 span tasks, has its streams seeded and stepped and the draws ``choice``,
 ``integers`` and ``random`` make from them parsed at once (``_streams``,
-or numpy's ``Generator``), and its outputs sampled and decoded in blocks.
+or numpy's ``Generator``), and its outputs sampled; each distinct output
+vector among a span of trials is decoded once, in blocks.
 """
 
 from __future__ import annotations
@@ -335,11 +336,15 @@ def _run_tasks(cfg: DecoderConfig, trials: int, tasks: Sequence[tuple[int, int]]
     first outputs computed in one numpy pass each, has its draws parsed
     at once (``_streams.trial_draws``) and is sampled at once
     (``_sample_block``).
-    Outputs are decoded in blocks of ``cfg.block_rows`` trials, which may
-    hold trials of several tasks, and a task's statistics are taken as soon
-    as its last trial is decoded.  None of this changes a reported number:
-    every trial draws and every row decodes exactly as it would alone, and
-    each task's statistics reduce the same values in the same order.
+    The trials sampled before a decode, a span, which may hold trials of
+    several tasks, have each of their distinct output vectors decoded once,
+    in blocks of ``cfg.block_rows`` rows; every trial takes its vector's
+    decoded label, attackers and degenerate flag, and its majority vote and
+    true and false positives are counted per trial.  A task's statistics
+    are taken as soon as its last trial is decoded.  None of this changes a
+    reported number: every trial draws and every row decodes exactly as it
+    would alone, and each task's statistics reduce the same values in the
+    same order.
     """
     c = cfg.num_classes
     if c < 2:
@@ -382,21 +387,30 @@ def _run_tasks(cfg: DecoderConfig, trials: int, tasks: Sequence[tuple[int, int]]
         last = min(first + span, total)
         parts = [sample(s, min(s + chunk, last)) for s in range(first, last, chunk)]
         planted, labels, y = (np.concatenate(part) for part in zip(*parts))
+        # Each distinct output vector of the span is decoded once: sorted,
+        # equal rows are neighbours, and ``inverse`` maps every trial to its
+        # vector's place among the distinct rows.
+        order = np.lexsort(y.T)
+        ys = y[order]
+        first_of = np.concatenate([[True], (ys[1:] != ys[:-1]).any(axis=1)])
+        inverse = np.empty_like(order)
+        inverse[order] = first_of.cumsum() - 1
+        distinct = ys[first_of]
+        results = [decode_block(distinct[start:start + rows], cfg)
+                   for start in range(0, len(distinct), rows)]
+        decoded, reported, degenerate = (
+            np.concatenate([getattr(r, name) for r in results])[inverse]
+            for name in ("decoded_label", "decoded_attackers", "degenerate"))
+        # A row reports and plants distinct users, so a user on both sides is
+        # a pair of equal neighbours once sorted; so is a pair of pads, -1.
+        both = np.hstack([reported, planted])
+        both.sort(axis=1)
+        tp = ((both[:, 1:] == both[:, :-1]) & (both[:, 1:] >= 0)).sum(axis=1)
         # Per trial: decoded right, majority right, true and false
         # positives, and degenerate.
-        outcomes = np.empty((5, last - first), dtype=np.int32)
-        for start in range(0, last - first, rows):
-            at = slice(start, start + rows)
-            result = decode_block(y[at], cfg)
-            # A row reports and plants distinct users, so a user on both sides is
-            # a pair of equal neighbours once sorted; so is a pair of pads, -1.
-            reported = result.decoded_attackers
-            both = np.hstack([reported, planted[at]])
-            both.sort(axis=1)
-            tp = ((both[:, 1:] == both[:, :-1]) & (both[:, 1:] >= 0)).sum(axis=1)
-            outcomes[:, at] = (~result.degenerate & (result.decoded_label == labels[at]),
-                               majority_votes(y[at], c) == labels[at],
-                               tp, (reported >= 0).sum(axis=1) - tp, result.degenerate)
+        outcomes = np.array((~degenerate & (decoded == labels),
+                             majority_votes(y, c) == labels,
+                             tp, (reported >= 0).sum(axis=1) - tp, degenerate), dtype=np.int32)
         pending.append(outcomes)
         held += last - first
         if held >= trials:

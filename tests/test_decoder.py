@@ -167,6 +167,8 @@ def test_config_validation():
         DecoderConfig(code, good, 0.5, 1.0, {0.5: 0.5, 1.7: 0.5}, 2)
     with pytest.raises(ValueError, match="must be a nonnegative int"):
         DecoderConfig(code, good, 0.5, 1.0, {-1: 0.5, 1: 0.5}, 2)
+    with pytest.raises(ValueError, match="must be a nonnegative int"):
+        DecoderConfig(code, good, 0.5, 1.0, {False: 0.5, True: 0.5}, 2)
     numpy_keys = DecoderConfig(code, good, 0.5, 1.0, {np.int64(0): 0.5, np.int64(1): 0.5}, 2)
     assert numpy_keys.count_prior == {0: 0.5, 1: 0.5}
     bad_rows = good.copy()

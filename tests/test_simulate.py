@@ -542,18 +542,46 @@ def test_block_boundaries_do_not_change_the_report(monkeypatch, rows):
     trials = 60
     counts = (0, 1, 2, 3)
     want = [run_trials(cfg, count, trials, seed=4) for count in counts]
-    blocks = []
+    blocks, sampled = [], []
 
     def recording(y, cfg):
-        blocks.append(len(y))
+        blocks.append(y.copy())
         return decode_block(y, cfg)
 
+    def sampling(*args):
+        sampled.append(sample_block(*args))
+        return sampled[-1]
+
+    sample_block = simulate._sample_block
     monkeypatch.setattr(DecoderConfig, "block_rows", rows)
     monkeypatch.setattr(simulate, "decode_block", recording)
+    monkeypatch.setattr(simulate, "_sample_block", sampling)
     for count, report in zip(counts, want):
         blocks.clear()
+        sampled.clear()
         assert run_trials(cfg, count, trials, seed=4) == report
-        assert blocks == [min(rows, trials - start) for start in range(0, trials, rows)]
+        # The 60 trials fit one span at every block size here, so its blocks
+        # hold each distinct sampled vector exactly once.
+        assert all(len(block) <= rows for block in blocks)
+        decoded = [tuple(row) for block in blocks for row in block.tolist()]
+        assert len(decoded) == len(set(decoded))
+        assert set(decoded) == {tuple(row) for y in sampled for row in y.tolist()}
+
+
+def test_run_trials_decodes_each_distinct_vector_once(monkeypatch):
+    # Exact models and no attackers: every vector is its true label
+    # repeated, so 200 trials emit at most one vector per class.
+    code = general_bcc(2, 4, 8)
+    cfg = perfect_cfg(code, 2, classes=10)
+    decoded = []
+
+    def recording(y, cfg):
+        decoded.append(len(y))
+        return decode_block(y, cfg)
+
+    monkeypatch.setattr(simulate, "decode_block", recording)
+    assert run_trials(cfg, 0, 200, seed=6) == reference_report(code, cfg, 0, 200, seed=6)
+    assert 0 < sum(decoded) <= cfg.num_classes
 
 
 # --- trial draws parsed from raw output --------------------------------------------
