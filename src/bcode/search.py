@@ -31,23 +31,24 @@ under column permutation, so results match the plain enumeration exactly.
 
 The walk works on ints.  One sums accumulator holds the partial Boolean
 sum of each tracked column set, one 16-bit field per set: the n columns,
-then for separability and tracking the sets of sizes 2..k.  The walk loops
-over the last row without recursing, and rejects most complete candidates
-there: for the detection/correction/tracking kinds in O(1), when the kill
-accumulator (the size-k column sets some row kills) or the column
-accumulator (the columns some row covers) falls short with the last row,
-since some size-k sum then covers every model or some column is all zero
-(every pool ends with 2^n - 1, so only the last row can settle that); for
-separability and tracking, when two fields are equal, since the sums of
-1..k columns must be pairwise distinct.  Only the rest reach the verifier
-core ``properties._violation`` on the rows and the column fields, and a
-``BitMatrix`` is built only for a passing candidate.
+then for every kind but detection the sets of sizes 2..k.  The walk loops
+over the last row without recursing, and there the accumulators decide
+every complete candidate.  The detection/correction/tracking kinds fail in
+O(1) when the kill accumulator (the size-k column sets some row kills) or
+the column accumulator (the columns some row covers) falls short with the
+last row, since some size-k sum then covers every model or some column is
+all zero (every pool ends with 2^n - 1, so only the last row can settle
+that).  The sums of 1..k columns are the fields: separability and tracking
+fail when two fields are equal, correction and tracking when a field's
+complement is a field.
 Dedup is by orbit, through a ``seen`` set of the orbit images the walk
-can reach: every candidate's least row is 2^w - 1, so the first passing
-member of an orbit gets one ``_orbit`` call, which gives the row-sorted
-images whose least row is 2^w - 1.  They all go into ``seen``, and the
-least of them is the orbit's canonical form.  Every orbit member passes,
-and a later member is found in ``seen`` without being verified again; the
+can reach: every candidate's least row is 2^w - 1, so the first member of
+an orbit gets one ``_orbit`` call, which gives the row-sorted images whose
+least row is 2^w - 1.  They all go into ``seen``, and the least of them is
+the orbit's canonical form, the one ``BitMatrix`` built per orbit.  The
+verifier core ``properties._violation`` confirms only that first member,
+on the rows and the column fields.  Every orbit member passes, and a later
+member is found in ``seen`` without being verified again; the
 walk still visits it.  The walk counts its nodes (a root per height and first row, then
 every subset prefix it visits, complete candidates included, the last row's
 all at once; pruned branches, and first rows whose pool can satisfy the
@@ -152,8 +153,8 @@ class SearchResult:
     ``min_rows`` is None when no code exists within the row budget.
     ``codes`` holds one canonical representative per equivalence class at
     the minimum height, sorted by canonical form.  ``explored`` counts the
-    complete candidate matrices the walk reached, whether the accumulators,
-    the verifier or the set of seen orbits decided them.
+    complete candidate matrices the walk reached; its accumulators decide
+    each one, and the verifier confirms the first member of each new orbit.
     """
 
     min_rows: int | None
@@ -215,12 +216,14 @@ def exhaustive_min(
     # so far in the 16 bits from 16 * s (a height is at most SEARCH_MAX_ROWS
     # = 12); pushing row v at depth d ORs in hit[v] << d, and hit[v] has bit
     # 0 of set s's field set iff row v meets s.  The first n sets are the
-    # columns.  Separability and tracking add the sets of sizes 2..k for the
-    # split bound: the sums of 1..k columns must end pairwise distinct, so
-    # sums equal on the rows so far must be told apart by the ``left`` rows
-    # to come, which tell at most 2^left apart.
+    # columns.  All kinds but detection add the sets of sizes 2..k, whose
+    # sums the leaves test (correction: no two complements; tracking and
+    # separability: pairwise distinct).  The split bound follows from the
+    # latter: sums equal on the rows so far must be told apart by the
+    # ``left`` rows to come, which tell at most 2^left apart.
     distinct_kinds = kind in (CodeKind.SEPARABLE, CodeKind.BTC)
-    sizes = range(1, (min(k, n) if distinct_kinds else 1) + 1)
+    complement_kinds = kind in (CodeKind.BCC, CodeKind.BTC)
+    sizes = range(1, (1 if kind is CodeKind.BDC else min(k, n)) + 1)
     sum_masks = [sm for _, sm in column_sums(unit_masks, sizes)]
     num_sums = len(sum_masks)
     unpack = Struct(f"<{num_sums}H").unpack  # an accumulator's bytes to its fields
@@ -292,12 +295,13 @@ def exhaustive_min(
                      sum_acc | hits[i] << depth)
                 rows.pop()
             return
-        # One row left: every index in [start, stop) completes a candidate,
-        # and each counts as one node, so they are counted all at once.
+        # One row left: each index in [start, stop) completes a candidate that
+        # counts as one node (all counted at once) and the accumulators decide.
         nodes += stop - start
         if nodes > budget:
             raise over_budget()
         explored += stop - start
+        full_rows = (1 << m) - 1
         for i in range(start, stop):
             row = values[i]
             if covering_kinds and (
@@ -305,9 +309,14 @@ def exhaustive_min(
             ):
                 continue
             fields = unpack((sum_acc | hits[i] << depth).to_bytes(2 * num_sums, "little"))
+            sums = set(fields)
             # Two equal sums of 1..k columns, a repeated column among them.
-            if distinct_kinds and len(set(fields)) < num_sums:
+            if distinct_kinds and len(sums) < num_sums:
                 continue
+            # Two sums of 1..k columns that are complements.
+            if complement_kinds and not sums.isdisjoint([f ^ full_rows for f in sums]):
+                continue
+            # A code: the verifier confirms the first member of a new orbit.
             key = (*rows, row)
             if key not in seen and _violation(kind, k, r, key, fields[:n]) is None:
                 orbit = _orbit(key, n)

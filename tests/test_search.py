@@ -383,30 +383,27 @@ def test_search_walk_budget_boundary(monkeypatch):
             exhaustive_min(kind, k, r, n, max_m)
 
 
-@pytest.mark.parametrize("kind,k,r,n,max_m,calls", [
-    (CodeKind.BCC, 2, 2, 6, 12, 227),
-    (CodeKind.SEPARABLE, 1, 1, 5, 8, 16),
-    (CodeKind.SEPARABLE, 2, 1, 6, 12, 8),
-    (CodeKind.BTC, 2, 1, 6, 12, 338),
-])
-def test_walk_accumulators_decide_most_leaves(monkeypatch, kind, k, r, n, max_m, calls):
-    # Of 10,062, 567, 81,876 and 65,985 complete candidates, only these
-    # reach the verifier core; the rest are rejected by the walk's kill and
-    # column accumulators or by two equal sums of 1..k columns, or are
-    # members of an orbit already seen.
-    # Each of them is the walk's corner of its orbit: its first row is
-    # 2^w - 1, and no row weighs less than w.
+@pytest.mark.parametrize("kind,k,r,n,max_m", [case[:5] for case in PINNED],
+                         ids=["-".join(map(str, case[:5])) for case in PINNED])
+def test_walk_accumulators_decide_every_leaf(monkeypatch, kind, k, r, n, max_m):
+    # The kill, column and sums accumulators reject every failing candidate,
+    # so the verifier core only confirms the first member of each new orbit:
+    # it is reached once per returned class, and never finds a witness.
+    # Each member it sees is the walk's corner of its orbit: its first row
+    # is 2^w - 1, and no row weighs less than w.
     reached = []
     core = search._violation
 
     def counted(*args):
-        reached.append(args[3])
-        return core(*args)
+        verdict = core(*args)
+        reached.append((args[3], verdict))
+        return verdict
 
     monkeypatch.setattr(search, "_violation", counted)
-    exhaustive_min(kind, k, r, n, max_m)
-    assert len(reached) == calls
-    for rows in reached:
+    result = exhaustive_min(CodeKind(kind), k, r, n, max_m)
+    assert len(reached) == len(result.codes)
+    for rows, verdict in reached:
+        assert verdict is None
         w = rows[0].bit_count()
         assert rows[0] == 2**w - 1
         assert min(row.bit_count() for row in rows) == w
